@@ -130,12 +130,8 @@ def _parse_complex(text: str) -> complex:
 
 def _ctx(args, mu, kind="real") -> FieldContext:
     tol = getattr(args, "tol", None)
-    return FieldContext(
-        kind=kind,
-        mu=mu,
-        eq_tol=tol if tol else 1e-9,
-        identity_tol=tol if tol else 1e-9,
-    )
+    tol = 1e-9 if tol is None else tol
+    return FieldContext(kind=kind, mu=mu, eq_tol=tol, identity_tol=tol)
 
 
 def cmd_axioms(args) -> int:
@@ -321,7 +317,7 @@ def cmd_identities(args) -> int:
     mu = _load_mu(args.mu) if args.mu else None
     if mu is None and not args.random:
         args.random = True  # random tables are the only mode without a weighting file
-    tol = args.tol if args.tol else 1e-9
+    tol = 1e-9 if args.tol is None else args.tol
     outcomes = run_identity_sweep(
         ids,
         trials=args.trials,

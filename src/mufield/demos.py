@@ -38,7 +38,6 @@ from .sequences import (
     ExperimentReport,
     MuAssignment,
     SequenceSpec,
-    classical_converges,
     mu_converges,
     run_experiment,
     seq_bounded_report,
@@ -214,7 +213,7 @@ def run_demo(name: str) -> DemoReport:
         v1 = report.verdict_for("self", shift)
         claims.append(("supported at 0", v0.verdict == SUPPORTED))
         claims.append((f"supported at {shift:.6f}", v1.verdict == SUPPORTED))
-        classical = classical_converges(exp.sequence, 0.0, exp.eps_schedule, exp.horizon)
+        classical = next(v for e, c, v in report.classical if e == "self" and c == 0.0)
         claims.append(("classically divergent (refuted at horizon)", classical.verdict == REFUTED))
     elif name == "unbounded_convergent":
         v = report.verdict_for("self", 1.0)

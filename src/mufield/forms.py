@@ -33,10 +33,20 @@ _CHUNK = 200_000  # bound memory while scanning large index ranges
 
 
 def _horner(coeffs, n):
-    """Evaluate a polynomial given by ascending coefficients at n."""
-    acc = np.zeros_like(n, dtype=float) if isinstance(n, np.ndarray) else 0.0
+    """Evaluate a polynomial given by ascending coefficients at n.
+
+    An array is evaluated in place in one accumulator, with the same
+    operations in the same order as the scalar path.
+    """
+    if not isinstance(n, np.ndarray):
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * n + c
+        return acc
+    acc = np.zeros_like(n, dtype=float)
     for c in reversed(coeffs):
-        acc = acc * n + c
+        np.multiply(acc, n, out=acc)
+        np.add(acc, c, out=acc)
     return acc
 
 
@@ -74,27 +84,29 @@ class ValueForm:
         return EXP_INDEX_CAP if self.form == "exp_n_plus_c" else None
 
     def invert(self, v: float) -> float | None:
-        """Real-valued index estimate with terms(estimate) = v, or None."""
+        """Real-valued index estimate with terms(estimate) = v, or None.
+
+        None also stands for an estimate that is undefined or not finite.
+        """
         p = self.params
+        est = None
         if self.form == "log_n_plus_c":
             t = v - p["c"]
-            if t > 50.0:  # index beyond any practical range
-                return None
-            return math.exp(t)
-        if self.form == "exp_n_plus_c":
+            if t <= 50.0:  # beyond that, past any practical index range
+                est = math.exp(t)
+        elif self.form == "exp_n_plus_c":
             t = v - p["c"]
-            if t <= 0.0:
-                return None
-            return math.log(t)
-        if self.form == "sq_ratio":
-            if v <= 1.0:
-                return None
-            return 1.0 / (math.sqrt(v) - 1.0)
-        num = p["b"] - v * p["d"]
-        den = v * p["c"] - p["a"]
-        if den == 0.0:
-            return None
-        return num / den
+            if t > 0.0:
+                est = math.log(t)
+        elif self.form == "sq_ratio":
+            s = math.sqrt(v) - 1.0 if v > 1.0 else 0.0
+            if s > 0.0:
+                est = 1.0 / s
+        else:
+            den = v * p["c"] - p["a"]
+            if den != 0.0:
+                est = (p["b"] - v * p["d"]) / den
+        return est if est is not None and math.isfinite(est) else None
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,8 @@ class WeightForm:
                 return np.full_like(n, v, dtype=float)
             return v
         if self.form == "rational_poly":
-            return _horner(self.params["p"], n) / _horner(self.params["q"], n)
+            p, q = _horner(self.params["p"], n), _horner(self.params["q"], n)
+            return np.divide(p, q, out=p) if isinstance(p, np.ndarray) else p / q
         # inv_exp_p1_sq: 1 / (e^n + 1)^2, computed stably for large n
         e = np.exp(-n)
         return np.exp(-2.0 * n) / (1.0 + e) ** 2

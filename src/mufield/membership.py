@@ -20,6 +20,8 @@ samples (O(len(samples)^2) pair work) and make no claim about other points.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -77,8 +79,9 @@ class FamilyMatcher:
     """Accepts values within tol of form(n) for some n in [n_min, n_max].
 
     Membership of a hit is looked up at the matched index, so the rule weight
-    may be a WeightForm of n. Family members must be separated by much more
-    than tol inside the declared range for matching to be unambiguous.
+    may be a WeightForm of n. A value within tol of several members matches
+    the nearest one, and the lower index on a tie, so members closer together
+    than tol still match their own index.
     """
 
     form: ValueForm
@@ -87,18 +90,25 @@ class FamilyMatcher:
     tol: float = 1e-9
 
     def match_index(self, v: float) -> int | None:
+        """The index whose member is nearest v within tol (the lower on a tie), or None."""
         est = self.form.invert(v)
         if est is None:
             return None
-        base = int(np.floor(est))
-        for k in (base - 1, base, base + 1, base + 2):
-            if self.n_min <= k <= self.n_max and abs(v - self.form.term_at(k)) <= self.tol:
-                return k
-        return None
+        base = math.floor(est)
+        best, best_d = None, math.inf
+        for k in range(base - 1, base + 3):
+            if self.n_min <= k <= self.n_max:
+                d = abs(v - self.form.term_at(k))
+                if d == 0.0:  # nothing is nearer, and every lower index missed
+                    return k
+                if d <= self.tol and d < best_d:
+                    best, best_d = k, d
+        return best
 
     def match_indices(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized match: per-element matched index, or -1."""
+        """Vectorized match_index: per-element matched index, or -1."""
         out = np.full(values.shape, -1, dtype=np.int64)
+        best = np.full(values.shape, np.inf)
         with np.errstate(all="ignore"):
             if self.form.form == "log_n_plus_c":
                 t = values - self.form.params["c"]
@@ -114,14 +124,16 @@ class FamilyMatcher:
                 den = values * p["c"] - p["a"]
                 est = np.where(den != 0.0, (p["b"] - values * p["d"]) / np.where(den != 0.0, den, 1.0), np.nan)
             base = np.floor(np.where(np.isfinite(est), est, self.n_min - 10)).astype(np.int64)
-            for off in (-1, 0, 1, 2):
+            for off in (-1, 0, 1, 2):  # ascending, and only a strictly nearer index replaces
                 k = base + off
-                ok = (k >= self.n_min) & (k <= self.n_max) & (out < 0)
+                ok = (k >= self.n_min) & (k <= self.n_max)
                 if not ok.any():
                     continue
                 kf = np.where(ok, k, self.n_min).astype(float)
-                hit = ok & (np.abs(values - self.form.terms(kf)) <= self.tol)
+                d = np.abs(values - self.form.terms(kf))
+                hit = ok & (d <= self.tol) & (d < best)
                 out = np.where(hit, k, out)
+                best = np.where(hit, d, best)
         return out
 
 
@@ -169,13 +181,15 @@ class MembershipFunction:
         object.__setattr__(self, "rules", tuple(self.rules))
         if not (0.0 <= float(self.default) <= 1.0):
             raise ValidationError(f"default weight {self.default!r} out of [0, 1]")
+        validated = []  # (form, n_min, n_max) already scanned
         for i, rule in enumerate(self.rules):
             if not isinstance(rule, MuRule):
                 raise ValidationError(f"rules[{i}] is not a MuRule")
             if isinstance(rule.weight, WeightForm) and isinstance(rule.matcher, FamilyMatcher):
-                rule.weight.validate_range(
-                    rule.matcher.n_min, rule.matcher.n_max, where=f"rules[{i}]"
-                )
+                key = (rule.weight, rule.matcher.n_min, rule.matcher.n_max)
+                if key not in validated:
+                    rule.weight.validate_range(key[1], key[2], where=f"rules[{i}]")
+                    validated.append(key)
 
     def weight(self, v: Scalar) -> float:
         """Weight of the first rule accepting v, else the default."""
@@ -414,6 +428,13 @@ class AxiomReport:
         return all(self.verdicts.values())
 
 
+def _derived(v: Scalar, op: str, *operands) -> Scalar:
+    """v, the result of op on samples; a DomainError naming them when it is not finite."""
+    if not cmath.isfinite(v):
+        raise DomainError(f"axiom audit: {op.format(*map(repr, operands))} = {v!r} is not finite")
+    return v
+
+
 def check_axioms(ctx: FieldContext, samples) -> AxiomReport:
     """Audit the five axioms over all pairs of samples (O(n^2) pair work)."""
     pts = [_require_finite(s, "sample") for s in samples]
@@ -429,10 +450,10 @@ def check_axioms(ctx: FieldContext, samples) -> AxiomReport:
     for x in pts:
         for y in pts:
             bound = min(w[x], w[y])
-            ws = ctx.mu.weight(x + y)
+            ws = ctx.mu.weight(_derived(x + y, "{} + {}", x, y))
             if ws < bound - tol:
                 violate("i", (x, y), ws, bound)
-            wp = ctx.mu.weight(x * y)
+            wp = ctx.mu.weight(_derived(x * y, "{} * {}", x, y))
             if wp < bound - tol:
                 violate("iii", (x, y), wp, bound)
     for x in pts:
@@ -440,7 +461,7 @@ def check_axioms(ctx: FieldContext, samples) -> AxiomReport:
         if wn < w[x] - tol:
             violate("ii", (x,), wn, w[x])
         if abs(x) > tol:
-            wi = ctx.mu.weight(1.0 / x if not isinstance(x, complex) else 1.0 / x)
+            wi = ctx.mu.weight(_derived(1.0 / x, "1 / {}", x))
             if wi < w[x] - tol:
                 violate("iv", (x,), wi, w[x])
     w0, w1 = ctx.mu.weight(0.0), ctx.mu.weight(1.0)

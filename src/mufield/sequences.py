@@ -14,6 +14,13 @@ first supported index onward sits at or below ctx.min_mu: the convergence
 then rests entirely on zero weights, so any candidate would be supported.
 The flag keeps statements like "converges to 0, not to 2 nontrivially"
 machine-checkable.
+
+Each stream is computed once per experiment: run_experiment evaluates the
+terms of each distinct sequence and the weights of each distinct assigned
+weight form once, and every scan (candidates, classical cross-checks, limit
+checks) reads from them. The classical scans keep their own range and
+tolerances: weight 1 over the sequence's own [n_min, horizon], with the
+default FieldContext tolerances, exactly as classical_converges.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ class SequenceSpec:
         if self.form == "table":
             pts = self.params["points"]
             return np.array([float(pts[int(k)]) for k in ns])
-        return self._value_form().terms(ns.astype(float))
+        return self._value_form().terms(ns.astype(float, copy=False))
 
     def term_at(self, n: int) -> float:
         if not (self.n_min <= n <= self.n_max):
@@ -192,10 +199,11 @@ class ExperimentSpec:
             if expr not in EXPRESSIONS:
                 raise SpecError(f"unknown candidate expression {expr!r}")
             float(value)
-            if expr in ("partner", "sum", "product") and self.partner is None and expr != "partner":
-                pass
+        validated = []  # every entry shares the range, so each distinct form is scanned once
         for e_expr, _, wf in self.assignment.entries:
-            wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
+            if wf not in validated:
+                wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
+                validated.append(wf)
 
     @property
     def n_start(self) -> int:
@@ -204,29 +212,6 @@ class ExperimentSpec:
             n0 = max(n0, self.partner.n_min)
         return n0
 
-    def indices(self) -> np.ndarray:
-        return np.arange(self.n_start, self.horizon + 1, dtype=np.int64)
-
-    def expression_values(self, expr: str, ns: np.ndarray) -> np.ndarray:
-        if expr == "self":
-            return self.sequence.terms(ns)
-        if self.partner is None:
-            raise UsageError(f"expression {expr!r} needs a partner sequence")
-        if expr == "partner":
-            return self.partner.terms(ns)
-        x = self.sequence.terms(ns)
-        y = self.partner.terms(ns)
-        return x + y if expr == "sum" else x * y
-
-    def resolved_weights(
-        self, expr: str, candidate: float | None, ns: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        wf = self.assignment.resolve(expr, candidate, self.ctx.eq_tol)
-        if wf is not None:
-            return wf.weights(ns.astype(float))
-        shift = 0.0 if candidate is None else float(candidate)
-        return self.ctx.mu.weight_many(values - shift)
-
     def envelope_for(self, expr: str, candidate: float) -> str | None:
         for e_expr, e_cand, label in self.envelopes:
             if e_expr == expr and abs(float(e_cand) - float(candidate)) <= self.ctx.eq_tol:
@@ -234,79 +219,184 @@ class ExperimentSpec:
         return None
 
 
+# the classical scans weigh every term 1 and keep the default tolerances
+_CLASSICAL_CTX = FieldContext()
+
+
+def _eps_n(dev: np.ndarray, n0: int, eps: float, eq_tol: float) -> int | None:
+    """N(eps) for a deviation stream whose element i is index n0 + i."""
+    bad = dev >= eps * (1.0 + eq_tol)
+    if not bad.any():
+        return n0
+    last = int(np.nonzero(bad)[0][-1])
+    if last == dev.size - 1:
+        return None
+    return n0 + last + 1
+
+
+class _Stream:
+    """The arrays of one experiment, each evaluated once and read by every scan.
+
+    Scans read indices [lo, hi]. lo defaults to the experiment's n_start; a
+    lower lo lets the classical scans read each sequence from its own n_min.
+    The terms of each distinct sequence and the weights of each distinct
+    assigned weight form are evaluated once; expressions, weights and
+    deviations cover the experiment range [n0, hi], n0 = max(n_start, lo).
+    No index array is kept: element i of a range that starts at n is index
+    n + i. Deviations are built in one reused buffer, so a scan finishes with
+    one deviation before it asks for the next. Verdicts are kept per
+    candidate, so a limit check that repeats a declared candidate is free.
+    """
+
+    def __init__(self, exp: ExperimentSpec, lo: int | None = None, hi: int | None = None):
+        self.exp = exp
+        self.lo = exp.n_start if lo is None else lo
+        self.hi = exp.horizon if hi is None else hi
+        self.n0 = max(exp.n_start, self.lo)
+        self._terms = []  # (SequenceSpec, first index, terms from there to hi)
+        self._weights = []  # (WeightForm, weights over [n0, hi])
+        self._verdicts = {}  # (expr, candidate) -> ConvergenceVerdict
+        self._classical = []  # (SequenceSpec, candidate, ConvergenceVerdict)
+        self._buf = np.empty(0)
+
+    def _indices(self, first: int) -> np.ndarray:
+        return np.arange(first, self.hi + 1, dtype=float)
+
+    def _buffer(self, size: int) -> np.ndarray:
+        if self._buf.size < size:
+            self._buf = np.empty(size)
+        return self._buf[:size]
+
+    def terms(self, seq: SequenceSpec, first: int | None = None) -> np.ndarray:
+        """Terms of seq over [first, hi], first defaulting to n0; a view."""
+        first = self.n0 if first is None else first
+        for s, start, t in self._terms:
+            if s == seq:
+                return t[first - start:]
+        start = max(seq.n_min, self.lo)
+        t = seq.terms(self._indices(start))
+        self._terms.append((seq, start, t))
+        return t[first - start:]
+
+    def weights(self, wf: WeightForm) -> np.ndarray:
+        for f, w in self._weights:
+            if f == wf:
+                return w
+        w = wf.weights(self._indices(self.n0))
+        self._weights.append((wf, w))
+        return w
+
+    def values(self, expr: str, out: np.ndarray | None = None) -> np.ndarray:
+        """The stream of expr over [n0, hi]; a sum or product is built into out."""
+        exp = self.exp
+        if expr == "self":
+            return self.terms(exp.sequence)
+        if exp.partner is None:
+            raise UsageError(f"expression {expr!r} needs a partner sequence")
+        if expr == "partner":
+            return self.terms(exp.partner)
+        combine = np.add if expr == "sum" else np.multiply
+        return combine(self.terms(exp.sequence), self.terms(exp.partner), out=out)
+
+    def deviation(self, expr: str, candidate: float | None, signed: bool = False):
+        """The deviation |v_n - candidate| w_n over [n0, hi], and the weights w_n.
+
+        Signed, it is (v_n - candidate) w_n. w_n is the weight form assigned
+        to (expr, candidate), else the fallback membership at v_n - candidate.
+        The deviation lives in the shared buffer.
+        """
+        exp = self.exp
+        buf = self._buffer(self.hi - self.n0 + 1)
+        shift = 0.0 if candidate is None else float(candidate)
+        dev = np.subtract(self.values(expr, out=buf), shift, out=buf)
+        wf = exp.assignment.resolve(expr, candidate, exp.ctx.eq_tol)
+        w = exp.ctx.mu.weight_many(dev) if wf is None else self.weights(wf)
+        if not signed:
+            np.abs(dev, out=dev)
+        dev *= w
+        return dev, w
+
+    def verdict(self, expr: str, candidate: float) -> ConvergenceVerdict:
+        """The weighted scan of one candidate over the experiment range."""
+        key = (expr, float(candidate))
+        if key not in self._verdicts:
+            dev, w = self.deviation(expr, candidate)
+            self._verdicts[key] = self._scan(
+                expr, candidate, dev, w, self.n0, self.exp.ctx, self.exp.envelope_for(expr, candidate)
+            )
+        return self._verdicts[key]
+
+    def classical(self, seq: SequenceSpec, candidate: float) -> ConvergenceVerdict:
+        """The unweighted scan of seq over its own [n_min, hi], default tolerances."""
+        for s, c, v in self._classical:
+            if c == candidate and s == seq:
+                return v
+        t = self.terms(seq, seq.n_min)
+        dev = np.subtract(t, float(candidate), out=self._buffer(t.size))
+        np.abs(dev, out=dev)
+        v = self._scan("self", candidate, dev, None, seq.n_min, _CLASSICAL_CTX, None)
+        self._classical.append((seq, candidate, v))
+        return v
+
+    def _scan(self, expr, candidate, dev, weights, n0, ctx, envelope) -> ConvergenceVerdict:
+        """Eps table, triviality fraction and tail certificate of dev over [n0, hi].
+
+        weights None stands for weight 1 everywhere.
+        """
+        eq_tol = ctx.eq_tol
+        table = tuple((eps, _eps_n(dev, n0, float(eps), eq_tol)) for eps in self.exp.eps_schedule)
+        found = [n for _, n in table if n is not None]
+        all_found = len(found) == len(table)
+        tail_from = min(found) if found else n0
+        i0 = tail_from - n0
+        frac = 0.0 if weights is None else float(np.mean(weights[i0:] <= ctx.min_mu))
+
+        certificate = None
+        if all_found:
+            tdev = dev[i0:]
+            if tdev.size < 2 or bool(np.all(np.diff(tdev) <= eq_tol)):
+                certificate = CERT_MONOTONE
+            elif envelope is not None:
+                certificate = f"analytic-bound({envelope})"
+
+        if not all_found:
+            verdict = REFUTED
+        elif frac == 1.0:
+            verdict = SUPPORTED_TRIVIALLY
+        else:
+            verdict = SUPPORTED
+        return ConvergenceVerdict(
+            expr=expr,
+            candidate=float(candidate),
+            eps_table=table,
+            horizon=self.exp.horizon,
+            n_start=tail_from,
+            trivial_tail_fraction=frac,
+            tail_certificate=certificate,
+            verdict=verdict,
+        )
+
+
 def scaled_deviation(exp: ExperimentSpec, expr: str, candidate: float, n: int) -> float:
     """|v_n - candidate| times the resolved weight at (v_n - candidate)."""
     if not (exp.n_start <= n <= exp.horizon):
         raise UsageError(f"index {n} outside [{exp.n_start}, {exp.horizon}]")
-    ns = np.array([n], dtype=np.int64)
-    values = exp.expression_values(expr, ns)
-    w = exp.resolved_weights(expr, candidate, ns, values)
-    return float(np.abs(values - float(candidate))[0] * w[0])
-
-
-def _deviation_arrays(exp, expr, candidate):
-    ns = exp.indices()
-    values = exp.expression_values(expr, ns)
-    weights = exp.resolved_weights(expr, candidate, ns, values)
-    dev = np.abs(values - float(candidate)) * weights
-    return ns, values, weights, dev
-
-
-def _eps_n(dev: np.ndarray, ns: np.ndarray, eps: float, eq_tol: float) -> int | None:
-    bad = dev >= eps * (1.0 + eq_tol)
-    if not bad.any():
-        return int(ns[0])
-    last = int(np.nonzero(bad)[0][-1])
-    if ns[last] == ns[-1]:
-        return None
-    return int(ns[last]) + 1
+    dev, _ = _Stream(exp, n, n).deviation(expr, candidate)
+    return float(dev[0])
 
 
 def min_index_for_epsilon(exp: ExperimentSpec, expr: str, candidate: float, eps: float):
     """Smallest k with deviation < eps (1 + slack) for every n in [k, horizon]."""
     if eps <= 0.0:
         raise UsageError("eps must be > 0")
-    ns, _, _, dev = _deviation_arrays(exp, expr, candidate)
-    return _eps_n(dev, ns, float(eps), exp.ctx.eq_tol)
+    stream = _Stream(exp)
+    dev, _ = stream.deviation(expr, candidate)
+    return _eps_n(dev, stream.n0, float(eps), exp.ctx.eq_tol)
 
 
 def mu_converges(exp: ExperimentSpec, expr: str, candidate: float) -> ConvergenceVerdict:
     """Full eps table, triviality fraction, and tail certificate for one candidate."""
-    ns, _, weights, dev = _deviation_arrays(exp, expr, candidate)
-    eq_tol = exp.ctx.eq_tol
-    table = tuple((eps, _eps_n(dev, ns, float(eps), eq_tol)) for eps in exp.eps_schedule)
-    found = [n for _, n in table if n is not None]
-    all_found = len(found) == len(table)
-    tail_from = min(found) if found else int(ns[0])
-    tail = ns >= tail_from
-    frac = float(np.mean(weights[tail] <= exp.ctx.min_mu))
-
-    certificate = None
-    if all_found:
-        tdev = dev[tail]
-        if tdev.size < 2 or bool(np.all(np.diff(tdev) <= eq_tol)):
-            certificate = CERT_MONOTONE
-        else:
-            label = exp.envelope_for(expr, candidate)
-            if label is not None:
-                certificate = f"analytic-bound({label})"
-
-    if not all_found:
-        verdict = REFUTED
-    elif frac == 1.0:
-        verdict = SUPPORTED_TRIVIALLY
-    else:
-        verdict = SUPPORTED
-    return ConvergenceVerdict(
-        expr=expr,
-        candidate=float(candidate),
-        eps_table=table,
-        horizon=exp.horizon,
-        n_start=tail_from,
-        trivial_tail_fraction=frac,
-        tail_certificate=certificate,
-        verdict=verdict,
-    )
+    return _Stream(exp).verdict(expr, candidate)
 
 
 def classical_converges(
@@ -314,13 +404,8 @@ def classical_converges(
 ) -> ConvergenceVerdict:
     """The same scan with the identity weighting (weight 1 everywhere)."""
     h = min(seq.n_max, DEFAULT_HORIZON) if horizon is None else horizon
-    exp = ExperimentSpec(
-        sequence=seq,
-        eps_schedule=tuple(eps_schedule),
-        horizon=h,
-        ctx=FieldContext(mu=crisp()),
-    )
-    return mu_converges(exp, "self", candidate)
+    exp = ExperimentSpec(sequence=seq, eps_schedule=tuple(eps_schedule), horizon=h)
+    return _Stream(exp).classical(seq, candidate)
 
 
 @dataclass(frozen=True)
@@ -341,10 +426,10 @@ class SeqBoundsReport:
 
 
 def seq_bounded_report(exp: ExperimentSpec, expr: str = "self", probe: float | None = None) -> SeqBoundsReport:
-    ns = exp.indices()
-    values = exp.expression_values(expr, ns)
-    weights = exp.resolved_weights(expr, None, ns, values)
-    s = values * weights
+    stream = _Stream(exp)
+    n0 = stream.n0
+    values = stream.values(expr)
+    s, weights = stream.deviation(expr, None, signed=True)
     i_sup, i_inf = int(np.argmax(s)), int(np.argmin(s))
     scaled_abs = float(np.max(np.abs(s)))
     raw_abs = float(np.max(np.abs(values)))
@@ -354,13 +439,13 @@ def seq_bounded_report(exp: ExperimentSpec, expr: str = "self", probe: float | N
         over = np.nonzero(np.abs(s) > probe)[0]
         within = over.size == 0
         if over.size:
-            first_exceed = int(ns[over[0]])
+            first_exceed = n0 + int(over[0])
     return SeqBoundsReport(
         expr=expr,
         sup=ScaledValue(float(values[i_sup]), float(weights[i_sup]), float(s[i_sup])),
-        sup_n=int(ns[i_sup]),
+        sup_n=n0 + i_sup,
         inf=ScaledValue(float(values[i_inf]), float(weights[i_inf]), float(s[i_inf])),
-        inf_n=int(ns[i_inf]),
+        inf_n=n0 + i_inf,
         scaled_abs_max=scaled_abs,
         raw_abs_max=raw_abs,
         scaled_within_raw=scaled_abs <= raw_abs + exp.ctx.eq_tol,
@@ -380,14 +465,12 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
     """
     if exp.horizon < exp.n_start + 1:
         raise UsageError("check_monotone needs at least two indices")
-    ns = exp.indices()
-    values = exp.expression_values("self", ns)
-    weights = exp.resolved_weights("self", None, ns, values)
-    s = values * weights
+    stream = _Stream(exp)
+    s, _ = stream.deviation("self", None, signed=True)
     eq_tol = exp.ctx.eq_tol
     drops = np.nonzero(np.diff(s) < -eq_tol)[0]
     if drops.size:
-        k = int(ns[drops[0]])
+        k = stream.n0 + int(drops[0])
         return IdentityCheckReport(
             "monotone", (), float(s[drops[0] + 1]), float(s[drops[0]]), math.inf, FAIL,
             (f"scaled stream decreases at n={k}",), {"first_violation_n": k},
@@ -435,21 +518,18 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
     for expr, _ in exp.candidates:
         if expr in ("partner", "sum", "product") and exp.partner is None:
             raise UsageError(f"candidate on {expr!r} needs a partner sequence")
-    verdicts = tuple(mu_converges(exp, expr, value) for expr, value in exp.candidates)
+    stream = _Stream(exp, lo=1)  # each sequence from its own n_min, for the classical scans
+    verdicts = tuple(stream.verdict(expr, value) for expr, value in exp.candidates)
 
-    classical = []
     self_candidates = [v for e, v in exp.candidates if e == "self"]
     partner_candidates = [v for e, v in exp.candidates if e == "partner"]
-    for cand in self_candidates:
-        classical.append(("self", cand, classical_converges(exp.sequence, cand, exp.eps_schedule, exp.horizon)))
-    for cand in partner_candidates:
-        classical.append(("partner", cand, classical_converges(exp.partner, cand, exp.eps_schedule, exp.horizon)))
+    classical = [("self", c, stream.classical(exp.sequence, c)) for c in self_candidates]
+    classical += [("partner", c, stream.classical(exp.partner, c)) for c in partner_candidates]
 
     checks = []
     if exp.partner is not None and self_candidates and partner_candidates:
         l, m = self_candidates[0], partner_candidates[0]
-        cl = next(v for e, c, v in classical if e == "self" and c == l)
-        cm = next(v for e, c, v in classical if e == "partner" and c == m)
+        cl, cm = stream.classical(exp.sequence, l), stream.classical(exp.partner, m)
         both = cl.verdict != REFUTED and cm.verdict != REFUTED
         for expr, target in (("sum", l + m), ("product", l * m)):
             if not both:
@@ -458,7 +538,7 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
                     ("classical support not established at this horizon",), {},
                 ))
                 continue
-            v = mu_converges(exp, expr, target)
+            v = stream.verdict(expr, target)
             ok = v.verdict in (SUPPORTED, SUPPORTED_TRIVIALLY)
             checks.append(IdentityCheckReport(
                 f"limit-{expr}", (l, m), target, target, 0.0 if ok else math.inf,
@@ -470,9 +550,12 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
 
 def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
     """(n, term, membership, scaled_deviation) rows for plotting."""
-    ns, values, weights, dev = _deviation_arrays(exp, expr, candidate)
-    for i in range(ns.size):
-        yield int(ns[i]), float(values[i]), float(weights[i]), float(dev[i])
+    stream = _Stream(exp)
+    values = stream.values(expr)
+    dev, weights = stream.deviation(expr, candidate)
+    n0 = stream.n0
+    for i in range(dev.size):
+        yield n0 + i, float(values[i]), float(weights[i]), float(dev[i])
 
 
 # ---------------------------------------------------------------------------

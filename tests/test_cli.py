@@ -52,7 +52,43 @@ class TestAxioms:
         assert code == 2
 
 
+    @pytest.mark.parametrize("form, params", [
+        ("exp_n_plus_c", {"c": 1.0}),
+        ("moebius", {"a": 1.0, "b": 1.0, "c": 3.0, "d": 1.0}),
+    ])
+    def test_overflowing_samples_are_a_domain_error(self, capsys, tmp_path, form, params):
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps({"default": 0.0, "rules": [{
+            "match": {"kind": "family", "form": form, "params": params, "n_min": 1, "n_max": 600},
+            "mu": 0.5,
+        }]}))
+        samples = tmp_path / "samples.json"
+        samples.write_text("[1e200, -1e200]")
+        code, _, err = run(capsys, "axioms", str(p), "--samples", str(samples))
+        assert code == 1
+        assert err.startswith("error:") and "1e+200 * 1e+200" in err
+
+
 class TestEval:
+    def test_sq_ratio_rule_just_above_one_is_no_match(self, capsys, tmp_path):
+        p = tmp_path / "sq.json"
+        p.write_text(json.dumps({"default": 0.25, "rules": [{
+            "match": {"kind": "family", "form": "sq_ratio", "params": {}, "n_min": 1, "n_max": 1000},
+            "mu": 0.5,
+        }]}))
+        code, out, _ = run(capsys, "--json", "eval", "mu", "--mu", str(p), "--a", "1.0000000000000002")
+        assert code == 0
+        assert json.loads(out)["body"]["value"] == 0.25
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])
+    def test_non_positive_tol_is_exit_2(self, capsys, tol):
+        code, _, err = run(capsys, f"--tol={tol}", "eval", "mu_abs", "--a", "2")
+        assert code == 2
+        assert "tolerances must be strictly positive" in err
+        code, _, _ = run(capsys, "identities", "O1", "--trials", "3", f"--tol={tol}")
+        assert code == 2
+
+
     def test_mu_abs(self, capsys, tmp_path):
         p = tmp_path / "half.json"
         p.write_text(json.dumps({

@@ -88,6 +88,54 @@ class TestEvaluation:
         assert np.array_equal(vector, scalars)
 
 
+MOEBIUS = {"a": 1.0, "b": 1.0, "c": 3.0, "d": 1.0}
+
+
+class TestFamilyMatching:
+    # from n = 44,723 (sq_ratio) and n = 14,908 (moebius) on, adjacent members
+    # lie closer together than the default tol, so the first index within
+    # tol is often a neighbour; the nearest one is the member itself
+    @pytest.mark.parametrize("form, params, probes", [
+        ("sq_ratio", {}, (44_722, 44_723, 70_000)),
+        ("moebius", MOEBIUS, (14_907, 14_908, 50_000)),
+        ("log_n_plus_c", {"c": 1.0}, (1, 50_000)),
+    ])
+    def test_own_terms_match_their_own_index(self, form, params, probes):
+        f = ValueForm(form, params)
+        m = FamilyMatcher(f, 1, 100_000)
+        ns = np.arange(1, 100_001)
+        got = m.match_indices(f.terms(ns.astype(float)))
+        assert np.count_nonzero(got != ns) == 0
+        for n in (*probes, *range(1, 100_001, 4_999), 100_000):
+            assert m.match_index(f.term_at(n)) == n
+
+    def test_nearest_index_wins_over_first_within_tol(self):
+        m = FamilyMatcher(ValueForm("log_n_plus_c", {"c": 0.0}), 1, 100, tol=1.0)
+        v = 0.3 * math.log(10) + 0.7 * math.log(11)
+        assert m.match_index(v) == 11
+        assert m.match_indices(np.array([v])).tolist() == [11]
+
+    def test_tie_takes_the_lower_index(self):
+        identity = ValueForm("moebius", {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0})  # n itself
+        m = FamilyMatcher(identity, 1, 100, tol=1.0)
+        assert m.match_index(10.5) == 10
+        assert m.match_indices(np.array([10.5])).tolist() == [10]
+
+    @pytest.mark.parametrize("form, params, v", [
+        ("sq_ratio", {}, 1.0000000000000002),  # sqrt(v) - 1 == 0
+        ("exp_n_plus_c", {"c": 1.0}, math.inf),
+        ("moebius", MOEBIUS, math.inf),
+        ("log_n_plus_c", {"c": 1.0}, -math.inf),
+    ])
+    def test_undefined_or_infinite_estimate_is_no_match(self, form, params, v):
+        f = ValueForm(form, params)
+        est = f.invert(v)
+        assert est is None or math.isfinite(est)
+        m = FamilyMatcher(f, 1, 600)
+        assert m.match_index(v) is None
+        assert m.match_indices(np.array([v])).tolist() == [-1]
+
+
 class TestBuilders:
     def test_crisp(self):
         mu = crisp()
