@@ -32,15 +32,7 @@ from .membership import (
     mu_eval,
     mu_summary,
 )
-from .real_field import (
-    FAIL,
-    PASS,
-    UNMET,
-    mu_abs,
-    mu_compare,
-    mu_inf,
-    mu_sup,
-)
+from .real_field import ScaledValue, mu_abs, mu_compare, mu_inf, mu_sup
 from .complex_field import mu_abs_c, mu_arg, mu_conj, mu_exp, mu_log, mu_pow
 from .registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY, run_identity_sweep
 from .sequences import load_experiment, run_experiment, trace_rows
@@ -134,6 +126,12 @@ def _ctx(args, mu, kind="real") -> FieldContext:
     return FieldContext(kind=kind, mu=mu, eq_tol=tol, identity_tol=tol)
 
 
+def _refuse_tol(args, source: str) -> None:
+    """Commands whose tolerances come from source reject --tol rather than ignore it."""
+    if args.tol is not None:
+        raise UsageError(f"{args.command} takes no --tol: its tolerances come from {source}")
+
+
 def cmd_axioms(args) -> int:
     mu = _load_mu(args.mu)
     inputs = [args.mu] if args.mu else []
@@ -168,19 +166,23 @@ def cmd_axioms(args) -> int:
     return _emit(_envelope("axioms", body, inputs, status=status), args, lines)
 
 
+# op -> (operand flags, scalar kind, evaluation taking ctx and the operands)
 _EVAL_OPS = {
-    "mu": ("a",),
-    "mu_abs": ("a",),
-    "mu_compare": ("a", "b"),
-    "mu_sup": ("set",),
-    "mu_inf": ("set",),
-    "mu_conj": ("z",),
-    "mu_abs_c": ("z",),
-    "mu_arg": ("z",),
-    "mu_exp": ("z",),
-    "mu_log": ("z",),
-    "mu_pow": ("base", "z"),
+    "mu": (("a",), "real", mu_eval),
+    "mu_abs": (("a",), "real", mu_abs),
+    "mu_compare": (("a", "b"), "real", lambda ctx, a, b: mu_compare(ctx, a, b).value),
+    "mu_sup": (("set",), "real", mu_sup),
+    "mu_inf": (("set",), "real", mu_inf),
+    "mu_conj": (("z",), "complex", mu_conj),
+    "mu_abs_c": (("z",), "complex", mu_abs_c),
+    "mu_arg": (("z",), "complex", mu_arg),
+    "mu_exp": (("z",), "complex", mu_exp),
+    "mu_log": (("z",), "complex", mu_log),
+    "mu_pow": (("base", "z", "branch"), "complex", mu_pow),
 }
+_OPERAND_PARSERS = {"set": lambda text: [float(v) for v in text.split(",")],
+                    "z": _parse_complex, "base": _parse_complex}
+_WEIGHED_OPERANDS = ("a", "b", "z")  # their weights are reported with the value
 
 
 def cmd_eval(args) -> int:
@@ -188,46 +190,20 @@ def cmd_eval(args) -> int:
         print(f"unknown op {args.op!r}; known: {', '.join(sorted(_EVAL_OPS))}", file=sys.stderr)
         return EXIT_USAGE
     mu = _load_mu(args.mu)
-    needs = _EVAL_OPS[args.op]
-    for field in needs:
-        if getattr(args, field if field != "set" else "set_values") is None:
-            print(f"op {args.op} needs --{field.replace('_', '-')}", file=sys.stderr)
+    needs, kind, fn = _EVAL_OPS[args.op]
+    raw = [getattr(args, "set_values" if flag == "set" else flag) for flag in needs]
+    for flag, text in zip(needs, raw):
+        if text is None:
+            print(f"op {args.op} needs --{flag}", file=sys.stderr)
             return EXIT_USAGE
-    kind = "complex" if args.op in ("mu_conj", "mu_abs_c", "mu_arg", "mu_exp", "mu_log", "mu_pow") else "real"
     ctx = _ctx(args, mu, kind)
-    memberships = {}
+    operands = [_OPERAND_PARSERS.get(flag, lambda v: v)(text) for flag, text in zip(needs, raw)]
     try:
-        if args.op == "mu":
-            value = mu_eval(ctx, args.a)
-            memberships[str(args.a)] = value
-        elif args.op == "mu_abs":
-            value = mu_abs(ctx, args.a)
-            memberships[str(args.a)] = mu_eval(ctx, args.a)
-        elif args.op == "mu_compare":
-            value = mu_compare(ctx, args.a, args.b).value
-            memberships[str(args.a)] = mu_eval(ctx, args.a)
-            memberships[str(args.b)] = mu_eval(ctx, args.b)
-        elif args.op in ("mu_sup", "mu_inf"):
-            vals = [float(v) for v in args.set_values.split(",")]
-            sv = (mu_sup if args.op == "mu_sup" else mu_inf)(ctx, vals)
-            value = {"value": sv.scaled, "witness": sv.raw, "weight": sv.weight}
-            memberships[str(sv.raw)] = sv.weight
-        else:
-            z = _parse_complex(args.z)
-            memberships[str(z)] = mu_eval(ctx, z)
-            if args.op == "mu_conj":
-                value = mu_conj(ctx, z)
-            elif args.op == "mu_abs_c":
-                value = mu_abs_c(ctx, z)
-            elif args.op == "mu_arg":
-                value = mu_arg(ctx, z)
-            elif args.op == "mu_exp":
-                value = mu_exp(ctx, z)
-            elif args.op == "mu_log":
-                value = mu_log(ctx, z)
-            else:
-                base = _parse_complex(args.base)
-                value = mu_pow(ctx, base, z, args.branch)
+        memberships = {str(v): mu_eval(ctx, v) for flag, v in zip(needs, operands) if flag in _WEIGHED_OPERANDS}
+        value = fn(ctx, *operands)
+        if isinstance(value, ScaledValue):  # an extreme of a set, reported with its witness
+            memberships = {str(value.raw): value.weight}
+            value = {"value": value.scaled, "witness": value.raw, "weight": value.weight}
     except DomainError as e:
         env = _envelope("eval", {"op": args.op, "error": str(e)},
                         [args.mu] if args.mu else [], status=EXIT_CHECK_FAILED)
@@ -249,6 +225,7 @@ def _verdict_lines(v) -> list:
 
 
 def cmd_converge(args) -> int:
+    _refuse_tol(args, "the experiment spec's 'tolerances' block")
     with open(args.experiment, "r", encoding="utf-8") as f:
         exp = load_experiment(f.read())
     report = run_experiment(exp)
@@ -279,6 +256,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _refuse_tol(args, "the demo catalog")
     if args.name not in DEMO_NAMES:
         print(f"unknown demo {args.name!r}; catalog: {', '.join(DEMO_NAMES)}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,14 +17,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import add, mul, sub, truediv
 
 from .errors import DomainError, RangeGuardError, UsageError
 from .membership import FieldContext, mu_eval
 from .real_field import (
     FAIL,
     PASS,
-    UNMET,
     IdentityCheckReport,
+    _eq_report,
+    _le_report,
+    _unmet,
+    _weights_ok,
     one_sided_excess,
     rel_residual,
 )
@@ -154,25 +158,6 @@ def mu_pow_forms(ctx: FieldContext, a: complex, z: complex, branch: int = 0) -> 
 # Identity registry
 # ---------------------------------------------------------------------------
 
-def _unmet(ident, operands, why, **details):
-    return IdentityCheckReport(
-        ident, tuple(operands), math.nan, math.nan, math.nan, UNMET, (why,), details
-    )
-
-
-def _eq(ctx, ident, operands, lhs, rhs, notes=(), **details):
-    res = rel_residual(lhs, rhs)
-    verdict = PASS if res <= ctx.identity_tol else FAIL
-    return IdentityCheckReport(ident, tuple(operands), lhs, rhs, res, verdict, tuple(notes), details)
-
-
-def _weights_ok(ctx, points):
-    for p in points:
-        if mu_eval(ctx, p) <= ctx.min_mu:
-            return False, f"membership at {p!r} is at or below min_mu"
-    return True, ""
-
-
 def _ratio(ctx, z):
     """conj ratio helper: mu_conj(z) / w(z) = plain conjugate."""
     return mu_conj(ctx, z) / mu_eval(ctx, z)
@@ -185,26 +170,26 @@ def _check_c1(ctx, ops):
     w2 = mu_eval(ctx, inner)
     lhs = inner.conjugate() * w2
     rhs = (z * w1) * w2
-    return _eq(ctx, "C1", ops, lhs, rhs)
+    return _eq_report(ctx, "C1", ops, lhs, rhs)
 
 
-def _conj_ratio_pair(ident, combine, derived):
+def _ratio_law(ident, ratio, derive, combine):
+    """ratio(derive(z1, z2)) = combine(ratio(z1), ratio(z2)), guarded on the
+    weights of z1, z2 and the derived point."""
     def check(ctx, ops):
         z1, z2 = ops
-        d = derived(z1, z2)
+        d = derive(z1, z2)
         ok, why = _weights_ok(ctx, (z1, z2, d))
         if not ok:
             return _unmet(ident, ops, why)
-        lhs = mu_conj(ctx, d) / mu_eval(ctx, d)
-        rhs = combine(ctx, z1, z2)
-        return _eq(ctx, ident, ops, lhs, rhs)
+        return _eq_report(ctx, ident, ops, ratio(ctx, d), combine(ratio(ctx, z1), ratio(ctx, z2)))
 
     return check
 
 
-_check_c2 = _conj_ratio_pair("C2", lambda ctx, a, b: _ratio(ctx, a) + _ratio(ctx, b), lambda a, b: a + b)
-_check_c3 = _conj_ratio_pair("C3", lambda ctx, a, b: _ratio(ctx, a) - _ratio(ctx, b), lambda a, b: a - b)
-_check_c4 = _conj_ratio_pair("C4", lambda ctx, a, b: _ratio(ctx, a) * _ratio(ctx, b), lambda a, b: a * b)
+_check_c2 = _ratio_law("C2", _ratio, add, add)
+_check_c3 = _ratio_law("C3", _ratio, sub, sub)
+_check_c4 = _ratio_law("C4", _ratio, mul, mul)
 
 
 def _check_c5(ctx, ops):
@@ -219,7 +204,7 @@ def _check_c5(ctx, ops):
         return _unmet("C5", ops, "conjugate of z2 scaled to zero")
     lhs = mu_conj(ctx, q) / mu_eval(ctx, q)
     rhs = (mu_conj(ctx, z1) / mu_conj(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
-    return _eq(ctx, "C5", ops, lhs, rhs)
+    return _eq_report(ctx, "C5", ops, lhs, rhs)
 
 
 def _check_c6(ctx, ops):
@@ -227,42 +212,37 @@ def _check_c6(ctx, ops):
     w = mu_eval(ctx, z)
     lhs = z * w + mu_conj(ctx, z)
     rhs = 2.0 * z.real * w
-    return _eq(ctx, "C6", ops, lhs, rhs)
+    return _eq_report(ctx, "C6", ops, lhs, rhs)
 
 
-def _check_c7(ctx, ops):
-    (z,) = ops
-    w = mu_eval(ctx, z)
-    lhs = z * w - mu_conj(ctx, z)
-    rhs = 2j * z.imag * w
-    literal_rhs = 2.0 * z.imag * w
-    rep = _eq(ctx, "C7", ops, lhs, rhs)
-    return IdentityCheckReport(
-        rep.identity_id, rep.operands, rep.lhs, rep.rhs, rep.residual, rep.verdict,
-        rep.notes + ("right side carries the imaginary unit; the literal form is also evaluated",),
-        {**rep.details, "literal_residual": rel_residual(lhs, literal_rhs)},
-    )
+def _conj_difference(ident):
+    """C7: z w(z) - conj_w(z) = 2i Im(z) w(z), which also reports the residual
+    of the literal right side 2 Im(z) w(z); C7_literal checks that side."""
+    def check(ctx, ops):
+        (z,) = ops
+        w = mu_eval(ctx, z)
+        lhs = z * w - mu_conj(ctx, z)
+        literal_rhs = 2.0 * z.imag * w
+        if ident == "C7_literal":
+            return _eq_report(ctx, ident, ops, lhs, literal_rhs, notes=("literal form, no imaginary unit",))
+        return _eq_report(
+            ctx, ident, ops, lhs, 2j * z.imag * w,
+            notes=("right side carries the imaginary unit; the literal form is also evaluated",),
+            literal_residual=rel_residual(lhs, literal_rhs),
+        )
+
+    return check
 
 
-def _check_c7_literal(ctx, ops):
-    (z,) = ops
-    w = mu_eval(ctx, z)
-    lhs = z * w - mu_conj(ctx, z)
-    rhs = 2.0 * z.imag * w
-    return _eq(ctx, "C7_literal", ops, lhs, rhs, notes=("literal form, no imaginary unit",))
+_check_c7 = _conj_difference("C7")
+_check_c7_literal = _conj_difference("C7_literal")
 
 
 def _mod_ratio(ctx, z):
     return mu_abs_c(ctx, z) / mu_eval(ctx, z)
 
 
-def _check_m1(ctx, ops):
-    z1, z2 = ops
-    p = z1 * z2
-    ok, why = _weights_ok(ctx, (z1, z2, p))
-    if not ok:
-        return _unmet("M1", ops, why)
-    return _eq(ctx, "M1", ops, _mod_ratio(ctx, p), _mod_ratio(ctx, z1) * _mod_ratio(ctx, z2))
+_check_m1 = _ratio_law("M1", _mod_ratio, mul, mul)
 
 
 def _check_m2(ctx, ops):
@@ -271,11 +251,7 @@ def _check_m2(ctx, ops):
     ok, why = _weights_ok(ctx, (z1, z2, s))
     if not ok:
         return _unmet("M2", ops, why)
-    lhs = _mod_ratio(ctx, s)
-    rhs = _mod_ratio(ctx, z1) + _mod_ratio(ctx, z2)
-    excess = one_sided_excess(lhs, rhs)
-    verdict = PASS if lhs - rhs <= ctx.eq_tol else FAIL
-    return IdentityCheckReport("M2", tuple(ops), lhs, rhs, excess, verdict, (), {})
+    return _le_report(ctx, "M2", ops, _mod_ratio(ctx, s), _mod_ratio(ctx, z1) + _mod_ratio(ctx, z2))
 
 
 def _check_m3(ctx, ops):
@@ -290,12 +266,12 @@ def _check_m3(ctx, ops):
         return _unmet("M3", ops, "weighted modulus of z2 is zero")
     lhs = _mod_ratio(ctx, q)
     rhs = (mu_abs_c(ctx, z1) / mu_abs_c(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
-    return _eq(ctx, "M3", ops, lhs, rhs)
+    return _eq_report(ctx, "M3", ops, lhs, rhs)
 
 
 def _check_m4(ctx, ops):
     (z,) = ops
-    return _eq(ctx, "M4", ops, abs(mu_conj(ctx, z)), abs(z) * mu_eval(ctx, z))
+    return _eq_report(ctx, "M4", ops, abs(mu_conj(ctx, z)), abs(z) * mu_eval(ctx, z))
 
 
 def _check_m5(ctx, ops):
@@ -304,11 +280,7 @@ def _check_m5(ctx, ops):
     ok, why = _weights_ok(ctx, (z1, z2, d))
     if not ok:
         return _unmet("M5", ops, why)
-    lhs = _mod_ratio(ctx, z1) - _mod_ratio(ctx, z2)
-    rhs = _mod_ratio(ctx, d)
-    excess = one_sided_excess(lhs, rhs)
-    verdict = PASS if lhs - rhs <= ctx.eq_tol else FAIL
-    return IdentityCheckReport("M5", tuple(ops), lhs, rhs, excess, verdict, (), {})
+    return _le_report(ctx, "M5", ops, _mod_ratio(ctx, z1) - _mod_ratio(ctx, z2), _mod_ratio(ctx, d))
 
 
 def _check_m6(ctx, ops):
@@ -327,7 +299,7 @@ def _check_m7(ctx, ops):
     (z,) = ops
     lhs = z * mu_conj(ctx, z)
     rhs = (abs(z) ** 2) * mu_eval(ctx, z)
-    return _eq(ctx, "M7", ops, lhs, rhs)
+    return _eq_report(ctx, "M7", ops, lhs, rhs)
 
 
 def _check_a1(ctx, ops):
@@ -341,18 +313,14 @@ def _check_a1(ctx, ops):
     k = arg_k(z1, z2).k
     lhs = mu_arg(ctx, p) / mu_eval(ctx, p)
     rhs = mu_arg(ctx, z1) / mu_eval(ctx, z1) + mu_arg(ctx, z2) / mu_eval(ctx, z2) + TWO_PI * k
-    return _eq(ctx, "A1", ops, lhs, rhs, k=k)
+    return _eq_report(ctx, "A1", ops, lhs, rhs, k=k)
 
 
-def _check_e1(ctx, ops):
-    z1, z2 = ops
-    s = z1 + z2
-    ok, why = _weights_ok(ctx, (z1, z2, s))
-    if not ok:
-        return _unmet("E1", ops, why)
-    lhs = mu_exp(ctx, s) / mu_eval(ctx, s)
-    rhs = (mu_exp(ctx, z1) / mu_eval(ctx, z1)) * (mu_exp(ctx, z2) / mu_eval(ctx, z2))
-    return _eq(ctx, "E1", ops, lhs, rhs)
+def _exp_ratio(ctx, z):
+    return mu_exp(ctx, z) / mu_eval(ctx, z)
+
+
+_check_e1 = _ratio_law("E1", _exp_ratio, add, mul)
 
 
 def _check_e2(ctx, ops):
@@ -365,11 +333,11 @@ def _check_e2(ctx, ops):
         return _unmet("E2", ops, "weighted exponential of z2 is zero")
     lhs = mu_exp(ctx, d) / mu_eval(ctx, d)
     rhs = (mu_exp(ctx, z1) / mu_exp(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
-    return _eq(ctx, "E2", ops, lhs, rhs)
+    return _eq_report(ctx, "E2", ops, lhs, rhs)
 
 
 def _check_en1(ctx, ops):
-    return _eq(ctx, "EN1", ops, mu_exp(ctx, 0.0), 1.0)
+    return _eq_report(ctx, "EN1", ops, mu_exp(ctx, 0.0), 1.0)
 
 
 def _check_en2(ctx, ops):
@@ -378,9 +346,7 @@ def _check_en2(ctx, ops):
     ok, why = _weights_ok(ctx, (z, nz))
     if not ok:
         return _unmet("EN2", ops, why)
-    lhs = (mu_exp(ctx, z) / mu_eval(ctx, z)) ** n
-    rhs = mu_exp(ctx, nz) / mu_eval(ctx, nz)
-    return _eq(ctx, "EN2", ops, lhs, rhs, n=n)
+    return _eq_report(ctx, "EN2", ops, _exp_ratio(ctx, z) ** n, _exp_ratio(ctx, nz), n=n)
 
 
 def _log_correction(lhs, rhs_sum):
@@ -388,80 +354,65 @@ def _log_correction(lhs, rhs_sum):
     return int(round((lhs.imag - rhs_sum.imag) / TWO_PI))
 
 
-def _check_l1(ctx, ops):
-    z1, z2 = ops
-    if z1 == 0 or z2 == 0:
-        raise DomainError("L1 needs nonzero operands")
-    p = z1 * z2
-    ok, why = _weights_ok(ctx, (z1, z2, p))
-    if not ok:
-        return _unmet("L1", ops, why)
-    lhs = mu_log(ctx, p) / mu_eval(ctx, p)
-    base = mu_log(ctx, z1) / mu_eval(ctx, z1) + mu_log(ctx, z2) / mu_eval(ctx, z2)
-    k_log = _log_correction(lhs, base)
-    rep = _eq(ctx, "L1", ops, lhs, base + complex(0.0, TWO_PI * k_log), k_log=k_log)
-    if abs(k_log) > 1:
-        return IdentityCheckReport(
-            rep.identity_id, rep.operands, rep.lhs, rep.rhs, math.inf, FAIL,
-            ("branch correction outside {-1, 0, 1}",), rep.details,
-        )
-    return rep
+def _log_law(ident, derive, combine):
+    """Log ratio of derive(z1, z2) = combine of the operands' log ratios,
+    up to a reported branch correction k_log in {-1, 0, 1}."""
+    def check(ctx, ops):
+        z1, z2 = ops
+        if z1 == 0 or z2 == 0:
+            raise DomainError(f"{ident} needs nonzero operands")
+        d = derive(z1, z2)
+        ok, why = _weights_ok(ctx, (z1, z2, d))
+        if not ok:
+            return _unmet(ident, ops, why)
+        lhs = mu_log(ctx, d) / mu_eval(ctx, d)
+        base = combine(mu_log(ctx, z1) / mu_eval(ctx, z1), mu_log(ctx, z2) / mu_eval(ctx, z2))
+        k_log = _log_correction(lhs, base)
+        rep = _eq_report(ctx, ident, ops, lhs, base + complex(0.0, TWO_PI * k_log), k_log=k_log)
+        if abs(k_log) > 1:
+            return IdentityCheckReport(
+                rep.identity_id, rep.operands, rep.lhs, rep.rhs, math.inf, FAIL,
+                ("branch correction outside {-1, 0, 1}",), rep.details,
+            )
+        return rep
+
+    return check
 
 
-def _check_l2(ctx, ops):
-    z1, z2 = ops
-    if z1 == 0 or z2 == 0:
-        raise DomainError("L2 needs nonzero operands")
-    q = z1 / z2
-    ok, why = _weights_ok(ctx, (z1, z2, q))
-    if not ok:
-        return _unmet("L2", ops, why)
-    lhs = mu_log(ctx, q) / mu_eval(ctx, q)
-    base = mu_log(ctx, z1) / mu_eval(ctx, z1) - mu_log(ctx, z2) / mu_eval(ctx, z2)
-    k_log = _log_correction(lhs, base)
-    rep = _eq(ctx, "L2", ops, lhs, base + complex(0.0, TWO_PI * k_log), k_log=k_log)
-    if abs(k_log) > 1:
-        return IdentityCheckReport(
-            rep.identity_id, rep.operands, rep.lhs, rep.rhs, math.inf, FAIL,
-            ("branch correction outside {-1, 0, 1}",), rep.details,
-        )
-    return rep
+_check_l1 = _log_law("L1", mul, add)
+_check_l2 = _log_law("L2", truediv, sub)
 
 
 def _pv_ratio(ctx, a, z):
     return mu_pow(ctx, a, z) / mu_eval(ctx, z)
 
 
-def _check_p1(ctx, ops):
-    a, z1, z2 = ops
-    if a == 0:
-        raise DomainError("P1 needs a != 0")
-    s = z1 + z2
-    ok, why = _weights_ok(ctx, (z1, z2, s))
-    if not ok:
-        return _unmet("P1", ops, why)
-    lhs = _pv_ratio(ctx, a, s)
-    rhs = _pv_ratio(ctx, a, z1) * _pv_ratio(ctx, a, z2)
-    additive_rhs = _pv_ratio(ctx, a, z1) + _pv_ratio(ctx, a, z2)
-    rep = _eq(ctx, "P1", ops, lhs, rhs)
-    return IdentityCheckReport(
-        rep.identity_id, rep.operands, rep.lhs, rep.rhs, rep.residual, rep.verdict,
-        rep.notes + ("multiplicative form; the additive rendering is also evaluated",),
-        {**rep.details, "additive_residual": rel_residual(lhs, additive_rhs)},
-    )
+def _power_law(ident):
+    """P1: power ratios multiply, a^(z1 + z2) = a^z1 a^z2, which also reports
+    the residual of the additive rendering; P1_additive checks that one."""
+    def check(ctx, ops):
+        a, z1, z2 = ops
+        if a == 0:
+            raise DomainError(f"{ident} needs a != 0")
+        s = z1 + z2
+        ok, why = _weights_ok(ctx, (z1, z2, s))
+        if not ok:
+            return _unmet(ident, ops, why)
+        lhs = _pv_ratio(ctx, a, s)
+        r1, r2 = _pv_ratio(ctx, a, z1), _pv_ratio(ctx, a, z2)
+        if ident == "P1_additive":
+            return _eq_report(ctx, ident, ops, lhs, r1 + r2, notes=("literal additive form",))
+        return _eq_report(
+            ctx, ident, ops, lhs, r1 * r2,
+            notes=("multiplicative form; the additive rendering is also evaluated",),
+            additive_residual=rel_residual(lhs, r1 + r2),
+        )
+
+    return check
 
 
-def _check_p1_additive(ctx, ops):
-    a, z1, z2 = ops
-    if a == 0:
-        raise DomainError("P1_additive needs a != 0")
-    s = z1 + z2
-    ok, why = _weights_ok(ctx, (z1, z2, s))
-    if not ok:
-        return _unmet("P1_additive", ops, why)
-    lhs = _pv_ratio(ctx, a, s)
-    rhs = _pv_ratio(ctx, a, z1) + _pv_ratio(ctx, a, z2)
-    return _eq(ctx, "P1_additive", ops, lhs, rhs, notes=("literal additive form",))
+_check_p1 = _power_law("P1")
+_check_p1_additive = _power_law("P1_additive")
 
 
 def _check_p2(ctx, ops):
@@ -474,7 +425,7 @@ def _check_p2(ctx, ops):
     w = mu_eval(ctx, z)
     lhs = mu_pow(ctx, a * b, z) * w
     rhs = mu_pow(ctx, a, z) * mu_pow(ctx, b, z)
-    return _eq(ctx, "P2", ops, lhs, rhs, k=k)
+    return _eq_report(ctx, "P2", ops, lhs, rhs, k=k)
 
 
 COMPLEX_IDENTITIES = {

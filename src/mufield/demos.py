@@ -44,8 +44,6 @@ from .sequences import (
     SeqBoundsReport,
 )
 
-DEMO_NAMES = ("nonunique_limit", "unbounded_convergent", "sum_failure", "product_failure")
-
 # n / (n+1)^3, the index weighting both log-drift families carry
 _POLY_N_OVER_CUBE = WeightForm("rational_poly", {"p": [0, 1], "q": [1, 3, 3, 1]})
 # n^2 / (2n+1)^3
@@ -162,26 +160,104 @@ def _product_failure() -> ExperimentSpec:
     )
 
 
-_BUILDERS = {
-    "nonunique_limit": _nonunique_limit,
-    "unbounded_convergent": _unbounded_convergent,
-    "sum_failure": _sum_failure,
-    "product_failure": _product_failure,
-}
+def _verdict_claims(report, *rows):
+    """(label, holds) for each (label, expr, candidate, verdict the scan must give)."""
+    return [(label, report.verdict_for(expr, cand).verdict == want) for label, expr, cand, want in rows]
 
-HEADLINES = {
-    "nonunique_limit": "two distinct weighted limits for one classically divergent sequence",
-    "unbounded_convergent": "weighted-convergent yet weighted-unbounded",
-    "sum_failure": "weighted limits do not add: sum converges to 0, not to 1 + 1",
-    "product_failure": "weighted limits do not multiply: product converges to 0, not to 1/3",
+
+def _nonunique_limit_claims(exp, report):
+    shift = 1.0 - math.sqrt(2.0)
+    classical = next(v for e, c, v in report.classical if e == "self" and c == 0.0)
+    claims = _verdict_claims(
+        report,
+        ("supported at 0", "self", 0.0, SUPPORTED),
+        (f"supported at {shift:.6f}", "self", shift, SUPPORTED),
+    )
+    return claims + [("classically divergent (refuted at horizon)", classical.verdict == REFUTED)], None, None
+
+
+def _unbounded_convergent_claims(exp, report):
+    bounds = seq_bounded_report(exp, "self", probe=1e6)
+    # literal reading: the inverse-exponential weight is bound to the
+    # stream shifted by -1, leaving the deviation stream at weight zero.
+    # The zero is bound explicitly: past n ~ 36 the shifted and unshifted
+    # terms are indistinguishable in doubles, so a value-based fallback
+    # could not keep them apart.
+    literal_exp = ExperimentSpec(
+        sequence=exp.sequence,
+        assignment=MuAssignment(
+            (
+                ("self", None, constant_weight(1.0)),
+                ("self", -1.0, _INV_EXP),
+                ("self", 1.0, constant_weight(0.0)),
+            )
+        ),
+        candidates=(("self", 1.0),),
+        eps_schedule=exp.eps_schedule,
+        horizon=exp.horizon,
+        ctx=exp.ctx,
+        label="unbounded_convergent_literal",
+    )
+    literal = mu_converges(literal_exp, "self", 1.0)
+    claims = _verdict_claims(report, ("supported at 1", "self", 1.0, SUPPORTED)) + [
+        ("scaled stream exceeds probe 1e6", bounds.within_probe is False),
+        ("literal reading supported only trivially", literal.verdict == SUPPORTED_TRIVIALLY),
+    ]
+    return claims, bounds, literal
+
+
+def _sum_failure_claims(exp, report):
+    return _verdict_claims(
+        report,
+        ("x supported at 1", "self", 1.0, SUPPORTED),
+        ("y supported at 1", "partner", 1.0, SUPPORTED),
+        ("sum supported at 0 nontrivially", "sum", 0.0, SUPPORTED),
+        ("sum at 2 supported only trivially", "sum", 2.0, SUPPORTED_TRIVIALLY),
+    ), None, None
+
+
+def _product_failure_claims(exp, report):
+    third = 1.0 / 3.0
+    return _verdict_claims(
+        report,
+        ("x supported at 1", "self", 1.0, SUPPORTED),
+        ("y supported at 1/3", "partner", third, SUPPORTED),
+        ("product supported at 0", "product", 0.0, SUPPORTED),
+        ("product at 1/3 supported only trivially", "product", third, SUPPORTED_TRIVIALLY),
+    ), None, None
+
+
+# name -> (builder, headline, claims: (experiment, report) -> (claims, bounds, literal variant))
+_CATALOG = {
+    "nonunique_limit": (
+        _nonunique_limit,
+        "two distinct weighted limits for one classically divergent sequence",
+        _nonunique_limit_claims,
+    ),
+    "unbounded_convergent": (
+        _unbounded_convergent,
+        "weighted-convergent yet weighted-unbounded",
+        _unbounded_convergent_claims,
+    ),
+    "sum_failure": (
+        _sum_failure,
+        "weighted limits do not add: sum converges to 0, not to 1 + 1",
+        _sum_failure_claims,
+    ),
+    "product_failure": (
+        _product_failure,
+        "weighted limits do not multiply: product converges to 0, not to 1/3",
+        _product_failure_claims,
+    ),
 }
+DEMO_NAMES = tuple(_CATALOG)
 
 
 def demo_catalog(name: str) -> ExperimentSpec:
     """The fully bound experiment for a registered demo name."""
-    if name not in _BUILDERS:
+    if name not in _CATALOG:
         raise UsageError(f"unknown demo {name!r}; catalog: {', '.join(DEMO_NAMES)}")
-    return _BUILDERS[name]()
+    return _CATALOG[name][0]()
 
 
 @dataclass(frozen=True)
@@ -203,60 +279,11 @@ def run_demo(name: str) -> DemoReport:
     """Run a catalog demo and check the claims it is meant to reproduce."""
     exp = demo_catalog(name)
     report = run_experiment(exp)
-    claims = []
-    bounds = None
-    literal = None
-
-    if name == "nonunique_limit":
-        shift = 1.0 - math.sqrt(2.0)
-        v0 = report.verdict_for("self", 0.0)
-        v1 = report.verdict_for("self", shift)
-        claims.append(("supported at 0", v0.verdict == SUPPORTED))
-        claims.append((f"supported at {shift:.6f}", v1.verdict == SUPPORTED))
-        classical = next(v for e, c, v in report.classical if e == "self" and c == 0.0)
-        claims.append(("classically divergent (refuted at horizon)", classical.verdict == REFUTED))
-    elif name == "unbounded_convergent":
-        v = report.verdict_for("self", 1.0)
-        claims.append(("supported at 1", v.verdict == SUPPORTED))
-        bounds = seq_bounded_report(exp, "self", probe=1e6)
-        claims.append(("scaled stream exceeds probe 1e6", bounds.within_probe is False))
-        # literal reading: the inverse-exponential weight is bound to the
-        # stream shifted by -1, leaving the deviation stream at weight zero.
-        # The zero is bound explicitly: past n ~ 36 the shifted and unshifted
-        # terms are indistinguishable in doubles, so a value-based fallback
-        # could not keep them apart.
-        literal_exp = ExperimentSpec(
-            sequence=exp.sequence,
-            assignment=MuAssignment(
-                (
-                    ("self", None, constant_weight(1.0)),
-                    ("self", -1.0, _INV_EXP),
-                    ("self", 1.0, constant_weight(0.0)),
-                )
-            ),
-            candidates=(("self", 1.0),),
-            eps_schedule=exp.eps_schedule,
-            horizon=exp.horizon,
-            ctx=exp.ctx,
-            label="unbounded_convergent_literal",
-        )
-        literal = mu_converges(literal_exp, "self", 1.0)
-        claims.append(("literal reading supported only trivially", literal.verdict == SUPPORTED_TRIVIALLY))
-    elif name == "sum_failure":
-        claims.append(("x supported at 1", report.verdict_for("self", 1.0).verdict == SUPPORTED))
-        claims.append(("y supported at 1", report.verdict_for("partner", 1.0).verdict == SUPPORTED))
-        claims.append(("sum supported at 0 nontrivially", report.verdict_for("sum", 0.0).verdict == SUPPORTED))
-        claims.append(("sum at 2 supported only trivially", report.verdict_for("sum", 2.0).verdict == SUPPORTED_TRIVIALLY))
-    elif name == "product_failure":
-        third = 1.0 / 3.0
-        claims.append(("x supported at 1", report.verdict_for("self", 1.0).verdict == SUPPORTED))
-        claims.append(("y supported at 1/3", report.verdict_for("partner", third).verdict == SUPPORTED))
-        claims.append(("product supported at 0", report.verdict_for("product", 0.0).verdict == SUPPORTED))
-        claims.append(("product at 1/3 supported only trivially", report.verdict_for("product", third).verdict == SUPPORTED_TRIVIALLY))
-
+    _, headline, check = _CATALOG[name]
+    claims, bounds, literal = check(exp, report)
     return DemoReport(
         name=name,
-        headline=HEADLINES[name],
+        headline=headline,
         experiment=exp,
         report=report,
         claims=tuple(claims),

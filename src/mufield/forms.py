@@ -9,7 +9,6 @@ arrays alike, which keeps repeated evaluations bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,30 +82,25 @@ class ValueForm:
     def index_cap(self) -> int | None:
         return EXP_INDEX_CAP if self.form == "exp_n_plus_c" else None
 
-    def invert(self, v: float) -> float | None:
-        """Real-valued index estimate with terms(estimate) = v, or None.
+    def invert(self, v):
+        """Real-valued index estimate with terms(estimate) = v (scalar or array).
 
-        None also stands for an estimate that is undefined or not finite.
+        NaN where there is no estimate: where it is undefined or not finite.
         """
         p = self.params
-        est = None
-        if self.form == "log_n_plus_c":
-            t = v - p["c"]
-            if t <= 50.0:  # beyond that, past any practical index range
-                est = math.exp(t)
-        elif self.form == "exp_n_plus_c":
-            t = v - p["c"]
-            if t > 0.0:
-                est = math.log(t)
-        elif self.form == "sq_ratio":
-            s = math.sqrt(v) - 1.0 if v > 1.0 else 0.0
-            if s > 0.0:
-                est = 1.0 / s
-        else:
-            den = v * p["c"] - p["a"]
-            if den != 0.0:
-                est = (p["b"] - v * p["d"]) / den
-        return est if est is not None and math.isfinite(est) else None
+        with np.errstate(all="ignore"):
+            if self.form == "log_n_plus_c":
+                t = v - p["c"]  # beyond 50, past any practical index range
+                est = np.where(t <= 50.0, np.exp(np.minimum(t, 50.0)), np.nan)
+            elif self.form == "exp_n_plus_c":
+                t = v - p["c"]
+                est = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), np.nan)
+            elif self.form == "sq_ratio":
+                est = 1.0 / (np.sqrt(np.where(v > 1.0, v, np.nan)) - 1.0)
+            else:
+                den = v * p["c"] - p["a"]
+                est = np.where(den != 0.0, (p["b"] - v * p["d"]) / np.where(den != 0.0, den, 1.0), np.nan)
+        return np.where(np.isfinite(est), est, np.nan)
 
 
 @dataclass(frozen=True)
@@ -139,9 +133,6 @@ class WeightForm:
         # inv_exp_p1_sq: 1 / (e^n + 1)^2, computed stably for large n
         e = np.exp(-n)
         return np.exp(-2.0 * n) / (1.0 + e) ** 2
-
-    def weight_at(self, n: int) -> float:
-        return float(self.weights(np.array([n], dtype=float))[0])
 
     def validate_range(self, n_min: int, n_max: int, where: str = "weight form") -> None:
         """Scan the declared index range and reject any weight outside [0, 1]."""

@@ -5,6 +5,10 @@ first rule whose matcher accepts a value (within its tolerance) supplies the
 weight, otherwise the default applies. All weights live in [0, 1] and are
 validated eagerly at construction, scanning declared family index ranges.
 
+One match rule holds on every path: a point or set rule accepts a value,
+real or complex, within tol of one of its points, complex points included;
+a family rule accepts only values whose imaginary part is zero.
+
 The module also audits the five closure axioms a weighting must satisfy to
 make the weighted reals/complexes behave like a field:
 
@@ -21,7 +25,6 @@ samples (O(len(samples)^2) pair work) and make no claim about other points.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -91,38 +94,15 @@ class FamilyMatcher:
 
     def match_index(self, v: float) -> int | None:
         """The index whose member is nearest v within tol (the lower on a tie), or None."""
-        est = self.form.invert(v)
-        if est is None:
-            return None
-        base = math.floor(est)
-        best, best_d = None, math.inf
-        for k in range(base - 1, base + 3):
-            if self.n_min <= k <= self.n_max:
-                d = abs(v - self.form.term_at(k))
-                if d == 0.0:  # nothing is nearer, and every lower index missed
-                    return k
-                if d <= self.tol and d < best_d:
-                    best, best_d = k, d
-        return best
+        k = int(self.match_indices(np.array([v], dtype=float))[0])
+        return None if k < 0 else k
 
     def match_indices(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized match_index: per-element matched index, or -1."""
+        """Per-element match_index of real values (NaN matches nothing), or -1."""
         out = np.full(values.shape, -1, dtype=np.int64)
         best = np.full(values.shape, np.inf)
+        est = self.form.invert(values)
         with np.errstate(all="ignore"):
-            if self.form.form == "log_n_plus_c":
-                t = values - self.form.params["c"]
-                est = np.where(t <= 50.0, np.exp(np.minimum(t, 50.0)), np.nan)
-            elif self.form.form == "exp_n_plus_c":
-                t = values - self.form.params["c"]
-                est = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), np.nan)
-            elif self.form.form == "sq_ratio":
-                s = np.sqrt(np.where(values > 1.0, values, np.nan))
-                est = 1.0 / (s - 1.0)
-            else:
-                p = self.form.params
-                den = values * p["c"] - p["a"]
-                est = np.where(den != 0.0, (p["b"] - values * p["d"]) / np.where(den != 0.0, den, 1.0), np.nan)
             base = np.floor(np.where(np.isfinite(est), est, self.n_min - 10)).astype(np.int64)
             for off in (-1, 0, 1, 2):  # ascending, and only a strictly nearer index replaces
                 k = base + off
@@ -192,56 +172,40 @@ class MembershipFunction:
                     validated.append(key)
 
     def weight(self, v: Scalar) -> float:
-        """Weight of the first rule accepting v, else the default."""
-        is_complex = isinstance(v, complex) and v.imag != 0.0
-        if isinstance(v, complex) and v.imag == 0.0:
-            v = v.real
+        """Weight of the first rule accepting v, else the default.
+
+        Point and set rules are tested here one at a time; from the first
+        family rule on, weight_many walks the rules.
+        """
         for rule in self.rules:
             m = rule.matcher
             if isinstance(m, FamilyMatcher):
-                if is_complex:
-                    continue
-                k = m.match_index(v)
-                if k is not None:
-                    w = rule.weight
-                    return w.weight_at(k) if isinstance(w, WeightForm) else float(w)
-            elif m.hit(v):
+                return float(self.weight_many(np.array([v]))[0])
+            if m.hit(v):
                 return float(rule.weight)
         return float(self.default)
 
     def weight_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized weight of real values; first matching rule wins."""
+        """Weight of each real or complex value; first matching rule wins."""
         out = np.full(values.shape, float(self.default))
         decided = np.zeros(values.shape, dtype=bool)
+        real = values
+        if np.iscomplexobj(values):
+            real = np.where(values.imag == 0.0, values.real, np.nan)
         for rule in self.rules:
-            m = rule.matcher
-            if isinstance(m, PointMatcher):
-                if isinstance(m.value, complex) and m.value.imag != 0.0:
-                    continue
-                hit = np.abs(values - (m.value.real if isinstance(m.value, complex) else m.value)) <= m.tol
-                take = hit & ~decided
-                out[take] = float(rule.weight)
-                decided |= hit
-            elif isinstance(m, SetMatcher):
-                hit = np.zeros(values.shape, dtype=bool)
-                for s in m.values:
-                    if isinstance(s, complex) and s.imag != 0.0:
-                        continue
-                    hit |= np.abs(values - (s.real if isinstance(s, complex) else s)) <= m.tol
-                take = hit & ~decided
-                out[take] = float(rule.weight)
-                decided |= hit
-            else:
-                ks = m.match_indices(values)
+            m, w = rule.matcher, rule.weight
+            if isinstance(m, FamilyMatcher):
+                ks = m.match_indices(real)
                 hit = ks >= 0
                 take = hit & ~decided
                 if take.any():
-                    w = rule.weight
-                    if isinstance(w, WeightForm):
-                        out[take] = w.weights(ks[take].astype(float))
-                    else:
-                        out[take] = float(w)
-                decided |= hit
+                    out[take] = w.weights(ks[take].astype(float)) if isinstance(w, WeightForm) else float(w)
+            else:
+                hit = np.zeros(values.shape, dtype=bool)
+                for p in (m.value,) if isinstance(m, PointMatcher) else m.values:
+                    hit |= np.abs(values - p) <= m.tol
+                out[hit & ~decided] = float(w)
+            decided |= hit
             if decided.all():
                 break
         return out
@@ -436,58 +400,57 @@ def _derived(v: Scalar, op: str, *operands) -> Scalar:
 
 
 def check_axioms(ctx: FieldContext, samples) -> AxiomReport:
-    """Audit the five axioms over all pairs of samples (O(n^2) pair work)."""
+    """Audit the five axioms over all pairs of samples (O(n^2) pair work).
+
+    Each sample x is one row: its n sums x + y and n products x y are
+    weighed in one weight_many call, so memory stays O(n).
+    """
     pts = [_require_finite(s, "sample") for s in samples]
     if not pts:
         raise UsageError("check_axioms needs a non-empty sample list")
-    tol = ctx.eq_tol
-    w = {p: ctx.mu.weight(p) for p in pts}
+    tol, weigh, n = ctx.eq_tol, ctx.mu.weight_many, len(pts)
+    arr = np.array(pts)
+    w = weigh(arr)
     violations = []
 
     def violate(axiom, operands, lhs, rhs):
-        violations.append(AxiomViolation(axiom, operands, lhs, rhs))
+        violations.append(AxiomViolation(axiom, operands, float(lhs), float(rhs)))
 
-    for x in pts:
-        for y in pts:
-            bound = min(w[x], w[y])
-            ws = ctx.mu.weight(_derived(x + y, "{} + {}", x, y))
-            if ws < bound - tol:
-                violate("i", (x, y), ws, bound)
-            wp = ctx.mu.weight(_derived(x * y, "{} * {}", x, y))
-            if wp < bound - tol:
-                violate("iii", (x, y), wp, bound)
-    for x in pts:
-        wn = ctx.mu.weight(-x)
-        if wn < w[x] - tol:
-            violate("ii", (x,), wn, w[x])
-        if abs(x) > tol:
-            wi = ctx.mu.weight(_derived(1.0 / x, "1 / {}", x))
-            if wi < w[x] - tol:
-                violate("iv", (x,), wi, w[x])
-    w0, w1 = ctx.mu.weight(0.0), ctx.mu.weight(1.0)
-    if abs(w0 - 1.0) > tol:
-        violate("v", (0.0,), w0, 1.0)
-    if abs(w1 - 1.0) > tol:
-        violate("v", (1.0,), w1, 1.0)
+    for i, x in enumerate(pts):
+        derived = np.array([x + y for y in pts] + [x * y for y in pts])
+        if not np.isfinite(derived).all():
+            for y in pts:  # name the first non-finite result in pair order
+                _derived(x + y, "{} + {}", x, y)
+                _derived(x * y, "{} * {}", x, y)
+        wd = weigh(derived)
+        bound = np.minimum(w[i], w)
+        low_sum, low_product = wd[:n] < bound - tol, wd[n:] < bound - tol
+        for j in np.flatnonzero(low_sum | low_product):
+            if low_sum[j]:
+                violate("i", (x, pts[j]), wd[j], bound[j])
+            if low_product[j]:
+                violate("iii", (x, pts[j]), wd[n + j], bound[j])
+    wn = weigh(-arr)
+    inverses = {i: _derived(1.0 / x, "1 / {}", x) for i, x in enumerate(pts) if abs(x) > tol}
+    wi = dict(zip(inverses, weigh(np.array(list(inverses.values())))))
+    for i, x in enumerate(pts):
+        if wn[i] < w[i] - tol:
+            violate("ii", (x,), wn[i], w[i])
+        if i in wi and wi[i] < w[i] - tol:
+            violate("iv", (x,), wi[i], w[i])
+    for p, wp in zip((0.0, 1.0), weigh(np.array([0.0, 1.0]))):
+        if abs(wp - 1.0) > tol:
+            violate("v", (p,), wp, 1.0)
 
-    sym_ok = True
-    sym_checked = 0
-    for x in pts:
-        wn = ctx.mu.weight(-x)
-        wb = ctx.mu.weight(-(-x))
-        if wn >= w[x] - tol and wb >= wn - tol:
-            sym_checked += 1
-            if abs(wn - w[x]) > 2.0 * tol:
-                sym_ok = False
-
+    # where axiom (ii) holds at both x and -x, the two weights must agree
+    symmetric = (wn >= w - tol) & (w >= wn - tol)
     seen = {v.axiom for v in violations}
-    verdicts = {a: a not in seen for a in AXIOM_IDS}
     return AxiomReport(
-        verdicts=verdicts,
+        verdicts={a: a not in seen for a in AXIOM_IDS},
         violations=tuple(violations),
-        negation_symmetry=sym_ok,
-        negation_pairs_checked=sym_checked,
-        sample_count=len(pts),
+        negation_symmetry=not np.any(symmetric & (np.abs(wn - w) > 2.0 * tol)),
+        negation_pairs_checked=int(np.count_nonzero(symmetric)),
+        sample_count=n,
     )
 
 
@@ -509,7 +472,10 @@ def mu_summary(ctx: FieldContext, samples) -> MuSummary:
     pts = [_require_finite(s, "sample") for s in samples]
     if not pts:
         raise UsageError("mu_summary needs a non-empty sample list")
-    weights = [(ctx.mu.weight(p), p) for p in pts]
-    inf_w, witness = min(weights, key=lambda t: t[0])
-    zeros = sum(1 for wt, _ in weights if wt <= ctx.min_mu)
-    return MuSummary(inf_mu=inf_w, count_zero=zeros, witness=witness)
+    weights = ctx.mu.weight_many(np.array(pts))
+    i = int(np.argmin(weights))  # the first minimum
+    return MuSummary(
+        inf_mu=float(weights[i]),
+        count_zero=int(np.count_nonzero(weights <= ctx.min_mu)),
+        witness=pts[i],
+    )

@@ -368,6 +368,17 @@ def _check_r4(ctx, ops):
     return _le_report(ctx, "R4", ops, lhs, rhs)
 
 
+def _sandwich(ctx, ident, ops, bound):
+    """-bound <= a <= bound for the first operand a, scored by the worse side."""
+    a = ops[0]
+    lo = _le_report(ctx, ident, ops, -bound, a)
+    hi = _le_report(ctx, ident, ops, a, bound)
+    verdict = PASS if lo.verdict == PASS and hi.verdict == PASS else FAIL
+    return IdentityCheckReport(
+        ident, tuple(ops), a, bound, max(lo.residual, hi.residual), verdict, (), {"bound": bound}
+    )
+
+
 def _check_r5a(ctx, ops):
     a, c = ops
     if c <= 0.0:
@@ -377,12 +388,7 @@ def _check_r5a(ctx, ops):
         return _unmet("R5a", ops, why)
     if not (mu_abs(ctx, a) < c + ctx.eq_tol):
         return _unmet("R5a", ops, "hypothesis |a|_w < c not satisfied")
-    bound = c / mu_eval(ctx, a)
-    lo = _le_report(ctx, "R5a", ops, -bound, a)
-    hi = _le_report(ctx, "R5a", ops, a, bound)
-    worst = max(lo.residual, hi.residual)
-    verdict = PASS if lo.verdict == PASS and hi.verdict == PASS else FAIL
-    return IdentityCheckReport("R5a", tuple(ops), a, bound, worst, verdict, (), {"bound": bound})
+    return _sandwich(ctx, "R5a", ops, c / mu_eval(ctx, a))
 
 
 def _check_r5b(ctx, ops):
@@ -397,12 +403,7 @@ def _check_r5b(ctx, ops):
         return _unmet("R5b", ops, "requires w(|a|) = w(a)", w_a=wa, w_abs_a=wabs)
     if not mu_lt(ctx, abs(a), c) and not (abs(scaled(ctx, abs(a)) - scaled(ctx, c)) <= ctx.eq_tol):
         return _unmet("R5b", ops, "hypothesis |a| <_w c not satisfied")
-    bound = c * mu_eval(ctx, c) / wa
-    lo = _le_report(ctx, "R5b", ops, -bound, a)
-    hi = _le_report(ctx, "R5b", ops, a, bound)
-    worst = max(lo.residual, hi.residual)
-    verdict = PASS if lo.verdict == PASS and hi.verdict == PASS else FAIL
-    return IdentityCheckReport("R5b", tuple(ops), a, bound, worst, verdict, (), {"bound": bound})
+    return _sandwich(ctx, "R5b", ops, c * mu_eval(ctx, c) / wa)
 
 
 def _check_s1(ctx, ops):

@@ -580,15 +580,13 @@ def _parse_tag(key: str, where="mu"):
     base, _, off = key.partition(":")
     aliases = {"sum_with": "sum", "product_with": "product"}
     expr = aliases.get(base, base)
-    for suffix in ("_minus",):
-        if expr.endswith(suffix):
-            expr = expr[: -len(suffix)]
-            if not off:
-                raise SpecError(f"{where}: tag {key!r} needs an offset after ':'")
+    if expr.endswith("_minus"):
+        expr = expr[: -len("_minus")]
+        if not off:
+            raise SpecError(f"{where}: tag {key!r} needs an offset after ':'")
     if expr not in EXPRESSIONS:
         raise SpecError(f"{where}: unknown expression tag {key!r}")
-    offset = float(off) if off else None
-    return expr, offset
+    return expr, float(off) if off else None
 
 
 def _tag_to_key(expr: str, offset) -> str:
@@ -615,6 +613,11 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
             candidates.append((item["expr"], float(item["value"])))
         else:
             candidates.append(("self", float(item)))
+    envelopes = []
+    for item in doc.get("envelopes", []):
+        if not isinstance(item, dict) or not {"expr", "candidate", "label"} <= item.keys():
+            raise SpecError("envelopes: objects need 'expr', 'candidate' and 'label'")
+        envelopes.append((item["expr"], float(item["candidate"]), str(item["label"])))
     eps = tuple(float(e) for e in doc.get("eps", DEFAULT_EPS))
     horizon = int(doc.get("horizon", DEFAULT_HORIZON))
     fallback = parse_mu_spec(doc["fallback_mu"]) if doc.get("fallback_mu") else crisp()
@@ -634,6 +637,7 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
         eps_schedule=eps,
         horizon=horizon,
         ctx=ctx,
+        envelopes=tuple(envelopes),
         label=str(doc.get("label", "")),
     )
 
@@ -655,6 +659,8 @@ def serialize_experiment(exp: ExperimentSpec) -> dict:
         "eps": list(exp.eps_schedule),
         "horizon": exp.horizon,
         "fallback_mu": serialize_mu_spec(exp.ctx.mu),
+        "tolerances": {k: getattr(exp.ctx, k) for k in ("eq_tol", "identity_tol", "min_mu")},
+        "envelopes": [{"expr": e, "candidate": c, "label": lb} for e, c, lb in exp.envelopes],
         "label": exp.label,
     }
     if exp.partner is not None:

@@ -1,0 +1,31 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+`bench/tracer.py` looks each wrapped method up in its class's own
+`__dict__` and each function in its module, so renaming, removing or moving
+one of them to a base class breaks a traced benchmark run; this test makes
+that a test failure instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_layer(tracer):
+    t = tracer.Tracer()
+    originals = [(ns, k, getattr(ns, k)) for ns, k, _, _ in t.patches]
+    assert {attr for _, attr, _, _ in tracer.LAYERS} <= {k for _, k, _ in originals}
+    with t.installed():
+        assert all(getattr(ns, k) is not fn for ns, k, fn in originals)
+    assert all(getattr(ns, k) is fn for ns, k, fn in originals)

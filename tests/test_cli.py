@@ -1,7 +1,10 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from mufield import FieldContext, load_mu_spec, mu_eval
 from mufield.cli import main
 
 
@@ -166,6 +169,51 @@ class TestConverge:
     def test_missing_file_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "converge", "/nonexistent/exp.json")
         assert code == 2
+
+
+class TestRuleWalk:
+    # a rule point holding a tiny imaginary part is within tol of a real
+    # value, and every walk must weigh that value by the rule
+    @pytest.mark.parametrize("match, value", [
+        ({"kind": "point", "value": [1.0, 1e-12]}, 1.0),
+        ({"kind": "set", "values": [[2.0, 5e-10]]}, 2.0),
+    ])
+    def test_complex_rule_points_match_real_values(self, capsys, tmp_path, match, value):
+        spec = {"default": 1.0, "rules": [{"match": {**match, "tol": 1e-9}, "mu": 0.25}]}
+        mu = load_mu_spec(spec)
+        assert mu_eval(FieldContext(mu=mu), value) == 0.25
+        assert mu.weight_many(np.array([value])).tolist() == [0.25]
+        exp = tmp_path / "exp.json"
+        exp.write_text(json.dumps({
+            "sequence": {"form": "constant", "params": {"value": value}, "n_min": 1, "n_max": 3},
+            "candidates": [0.0], "horizon": 3, "fallback_mu": spec,
+        }))
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run(capsys, "converge", str(exp), "--trace", str(trace))
+        assert code == 0
+        rows = list(csv.DictReader(trace.read_text().splitlines()))
+        assert [float(r["membership"]) for r in rows] == [0.25] * 3
+
+
+class TestTolerances:
+    # demo tolerances come from the catalog, converge tolerances from the
+    # spec's "tolerances" block; a --tol there is refused, not ignored
+    @pytest.fixture()
+    def experiment_path(self, tmp_path):
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps({"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50},
+                                 "candidates": [1.0], "horizon": 50}))
+        return str(p)
+
+    @pytest.mark.parametrize("tol", ["0", "1e-6"])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_demo_and_converge_reject_tol(self, capsys, experiment_path, tol, before):
+        for argv, source in ((["demo", "unbounded_convergent"], "catalog"),
+                             (["converge", experiment_path], "'tolerances'")):
+            flag = [f"--tol={tol}"]
+            code, out, err = run(capsys, *(flag + argv if before else argv + flag))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "--tol" in err and source in err
 
 
 class TestDemo:

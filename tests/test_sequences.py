@@ -7,12 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from mufield import (
     ExperimentSpec,
+    FamilyMatcher,
     FieldContext,
+    MembershipFunction,
     MuAssignment,
+    MuRule,
+    PointMatcher,
     SequenceSpec,
+    SetMatcher,
     SpecError,
     UsageError,
     ValidationError,
+    ValueForm,
     WeightForm,
     check_monotone,
     classical_converges,
@@ -35,6 +41,7 @@ from mufield.sequences import (
     REFUTED,
     SUPPORTED,
     SUPPORTED_TRIVIALLY,
+    parse_experiment,
     trace_rows,
 )
 
@@ -419,3 +426,88 @@ def test_bounded_proof_inequality_under_floor():
         lo = level * (limit * level - 1.0)
         hi = (limit + 1.0) / level
         assert np.all(scaled > lo) and np.all(scaled < hi)
+
+
+# -- spec round trip -------------------------------------------------------------
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_unit = st.floats(0.0, 1.0)
+_positive = st.floats(1e-12, 1.0)
+
+
+@st.composite
+def _sequences(draw, n_max):
+    n_min = draw(st.integers(1, 5))
+    form = draw(st.sampled_from(("log_plus", "exp_plus", "sq_ratio", "moebius", "constant", "table")))
+    params = {
+        "log_plus": lambda: {"c": draw(_finite)},
+        "exp_plus": lambda: {"c": draw(_finite)},
+        "sq_ratio": dict,
+        "moebius": lambda: {k: draw(_finite) for k in "abcd"},
+        "constant": lambda: {"value": draw(_finite)},
+        "table": lambda: {"points": {k: draw(_finite) for k in range(n_min, n_max + 1)}},
+    }[form]()
+    return SequenceSpec(form, params, n_min, n_max)
+
+
+_weight_forms = st.one_of(
+    _unit.map(constant_weight),
+    st.just(WeightForm("rational_poly", {"p": [1], "q": [0, 1]})),
+    st.just(WeightForm("inv_exp_p1_sq", {})),
+)
+_tags = st.tuples(st.sampled_from(("self", "partner", "sum", "product")), st.none() | _finite)
+
+
+@st.composite
+def _fallbacks(draw):
+    rules = []
+    for kind in draw(st.lists(st.sampled_from(("point", "set", "family")), max_size=3)):
+        tol = draw(st.floats(0.0, 1e-3))
+        scalar = st.one_of(_finite, st.builds(complex, _finite, _finite))
+        if kind == "point":
+            rules.append(MuRule(PointMatcher(draw(scalar), tol), draw(_unit)))
+        elif kind == "set":
+            rules.append(MuRule(SetMatcher(tuple(draw(st.lists(scalar, min_size=1, max_size=3))), tol), draw(_unit)))
+        else:
+            form = ValueForm("log_n_plus_c", {"c": draw(_finite)})
+            # a constant rule weight is a number; parse_mu_spec reads a const form back as one
+            weight = draw(st.one_of(_unit, _weight_forms.filter(lambda wf: wf.form != "const")))
+            rules.append(MuRule(FamilyMatcher(form, 1, 50, tol), weight))
+    return MembershipFunction(tuple(rules), draw(_unit))
+
+
+@st.composite
+def _experiments(draw):
+    n_max = draw(st.integers(10, 40))
+    seq = draw(_sequences(n_max))
+    partner = draw(st.none() | _sequences(n_max))
+    tags = draw(st.lists(_tags, max_size=4, unique=True))
+    exprs = st.sampled_from(("self", "partner", "sum", "product"))
+    return ExperimentSpec(
+        sequence=seq,
+        partner=partner,
+        assignment=MuAssignment(tuple((e, off, draw(_weight_forms)) for e, off in tags)),
+        candidates=tuple(draw(st.lists(st.tuples(exprs, _finite), max_size=3))),
+        eps_schedule=tuple(draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))),
+        horizon=draw(st.integers(5, n_max)),
+        ctx=FieldContext(mu=draw(_fallbacks()), eq_tol=draw(_positive),
+                         identity_tol=draw(_positive), min_mu=draw(st.floats(0.0, 0.5))),
+        envelopes=tuple(draw(st.lists(st.tuples(exprs, _finite, st.text(max_size=8)), max_size=2))),
+        label=draw(st.text(max_size=8)),
+    )
+
+
+def _round_trip(exp):
+    return parse_experiment(json.loads(json.dumps(serialize_experiment(exp))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_experiments())
+def test_spec_round_trip_is_lossless(exp):
+    assert _round_trip(exp) == exp
+
+
+@pytest.mark.parametrize("name", ["nonunique_limit", "unbounded_convergent", "sum_failure", "product_failure"])
+def test_catalog_round_trip_is_lossless(name):
+    exp = demo_catalog(name)
+    assert _round_trip(exp) == exp
