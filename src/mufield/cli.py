@@ -13,7 +13,6 @@ from a valid request, 2 invalid input or usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -23,7 +22,7 @@ import time
 
 from . import __version__
 from .demos import DEMO_NAMES, run_demo
-from .errors import DomainError, MuFieldError, UsageError
+from .errors import DomainError, MuFieldError, UsageError, number
 from .membership import (
     FieldContext,
     check_axioms,
@@ -99,10 +98,15 @@ def _load_mu(path: str | None):
         return load_mu_spec(f.read())
 
 
+def _flag_number(text: str, flag: str) -> float:
+    return number(text, flag, error=UsageError)
+
+
 def _parse_grid(text: str):
-    lo, hi, step = (float(p) for p in text.split(":"))
-    if step <= 0 or hi < lo:
-        raise UsageError(f"bad grid {text!r}; expected lo:hi:step with step > 0")
+    parts = [_flag_number(p, "--grid") for p in text.split(":")]
+    if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0 or parts[1] < parts[0]:
+        raise UsageError(f"--grid: expected lo:hi:step, finite, with step > 0, got {text!r}")
+    lo, hi, step = parts
     out = []
     v = lo
     while v <= hi + 1e-12:
@@ -111,13 +115,12 @@ def _parse_grid(text: str):
     return out
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise UsageError(f"bad complex literal {text!r}; expected re or re,im")
+    if len(parts) > 2:
+        raise UsageError(f"bad complex literal {text!r}; expected re or re,im")
+    re_im = [_flag_number(p, flag) for p in parts]
+    return complex(re_im[0], re_im[1] if len(re_im) == 2 else 0.0)
 
 
 def _ctx(args, mu, kind="real") -> FieldContext:
@@ -137,7 +140,13 @@ def cmd_axioms(args) -> int:
     inputs = [args.mu] if args.mu else []
     if args.samples:
         with open(args.samples, "r", encoding="utf-8") as f:
-            samples = [float(v) for v in json.load(f)]
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as e:
+                raise UsageError(f"--samples: invalid JSON ({e})") from e
+        if not isinstance(doc, list):
+            raise UsageError("--samples: expected a JSON array of numbers")
+        samples = [_flag_number(v, "--samples") for v in doc]
         inputs.append(args.samples)
     else:
         samples = _parse_grid(args.grid)
@@ -180,7 +189,7 @@ _EVAL_OPS = {
     "mu_log": (("z",), "complex", mu_log),
     "mu_pow": (("base", "z", "branch"), "complex", mu_pow),
 }
-_OPERAND_PARSERS = {"set": lambda text: [float(v) for v in text.split(",")],
+_OPERAND_PARSERS = {"set": lambda text, flag: [_flag_number(v, flag) for v in text.split(",")],
                     "z": _parse_complex, "base": _parse_complex}
 _WEIGHED_OPERANDS = ("a", "b", "z")  # their weights are reported with the value
 
@@ -197,7 +206,7 @@ def cmd_eval(args) -> int:
             print(f"op {args.op} needs --{flag}", file=sys.stderr)
             return EXIT_USAGE
     ctx = _ctx(args, mu, kind)
-    operands = [_OPERAND_PARSERS.get(flag, lambda v: v)(text) for flag, text in zip(needs, raw)]
+    operands = [_OPERAND_PARSERS.get(flag, lambda v, _: v)(text, f"--{flag}") for flag, text in zip(needs, raw)]
     try:
         memberships = {str(v): mu_eval(ctx, v) for flag, v in zip(needs, operands) if flag in _WEIGHED_OPERANDS}
         value = fn(ctx, *operands)
@@ -224,20 +233,29 @@ def _verdict_lines(v) -> list:
     return rows
 
 
+def _trace_target(exp, text: str | None):
+    """The (expr, candidate) of --trace-target, the first candidate by default."""
+    if not text:
+        if not exp.candidates:
+            raise UsageError("--trace needs --trace-target: the experiment declares no candidate")
+        return exp.candidates[0]
+    expr, _, cand = text.partition(":")
+    exp.check_expression(expr)
+    return expr, _flag_number(cand, "--trace-target candidate")
+
+
 def cmd_converge(args) -> int:
     _refuse_tol(args, "the experiment spec's 'tolerances' block")
     with open(args.experiment, "r", encoding="utf-8") as f:
         exp = load_experiment(f.read())
+    # checked before any work, so a refused target writes no file
+    target = _trace_target(exp, args.trace_target) if args.trace else None
     report = run_experiment(exp)
-    if args.trace:
-        expr, _, cand = (args.trace_target or "").partition(":")
-        if not expr:
-            expr, cand = exp.candidates[0][0], str(exp.candidates[0][1])
+    if target is not None:
         with open(args.trace, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["n", "term", "membership", "scaled_deviation"])
-            for row in trace_rows(exp, expr, float(cand)):
-                writer.writerow(row)
+            # the bytes csv.writer writes: CRLF, and floats as their shortest round-trip repr
+            f.write("n,term,membership,scaled_deviation\r\n")
+            f.writelines(f"{n},{t!r},{w!r},{d!r}\r\n" for n, t, w, d in trace_rows(exp, *target))
     body = {
         "label": exp.label,
         "horizon": exp.horizon,

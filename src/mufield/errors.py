@@ -3,6 +3,10 @@
 Two families matter to callers: requests that were malformed to begin with
 (UsageError and subclasses, CLI exit 2) and evaluations that are undefined
 at the supplied point (DomainError and subclasses, CLI exit 1).
+
+The parsers of flags and documents convert their fields through number()
+and check their nested objects through spec_object(), so a malformed field is a
+usage error that names it, never a raw TypeError or ValueError.
 """
 
 
@@ -28,3 +32,19 @@ class DomainError(MuFieldError):
 
 class RangeGuardError(DomainError):
     """An overflow guard declined to evaluate."""
+
+
+def number(value, where: str, kind=float, error=SpecError):
+    """kind(value), or an error naming where when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise error(f"{where}: expected {what}, got {value!r}") from None
+
+
+def spec_object(value, where: str) -> dict:
+    """value when it is an object (a dict); a SpecError naming where otherwise."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{where}: expected an object, got {type(value).__name__}")
+    return value

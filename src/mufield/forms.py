@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, ValidationError
+from .errors import SpecError, ValidationError, number, spec_object
 
 VALUE_FORM_IDS = ("log_n_plus_c", "exp_n_plus_c", "sq_ratio", "moebius")
 WEIGHT_FORM_IDS = ("const", "rational_poly", "inv_exp_p1_sq")
@@ -162,7 +162,7 @@ def parse_weight_form(obj, where: str = "mu") -> WeightForm:
         form = obj.get("form")
         if not isinstance(form, str):
             raise SpecError(f"{where}: weight form object needs a string 'form'")
-        return WeightForm(form, dict(obj.get("params", {})))
+        return WeightForm(form, dict(spec_object(obj.get("params", {}), f"{where}.params")))
     raise SpecError(f"{where}: expected a number or a weight-form object, got {type(obj).__name__}")
 
 
@@ -175,4 +175,5 @@ def weight_form_to_obj(w: WeightForm):
 def parse_value_form(form: str, params, where: str = "family") -> ValueForm:
     if not isinstance(form, str):
         raise SpecError(f"{where}: 'form' must be a string")
-    return ValueForm(form, {k: float(v) for k, v in dict(params or {}).items()})
+    params = spec_object(params or {}, f"{where}.params")
+    return ValueForm(form, {k: number(v, f"{where}.params.{k}") for k, v in params.items()})

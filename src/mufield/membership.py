@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UsageError, ValidationError
+from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_object
 from .forms import (
     ValueForm,
     WeightForm,
@@ -280,22 +280,22 @@ def parse_mu_spec(doc: dict) -> MembershipFunction:
         where = f"rules[{i}]"
         if not isinstance(item, dict) or "match" not in item or "mu" not in item:
             raise SpecError(f"{where}: each rule needs 'match' and 'mu'")
-        match = item["match"]
+        match = spec_object(item["match"], f"{where}.match")
         kind = match.get("kind")
-        tol = float(match.get("tol", 1e-9))
+        tol = number(match.get("tol", 1e-9), f"{where}.match.tol")
         if kind == "point":
             if "value" not in match:
                 raise SpecError(f"{where}.match: point matcher needs 'value'")
-            matcher: Matcher = PointMatcher(_scalar_from_obj(match["value"], where), tol)
+            matcher: Matcher = PointMatcher(_scalar_from_obj(match["value"], f"{where}.match.value"), tol)
         elif kind == "set":
             vals = match.get("values")
             if not isinstance(vals, list) or not vals:
                 raise SpecError(f"{where}.match: set matcher needs non-empty 'values'")
-            matcher = SetMatcher(tuple(_scalar_from_obj(v, where) for v in vals), tol)
+            matcher = SetMatcher(tuple(_scalar_from_obj(v, f"{where}.match.values") for v in vals), tol)
         elif kind == "family":
             form = parse_value_form(match.get("form"), match.get("params"), where=f"{where}.match")
-            n_min = int(match.get("n_min", 1))
-            n_max = int(match.get("n_max", 100_000))
+            n_min = number(match.get("n_min", 1), f"{where}.match.n_min", int)
+            n_max = number(match.get("n_max", 100_000), f"{where}.match.n_max", int)
             matcher = FamilyMatcher(form, n_min, n_max, tol)
         else:
             raise SpecError(f"{where}.match.kind: unknown kind {kind!r}")
@@ -349,7 +349,7 @@ def _scalar_from_obj(obj, where: str) -> Scalar:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return float(obj)
     if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        return complex(number(obj[0], where), number(obj[1], where))
     raise SpecError(f"{where}: scalar must be a number or an [re, im] pair")
 
 

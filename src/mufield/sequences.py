@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UsageError, ValidationError
+from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_object
 from .forms import (
     EXP_INDEX_CAP,
     ValueForm,
@@ -50,6 +50,7 @@ from .real_field import (
 
 DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_HORIZON = 100_000
+TRACE_CHUNK = 4096  # trace rows converted to Python numbers at a time
 
 SEQUENCE_FORMS = ("log_plus", "exp_plus", "sq_ratio", "moebius", "constant", "table")
 EXPRESSIONS = ("self", "partner", "sum", "product")
@@ -212,6 +213,13 @@ class ExperimentSpec:
             n0 = max(n0, self.partner.n_min)
         return n0
 
+    def check_expression(self, expr: str) -> None:
+        """Refuse an expression this experiment has no stream for."""
+        if expr not in EXPRESSIONS:
+            raise UsageError(f"unknown expression {expr!r}; known: {', '.join(EXPRESSIONS)}")
+        if expr != "self" and self.partner is None:
+            raise UsageError(f"expression {expr!r} needs a partner sequence")
+
     def envelope_for(self, expr: str, candidate: float) -> str | None:
         for e_expr, e_cand, label in self.envelopes:
             if e_expr == expr and abs(float(e_cand) - float(candidate)) <= self.ctx.eq_tol:
@@ -289,10 +297,9 @@ class _Stream:
     def values(self, expr: str, out: np.ndarray | None = None) -> np.ndarray:
         """The stream of expr over [n0, hi]; a sum or product is built into out."""
         exp = self.exp
+        exp.check_expression(expr)
         if expr == "self":
             return self.terms(exp.sequence)
-        if exp.partner is None:
-            raise UsageError(f"expression {expr!r} needs a partner sequence")
         if expr == "partner":
             return self.terms(exp.partner)
         combine = np.add if expr == "sum" else np.multiply
@@ -549,13 +556,20 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
 
 
 def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
-    """(n, term, membership, scaled_deviation) rows for plotting."""
+    """(n, term, membership, scaled_deviation) rows for plotting.
+
+    Every field is a built-in int or float. The columns become Python
+    numbers TRACE_CHUNK rows at a time, so the objects alive at once do not
+    grow with the horizon.
+    """
     stream = _Stream(exp)
     values = stream.values(expr)
     dev, weights = stream.deviation(expr, candidate)
     n0 = stream.n0
-    for i in range(dev.size):
-        yield n0 + i, float(values[i]), float(weights[i]), float(dev[i])
+    for lo in range(0, dev.size, TRACE_CHUNK):
+        hi = min(lo + TRACE_CHUNK, dev.size)
+        yield from zip(range(n0 + lo, n0 + hi), values[lo:hi].tolist(),
+                       weights[lo:hi].tolist(), dev[lo:hi].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +579,16 @@ def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
 def _parse_sequence(doc, where="sequence") -> SequenceSpec:
     if not isinstance(doc, dict) or "form" not in doc:
         raise SpecError(f"{where}: needs an object with 'form'")
-    params = dict(doc.get("params", {}))
+    params = dict(spec_object(doc.get("params", {}), f"{where}.params"))
     if doc["form"] == "table" and "points" in params:
-        params["points"] = {int(k): float(v) for k, v in params["points"].items()}
+        at = f"{where}.params.points"
+        params["points"] = {number(k, at, int): number(v, f"{at}[{k}]")
+                            for k, v in spec_object(params["points"], at).items()}
     return SequenceSpec(
         form=doc["form"],
         params=params,
-        n_min=int(doc.get("n_min", 1)),
-        n_max=int(doc.get("n_max", DEFAULT_HORIZON)),
+        n_min=number(doc.get("n_min", 1), f"{where}.n_min", int),
+        n_max=number(doc.get("n_max", DEFAULT_HORIZON), f"{where}.n_max", int),
     )
 
 
@@ -586,7 +602,7 @@ def _parse_tag(key: str, where="mu"):
             raise SpecError(f"{where}: tag {key!r} needs an offset after ':'")
     if expr not in EXPRESSIONS:
         raise SpecError(f"{where}: unknown expression tag {key!r}")
-    return expr, float(off) if off else None
+    return expr, number(off, f"{where}: tag {key!r}") if off else None
 
 
 def _tag_to_key(expr: str, offset) -> str:
@@ -602,7 +618,7 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
     seq = _parse_sequence(doc["sequence"])
     partner = _parse_sequence(doc["partner"], "partner") if doc.get("partner") else None
     entries = []
-    for key, obj in dict(doc.get("mu", {})).items():
+    for key, obj in spec_object(doc.get("mu", {}), "mu").items():
         expr, offset = _parse_tag(key)
         entries.append((expr, offset, parse_weight_form(obj, where=f"mu[{key}]")))
     candidates = []
@@ -610,24 +626,24 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
         if isinstance(item, dict):
             if "expr" not in item or "value" not in item:
                 raise SpecError("candidates: objects need 'expr' and 'value'")
-            candidates.append((item["expr"], float(item["value"])))
+            candidates.append((item["expr"], number(item["value"], "candidates")))
         else:
-            candidates.append(("self", float(item)))
+            candidates.append(("self", number(item, "candidates")))
     envelopes = []
     for item in doc.get("envelopes", []):
         if not isinstance(item, dict) or not {"expr", "candidate", "label"} <= item.keys():
             raise SpecError("envelopes: objects need 'expr', 'candidate' and 'label'")
-        envelopes.append((item["expr"], float(item["candidate"]), str(item["label"])))
-    eps = tuple(float(e) for e in doc.get("eps", DEFAULT_EPS))
-    horizon = int(doc.get("horizon", DEFAULT_HORIZON))
+        envelopes.append((item["expr"], number(item["candidate"], "envelopes"), str(item["label"])))
+    eps = tuple(number(e, "eps") for e in doc.get("eps", DEFAULT_EPS))
+    horizon = number(doc.get("horizon", DEFAULT_HORIZON), "horizon", int)
     fallback = parse_mu_spec(doc["fallback_mu"]) if doc.get("fallback_mu") else crisp()
-    tols = dict(doc.get("tolerances", {}))
+    tols = spec_object(doc.get("tolerances", {}), "tolerances")
     ctx = FieldContext(
         kind="real",
         mu=fallback,
-        eq_tol=float(tols.get("eq_tol", 1e-9)),
-        identity_tol=float(tols.get("identity_tol", 1e-9)),
-        min_mu=float(tols.get("min_mu", 1e-12)),
+        eq_tol=number(tols.get("eq_tol", 1e-9), "tolerances.eq_tol"),
+        identity_tol=number(tols.get("identity_tol", 1e-9), "tolerances.identity_tol"),
+        min_mu=number(tols.get("min_mu", 1e-12), "tolerances.min_mu"),
     )
     return ExperimentSpec(
         sequence=seq,

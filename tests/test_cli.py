@@ -171,6 +171,97 @@ class TestConverge:
         assert code == 2
 
 
+class TestTraceTarget:
+    # a refused --trace-target is a usage error that writes no file and
+    # leaves one already at the --trace path as it was
+    @staticmethod
+    def experiment(tmp_path, partner=False, candidates=(0.0,)):
+        doc = {"sequence": {"form": "log_plus", "params": {"c": 1.0}, "n_max": 50},
+               "candidates": list(candidates), "horizon": 50}
+        if partner:
+            doc["partner"] = {"form": "sq_ratio", "params": {}, "n_max": 50}
+        p = tmp_path / "exp.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("partner, target, message", [
+        (False, "self:abc", "--trace-target candidate: expected a number, got 'abc'"),
+        (False, "bogus:0", "unknown expression 'bogus'"),
+        (True, "bogus:0", "unknown expression 'bogus'"),
+        (False, "sum:0", "expression 'sum' needs a partner sequence"),
+    ])
+    @pytest.mark.parametrize("existing", [None, b"kept\r\n"])
+    def test_refused_target_writes_no_file(self, capsys, tmp_path, partner, target, message, existing):
+        trace = tmp_path / "trace.csv"
+        if existing is not None:
+            trace.write_bytes(existing)
+        code, out, err = run(capsys, "converge", self.experiment(tmp_path, partner),
+                             "--trace", str(trace), "--trace-target", target)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+        assert (trace.read_bytes() if trace.exists() else None) == existing
+
+    def test_no_candidate_needs_a_target(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _, err = run(capsys, "converge", self.experiment(tmp_path, candidates=()),
+                           "--trace", str(trace))
+        assert code == 2 and "--trace-target" in err
+        assert not trace.exists()
+
+
+class TestMalformedInput:
+    # a number that does not parse, or a spec object of the wrong shape, is a
+    # usage error (exit 2) that names the field, not a raw traceback
+    @staticmethod
+    def write(tmp_path, name, doc):
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("argv, field", [
+        (["eval", "mu_conj", "--z", "abc"], "--z"),
+        (["eval", "mu_pow", "--base", "1,x", "--z", "1"], "--base"),
+        (["eval", "mu_sup", "--set", "1,x"], "--set"),
+        (["axioms", "--grid", "1:x:1"], "--grid"),
+        (["axioms", "--grid", "1:2"], "--grid"),
+    ])
+    def test_malformed_flag_number(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err
+
+    def test_malformed_sample(self, capsys, tmp_path):
+        samples = self.write(tmp_path, "samples.json", [1, "x"])
+        code, _, err = run(capsys, "axioms", "--samples", samples)
+        assert code == 2 and err.startswith("error:") and "--samples" in err and "'x'" in err
+
+    @pytest.mark.parametrize("cmd", ["axioms", "eval"])
+    @pytest.mark.parametrize("match, field", [
+        ({"kind": "point", "value": 0.0, "tol": "x"}, "rules[0].match.tol"),
+        ({"kind": "point", "value": [0.0, "x"]}, "rules[0].match.value"),
+        ({"kind": "family", "form": "sq_ratio", "n_max": "abc"}, "rules[0].match.n_max"),
+        (5, "rules[0].match: expected an object"),
+    ])
+    def test_malformed_mu_spec(self, capsys, tmp_path, cmd, match, field):
+        spec = self.write(tmp_path, "mu.json", {"default": 1.0, "rules": [{"match": match, "mu": 0.5}]})
+        argv = ["axioms", spec] if cmd == "axioms" else ["eval", "mu", "--mu", spec, "--a", "1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("change, field", [
+        ({"horizon": "abc"}, "horizon: expected an integer, got 'abc'"),
+        ({"mu": [1]}, "mu: expected an object, got list"),
+        ({"mu": {"self_minus:abc": 0.5}}, "'self_minus:abc'"),
+        ({"candidates": ["x"]}, "candidates"),
+        ({"tolerances": {"eq_tol": "x"}}, "tolerances.eq_tol"),
+        ({"sequence": {"form": "sq_ratio", "params": [], "n_max": 50}}, "sequence.params"),
+    ])
+    def test_malformed_experiment(self, capsys, tmp_path, change, field):
+        doc = {"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50}, "candidates": [1.0], "horizon": 50}
+        code, _, err = run(capsys, "converge", self.write(tmp_path, "exp.json", {**doc, **change}))
+        assert code == 2 and err.startswith("error:") and field in err
+
+
 class TestRuleWalk:
     # a rule point holding a tiny imaginary part is within tol of a real
     # value, and every walk must weigh that value by the rule
