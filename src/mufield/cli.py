@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .demos import DEMO_NAMES, run_demo
-from .errors import DomainError, MuFieldError, UsageError, number
+from .errors import DomainError, MuFieldError, SpecError, UsageError, number
 from .membership import (
     FieldContext,
     check_axioms,
@@ -91,11 +91,17 @@ def _emit(env: dict, args, human_lines) -> int:
     return env["status"]
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 input file; a SpecError naming the file otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _load_mu(path: str | None):
-    if path is None:
-        return crisp()
-    with open(path, "r", encoding="utf-8") as f:
-        return load_mu_spec(f.read())
+    return crisp() if path is None else load_mu_spec(_read_text(path))
 
 
 def _flag_number(text: str, flag: str) -> float:
@@ -139,11 +145,10 @@ def cmd_axioms(args) -> int:
     mu = _load_mu(args.mu)
     inputs = [args.mu] if args.mu else []
     if args.samples:
-        with open(args.samples, "r", encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise UsageError(f"--samples: invalid JSON ({e})") from e
+        try:
+            doc = json.loads(_read_text(args.samples))
+        except json.JSONDecodeError as e:
+            raise UsageError(f"--samples: invalid JSON ({e})") from e
         if not isinstance(doc, list):
             raise UsageError("--samples: expected a JSON array of numbers")
         samples = [_flag_number(v, "--samples") for v in doc]
@@ -246,8 +251,7 @@ def _trace_target(exp, text: str | None):
 
 def cmd_converge(args) -> int:
     _refuse_tol(args, "the experiment spec's 'tolerances' block")
-    with open(args.experiment, "r", encoding="utf-8") as f:
-        exp = load_experiment(f.read())
+    exp = load_experiment(_read_text(args.experiment))
     # checked before any work, so a refused target writes no file
     target = _trace_target(exp, args.trace_target) if args.trace else None
     report = run_experiment(exp)

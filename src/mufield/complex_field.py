@@ -10,23 +10,28 @@ statements fail on generic inputs: the conjugate difference identity needs
 the imaginary unit on its right side (C7 vs C7_literal), and the power law
 holds multiplicatively, not additively (P1 vs P1_additive). The corrected
 forms are the registry entries; the literal residuals stay reported.
+
+Each law shape has one factory: real_field._ratio_law builds C2..C4, M1, M2
+and E1, _quotient_law builds C5, M3 and E2, and _log_law builds L1/L2.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, mul, sub, truediv
 
-from .errors import DomainError, RangeGuardError, UsageError
+from .errors import DomainError, RangeGuardError
 from .membership import FieldContext, mu_eval
 from .real_field import (
     FAIL,
     PASS,
     IdentityCheckReport,
+    _dispatch,
     _eq_report,
     _le_report,
+    _ratio_law,
     _unmet,
     _weights_ok,
     one_sided_excess,
@@ -158,8 +163,8 @@ def mu_pow_forms(ctx: FieldContext, a: complex, z: complex, branch: int = 0) -> 
 # Identity registry
 # ---------------------------------------------------------------------------
 
-def _ratio(ctx, z):
-    """conj ratio helper: mu_conj(z) / w(z) = plain conjugate."""
+def _conj_ratio(ctx, z):
+    """mu_conj(z) / w(z), the plain conjugate."""
     return mu_conj(ctx, z) / mu_eval(ctx, z)
 
 
@@ -173,38 +178,26 @@ def _check_c1(ctx, ops):
     return _eq_report(ctx, "C1", ops, lhs, rhs)
 
 
-def _ratio_law(ident, ratio, derive, combine):
-    """ratio(derive(z1, z2)) = combine(ratio(z1), ratio(z2)), guarded on the
-    weights of z1, z2 and the derived point."""
+def _quotient_law(ident, f, derive, zero_note):
+    """f(d) / w(d) = (f(z1) / f(z2)) (w(z2) / w(z1)) for d = derive(z1, z2),
+    guarded on the weights of z1, z2 and d, and on f(z2) != 0 (zero_note).
+    A division law at z2 = 0 is a DomainError."""
     def check(ctx, ops):
         z1, z2 = ops
-        d = derive(z1, z2)
+        try:
+            d = derive(z1, z2)
+        except ZeroDivisionError:
+            raise DomainError(f"{ident} needs z2 != 0") from None
         ok, why = _weights_ok(ctx, (z1, z2, d))
         if not ok:
             return _unmet(ident, ops, why)
-        return _eq_report(ctx, ident, ops, ratio(ctx, d), combine(ratio(ctx, z1), ratio(ctx, z2)))
+        if abs(f(ctx, z2)) == 0.0:
+            return _unmet(ident, ops, zero_note)
+        lhs = f(ctx, d) / mu_eval(ctx, d)
+        rhs = (f(ctx, z1) / f(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
+        return _eq_report(ctx, ident, ops, lhs, rhs)
 
     return check
-
-
-_check_c2 = _ratio_law("C2", _ratio, add, add)
-_check_c3 = _ratio_law("C3", _ratio, sub, sub)
-_check_c4 = _ratio_law("C4", _ratio, mul, mul)
-
-
-def _check_c5(ctx, ops):
-    z1, z2 = ops
-    if z2 == 0:
-        raise DomainError("C5 needs z2 != 0")
-    q = z1 / z2
-    ok, why = _weights_ok(ctx, (z1, z2, q))
-    if not ok:
-        return _unmet("C5", ops, why)
-    if abs(mu_conj(ctx, z2)) == 0.0:
-        return _unmet("C5", ops, "conjugate of z2 scaled to zero")
-    lhs = mu_conj(ctx, q) / mu_eval(ctx, q)
-    rhs = (mu_conj(ctx, z1) / mu_conj(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
-    return _eq_report(ctx, "C5", ops, lhs, rhs)
 
 
 def _check_c6(ctx, ops):
@@ -234,39 +227,8 @@ def _conj_difference(ident):
     return check
 
 
-_check_c7 = _conj_difference("C7")
-_check_c7_literal = _conj_difference("C7_literal")
-
-
 def _mod_ratio(ctx, z):
     return mu_abs_c(ctx, z) / mu_eval(ctx, z)
-
-
-_check_m1 = _ratio_law("M1", _mod_ratio, mul, mul)
-
-
-def _check_m2(ctx, ops):
-    z1, z2 = ops
-    s = z1 + z2
-    ok, why = _weights_ok(ctx, (z1, z2, s))
-    if not ok:
-        return _unmet("M2", ops, why)
-    return _le_report(ctx, "M2", ops, _mod_ratio(ctx, s), _mod_ratio(ctx, z1) + _mod_ratio(ctx, z2))
-
-
-def _check_m3(ctx, ops):
-    z1, z2 = ops
-    if z2 == 0:
-        raise DomainError("M3 needs z2 != 0")
-    q = z1 / z2
-    ok, why = _weights_ok(ctx, (z1, z2, q))
-    if not ok:
-        return _unmet("M3", ops, why)
-    if mu_abs_c(ctx, z2) == 0.0:
-        return _unmet("M3", ops, "weighted modulus of z2 is zero")
-    lhs = _mod_ratio(ctx, q)
-    rhs = (mu_abs_c(ctx, z1) / mu_abs_c(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
-    return _eq_report(ctx, "M3", ops, lhs, rhs)
 
 
 def _check_m4(ctx, ops):
@@ -320,22 +282,6 @@ def _exp_ratio(ctx, z):
     return mu_exp(ctx, z) / mu_eval(ctx, z)
 
 
-_check_e1 = _ratio_law("E1", _exp_ratio, add, mul)
-
-
-def _check_e2(ctx, ops):
-    z1, z2 = ops
-    d = z1 - z2
-    ok, why = _weights_ok(ctx, (z1, z2, d))
-    if not ok:
-        return _unmet("E2", ops, why)
-    if abs(mu_exp(ctx, z2)) == 0.0:
-        return _unmet("E2", ops, "weighted exponential of z2 is zero")
-    lhs = mu_exp(ctx, d) / mu_eval(ctx, d)
-    rhs = (mu_exp(ctx, z1) / mu_exp(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
-    return _eq_report(ctx, "E2", ops, lhs, rhs)
-
-
 def _check_en1(ctx, ops):
     return _eq_report(ctx, "EN1", ops, mu_exp(ctx, 0.0), 1.0)
 
@@ -370,17 +316,10 @@ def _log_law(ident, derive, combine):
         k_log = _log_correction(lhs, base)
         rep = _eq_report(ctx, ident, ops, lhs, base + complex(0.0, TWO_PI * k_log), k_log=k_log)
         if abs(k_log) > 1:
-            return IdentityCheckReport(
-                rep.identity_id, rep.operands, rep.lhs, rep.rhs, math.inf, FAIL,
-                ("branch correction outside {-1, 0, 1}",), rep.details,
-            )
+            return replace(rep, residual=math.inf, verdict=FAIL, notes=("branch correction outside {-1, 0, 1}",))
         return rep
 
     return check
-
-
-_check_l1 = _log_law("L1", mul, add)
-_check_l2 = _log_law("L2", truediv, sub)
 
 
 def _pv_ratio(ctx, a, z):
@@ -411,10 +350,6 @@ def _power_law(ident):
     return check
 
 
-_check_p1 = _power_law("P1")
-_check_p1_additive = _power_law("P1_additive")
-
-
 def _check_p2(ctx, ops):
     a, b, z = ops
     if a == 0 or b == 0:
@@ -430,42 +365,33 @@ def _check_p2(ctx, ops):
 
 COMPLEX_IDENTITIES = {
     "C1": ("double conjugation lands on z w(z) w(conj_w z)", 1, _check_c1),
-    "C2": ("conjugate ratios add", 2, _check_c2),
-    "C3": ("conjugate ratios subtract", 2, _check_c3),
-    "C4": ("conjugate ratios multiply", 2, _check_c4),
-    "C5": ("conjugate ratios divide", 2, _check_c5),
+    "C2": ("conjugate ratios add", 2, _ratio_law("C2", _conj_ratio, add, add)),
+    "C3": ("conjugate ratios subtract", 2, _ratio_law("C3", _conj_ratio, sub, sub)),
+    "C4": ("conjugate ratios multiply", 2, _ratio_law("C4", _conj_ratio, mul, mul)),
+    "C5": ("conjugate ratios divide", 2, _quotient_law("C5", mu_conj, truediv, "conjugate of z2 scaled to zero")),
     "C6": ("z w(z) + conj_w(z) = 2 Re(z) w(z)", 1, _check_c6),
-    "C7": ("z w(z) - conj_w(z) = 2i Im(z) w(z), corrected", 1, _check_c7),
-    "C7_literal": ("literal difference form without the imaginary unit", 1, _check_c7_literal),
-    "M1": ("modulus ratios multiply", 2, _check_m1),
-    "M2": ("triangle inequality in ratio form", 2, _check_m2),
-    "M3": ("modulus ratios divide", 2, _check_m3),
+    "C7": ("z w(z) - conj_w(z) = 2i Im(z) w(z), corrected", 1, _conj_difference("C7")),
+    "C7_literal": ("literal difference form without the imaginary unit", 1, _conj_difference("C7_literal")),
+    "M1": ("modulus ratios multiply", 2, _ratio_law("M1", _mod_ratio, mul, mul)),
+    "M2": ("triangle inequality in ratio form", 2, _ratio_law("M2", _mod_ratio, add, add, _le_report)),
+    "M3": ("modulus ratios divide", 2, _quotient_law("M3", mu_abs_c, truediv, "weighted modulus of z2 is zero")),
     "M4": ("modulus of the weighted conjugate", 1, _check_m4),
     "M5": ("reverse triangle inequality in ratio form", 2, _check_m5),
     "M6": ("weighted modulus dominates weighted Re and Im", 1, _check_m6),
     "M7": ("z times its weighted conjugate is |z|^2 w(z)", 1, _check_m7),
     "A1": ("argument ratios add up to the branch correction", 2, _check_a1),
-    "E1": ("exponential ratios multiply", 2, _check_e1),
-    "E2": ("exponential ratios divide", 2, _check_e2),
+    "E1": ("exponential ratios multiply", 2, _ratio_law("E1", _exp_ratio, add, mul)),
+    "E2": ("exponential ratios divide", 2, _quotient_law("E2", mu_exp, sub, "weighted exponential of z2 is zero")),
     "EN1": ("weighted exponential of 0 is 1", 0, _check_en1),
     "EN2": ("integer powers of the exponential ratio", 2, _check_en2),
-    "L1": ("log ratios add up to a reported branch correction", 2, _check_l1),
-    "L2": ("log ratios subtract up to a reported branch correction", 2, _check_l2),
-    "P1": ("power ratios multiply (corrected); additive residual reported", 3, _check_p1),
-    "P1_additive": ("literal additive power law", 3, _check_p1_additive),
+    "L1": ("log ratios add up to a reported branch correction", 2, _log_law("L1", mul, add)),
+    "L2": ("log ratios subtract up to a reported branch correction", 2, _log_law("L2", truediv, sub)),
+    "P1": ("power ratios multiply (corrected); additive residual reported", 3, _power_law("P1")),
+    "P1_additive": ("literal additive power law", 3, _power_law("P1_additive")),
     "P2": ("common-exponent product law on the principal branch", 3, _check_p2),
 }
 
 
 def check_complex_identity(ctx: FieldContext, ident: str, operands) -> IdentityCheckReport:
     """Evaluate one registry identity on the given complex operands."""
-    if ident not in COMPLEX_IDENTITIES:
-        raise UsageError(f"unknown complex identity {ident!r}; known: {sorted(COMPLEX_IDENTITIES)}")
-    _, arity, fn = COMPLEX_IDENTITIES[ident]
-    ops = tuple(complex(v) for v in operands)
-    for v in ops:
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise DomainError(f"operand {v!r} is not finite")
-    if len(ops) != arity:
-        raise UsageError(f"identity {ident} takes {arity} operand(s), got {len(ops)}")
-    return fn(ctx, ops)
+    return _dispatch(ctx, ident, operands, "complex", COMPLEX_IDENTITIES, complex)

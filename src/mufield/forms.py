@@ -79,9 +79,6 @@ class ValueForm:
     def term_at(self, n: int) -> float:
         return float(self.terms(np.array([n], dtype=float))[0])
 
-    def index_cap(self) -> int | None:
-        return EXP_INDEX_CAP if self.form == "exp_n_plus_c" else None
-
     def invert(self, v):
         """Real-valued index estimate with terms(estimate) = v (scalar or array).
 
@@ -154,6 +151,24 @@ def constant_weight(value: float) -> WeightForm:
     return WeightForm("const", {"value": float(value)})
 
 
+def form_params(params, where: str) -> dict:
+    """The params of a value, weight or sequence form with every field converted:
+    p and q non-empty lists of numbers, points a map of integer index to number,
+    anything else a number. A SpecError names the field that does not convert."""
+    out = {}
+    for k, v in spec_object(params, f"{where}.params").items():
+        at = f"{where}.params.{k}"
+        if k in ("p", "q"):
+            if not isinstance(v, list) or not v:
+                raise SpecError(f"{at}: expected a non-empty list of numbers, got {v!r}")
+            out[k] = [number(c, f"{at}[{i}]") for i, c in enumerate(v)]
+        elif k == "points":
+            out[k] = {number(n, at, int): number(t, f"{at}[{n}]") for n, t in spec_object(v, at).items()}
+        else:
+            out[k] = number(v, at)
+    return out
+
+
 def parse_weight_form(obj, where: str = "mu") -> WeightForm:
     """Accept a bare number (constant weight) or {"form": ..., "params": ...}."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
@@ -162,7 +177,7 @@ def parse_weight_form(obj, where: str = "mu") -> WeightForm:
         form = obj.get("form")
         if not isinstance(form, str):
             raise SpecError(f"{where}: weight form object needs a string 'form'")
-        return WeightForm(form, dict(spec_object(obj.get("params", {}), f"{where}.params")))
+        return WeightForm(form, form_params(obj.get("params", {}), where))
     raise SpecError(f"{where}: expected a number or a weight-form object, got {type(obj).__name__}")
 
 
@@ -175,5 +190,4 @@ def weight_form_to_obj(w: WeightForm):
 def parse_value_form(form: str, params, where: str = "family") -> ValueForm:
     if not isinstance(form, str):
         raise SpecError(f"{where}: 'form' must be a string")
-    params = spec_object(params or {}, f"{where}.params")
-    return ValueForm(form, {k: number(v, f"{where}.params.{k}") for k, v in params.items()})
+    return ValueForm(form, form_params(params or {}, where))

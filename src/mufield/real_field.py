@@ -7,16 +7,20 @@ Order comparisons use an absolute slack (ctx.eq_tol) because scaled values
 cluster near zero by design.
 
 The identity registry covers the ordered-field implications O1..O8, the
-modulus laws R1..R5b, and the supremum characterization S1. Ratio-form
-identities are guarded: when a referenced membership is at or below
-ctx.min_mu the verdict is "precondition-unmet" rather than a failure.
+modulus laws R1..R5b, and the supremum characterization S1. Each law shape
+has one factory: _sign_law builds O2..O7, and _ratio_law builds R3/R4 here
+and the complex ratio laws. Ratio-form identities are guarded: when a
+referenced membership is at or below ctx.min_mu the verdict is
+"precondition-unmet" rather than a failure.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import add, mul, neg
 
 from .errors import DomainError, UsageError
 from .membership import FieldContext, mu_eval
@@ -250,75 +254,24 @@ def _check_o1(ctx, ops):
     return _le_report(ctx, "O1", ops, sa, 0.0, notes=("a <= 0 branch",))
 
 
-def _signed_implication(ctx, ident, ops, hyps, concl_lhs, concl_rhs, points):
-    """Shared shape for O2..O7: sign hypotheses on scaled values, guarded."""
-    ok, why = _weights_ok(ctx, points)
-    if not ok:
-        return _unmet(ident, ops, why)
-    for lhs, rhs in hyps:
-        if lhs > rhs + ctx.eq_tol:
-            return _unmet(ident, ops, "hypothesis not satisfied")
-    return _le_report(ctx, ident, ops, concl_lhs, concl_rhs)
+def _sign_law(ident, signs, derive, sign):
+    """Operands with the given scaled signs (+1: 0 <=_w x, -1: x <=_w 0) give
+    derive(*operands) the scaled sign `sign`; guarded on every touched weight."""
+    def oriented(s, x):  # (lhs, rhs) of the one-sided comparison with 0
+        return (0.0, x) if s > 0 else (x, 0.0)
 
+    def check(ctx, ops):
+        d = derive(*ops)
+        ok, why = _weights_ok(ctx, (*ops, d))
+        if not ok:
+            return _unmet(ident, ops, why)
+        for s, v in zip(signs, ops):
+            lhs, rhs = oriented(s, scaled(ctx, v))
+            if lhs > rhs + ctx.eq_tol:
+                return _unmet(ident, ops, "hypothesis not satisfied")
+        return _le_report(ctx, ident, ops, *oriented(sign, scaled(ctx, d)))
 
-def _check_o2(ctx, ops):
-    (a,) = ops
-    return _signed_implication(
-        ctx, "O2", ops,
-        hyps=[(0.0, scaled(ctx, a))],
-        concl_lhs=scaled(ctx, -a), concl_rhs=0.0,
-        points=(a, -a),
-    )
-
-
-def _check_o3(ctx, ops):
-    a, b = ops
-    return _signed_implication(
-        ctx, "O3", ops,
-        hyps=[(0.0, scaled(ctx, a)), (0.0, scaled(ctx, b))],
-        concl_lhs=0.0, concl_rhs=scaled(ctx, a + b),
-        points=(a, b, a + b),
-    )
-
-
-def _check_o4(ctx, ops):
-    a, b = ops
-    return _signed_implication(
-        ctx, "O4", ops,
-        hyps=[(scaled(ctx, a), 0.0), (scaled(ctx, b), 0.0)],
-        concl_lhs=scaled(ctx, a + b), concl_rhs=0.0,
-        points=(a, b, a + b),
-    )
-
-
-def _check_o5(ctx, ops):
-    a, b = ops
-    return _signed_implication(
-        ctx, "O5", ops,
-        hyps=[(0.0, scaled(ctx, a)), (0.0, scaled(ctx, b))],
-        concl_lhs=0.0, concl_rhs=scaled(ctx, a * b),
-        points=(a, b, a * b),
-    )
-
-
-def _check_o6(ctx, ops):
-    a, b = ops
-    return _signed_implication(
-        ctx, "O6", ops,
-        hyps=[(scaled(ctx, a), 0.0), (scaled(ctx, b), 0.0)],
-        concl_lhs=0.0, concl_rhs=scaled(ctx, a * b),
-        points=(a, b, a * b),
-    )
-
-
-def _check_o7(ctx, ops):
-    a, b = ops
-    return _signed_implication(
-        ctx, "O7", ops,
-        hyps=[(0.0, scaled(ctx, a)), (scaled(ctx, b), 0.0)],
-        concl_lhs=scaled(ctx, a * b), concl_rhs=0.0,
-        points=(a, b, a * b),
-    )
+    return check
 
 
 def _check_o8(ctx, ops):
@@ -348,24 +301,23 @@ def _check_r2(ctx, ops):
     return _eq_report(ctx, "R2", ops, mu_abs(ctx, -a), mu_abs(ctx, a))
 
 
-def _check_r3(ctx, ops):
-    a, b = ops
-    ok, why = _weights_ok(ctx, (a, b, a * b))
-    if not ok:
-        return _unmet("R3", ops, why)
-    lhs = mu_abs(ctx, a * b) / mu_eval(ctx, a * b)
-    rhs = (mu_abs(ctx, a) / mu_eval(ctx, a)) * (mu_abs(ctx, b) / mu_eval(ctx, b))
-    return _eq_report(ctx, "R3", ops, lhs, rhs)
+def _ratio_law(ident, ratio, derive, combine, report=_eq_report):
+    """ratio(derive(z1, z2)) against combine(ratio(z1), ratio(z2)) by report
+    (an equality, or _le_report for an inequality), guarded on the weights of
+    z1, z2 and the derived point."""
+    def check(ctx, ops):
+        z1, z2 = ops
+        d = derive(z1, z2)
+        ok, why = _weights_ok(ctx, (z1, z2, d))
+        if not ok:
+            return _unmet(ident, ops, why)
+        return report(ctx, ident, ops, ratio(ctx, d), combine(ratio(ctx, z1), ratio(ctx, z2)))
+
+    return check
 
 
-def _check_r4(ctx, ops):
-    a, b = ops
-    ok, why = _weights_ok(ctx, (a, b, a + b))
-    if not ok:
-        return _unmet("R4", ops, why)
-    lhs = mu_abs(ctx, a + b) / mu_eval(ctx, a + b)
-    rhs = mu_abs(ctx, a) / mu_eval(ctx, a) + mu_abs(ctx, b) / mu_eval(ctx, b)
-    return _le_report(ctx, "R4", ops, lhs, rhs)
+def _abs_ratio(ctx, a):
+    return mu_abs(ctx, a) / mu_eval(ctx, a)
 
 
 def _sandwich(ctx, ident, ops, bound):
@@ -412,34 +364,39 @@ def _check_s1(ctx, ops):
 
 REAL_IDENTITIES = {
     "O1": ("sign of a is preserved by the weighted order", 1, _check_o1),
-    "O2": ("0 <=_w a implies -a <=_w 0", 1, _check_o2),
-    "O3": ("nonnegatives are closed under addition", 2, _check_o3),
-    "O4": ("nonpositives are closed under addition", 2, _check_o4),
-    "O5": ("nonnegatives are closed under multiplication", 2, _check_o5),
-    "O6": ("product of nonpositives is nonnegative", 2, _check_o6),
-    "O7": ("mixed signs multiply to nonpositive", 2, _check_o7),
+    "O2": ("0 <=_w a implies -a <=_w 0", 1, _sign_law("O2", (1,), neg, -1)),
+    "O3": ("nonnegatives are closed under addition", 2, _sign_law("O3", (1, 1), add, 1)),
+    "O4": ("nonpositives are closed under addition", 2, _sign_law("O4", (-1, -1), add, -1)),
+    "O5": ("nonnegatives are closed under multiplication", 2, _sign_law("O5", (1, 1), mul, 1)),
+    "O6": ("product of nonpositives is nonnegative", 2, _sign_law("O6", (-1, -1), mul, 1)),
+    "O7": ("mixed signs multiply to nonpositive", 2, _sign_law("O7", (1, -1), mul, -1)),
     "O8": ("squares are nonnegative", 1, _check_o8),
     "R1": ("piecewise form of the weighted modulus", 1, _check_r1),
     "R2": ("modulus is even, given a symmetric weighting", 1, _check_r2),
-    "R3": ("modulus ratios multiply", 2, _check_r3),
-    "R4": ("triangle inequality in ratio form", 2, _check_r4),
+    "R3": ("modulus ratios multiply", 2, _ratio_law("R3", _abs_ratio, mul, mul)),
+    "R4": ("triangle inequality in ratio form", 2, _ratio_law("R4", _abs_ratio, add, add, _le_report)),
     "R5a": ("|a|_w < c sandwiches a by c / w(a)", 2, _check_r5a),
     "R5b": ("|a| <_w c sandwiches a by c w(c) / w(a)", 2, _check_r5b),
     "S1": ("supremum characterization by eps-witnesses", None, _check_s1),
 }
 
 
-def check_real_identity(ctx: FieldContext, ident: str, operands) -> IdentityCheckReport:
-    """Evaluate one registry identity on the given operands."""
-    if ident not in REAL_IDENTITIES:
-        raise UsageError(f"unknown real identity {ident!r}; known: {sorted(REAL_IDENTITIES)}")
-    _, arity, fn = REAL_IDENTITIES[ident]
-    ops = tuple(float(v) for v in operands)
+def _dispatch(ctx, ident, operands, domain, table, convert) -> IdentityCheckReport:
+    """Look ident up in the domain's table, convert and vet the operands, run the check."""
+    if ident not in table:
+        raise UsageError(f"unknown {domain} identity {ident!r}; known: {sorted(table)}")
+    _, arity, fn = table[ident]
+    ops = tuple(convert(v) for v in operands)
     for v in ops:
-        if not math.isfinite(v):
+        if not cmath.isfinite(v):
             raise DomainError(f"operand {v!r} is not finite")
     if arity is not None and len(ops) != arity:
         raise UsageError(f"identity {ident} takes {arity} operand(s), got {len(ops)}")
     if arity is None and not ops:
         raise UsageError(f"identity {ident} needs at least one operand")
     return fn(ctx, ops)
+
+
+def check_real_identity(ctx: FieldContext, ident: str, operands) -> IdentityCheckReport:
+    """Evaluate one registry identity on the given operands."""
+    return _dispatch(ctx, ident, operands, "real", REAL_IDENTITIES, float)

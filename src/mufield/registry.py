@@ -18,18 +18,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add, mul, sub, truediv
 
 from .complex_field import COMPLEX_IDENTITIES, check_complex_identity
 from .errors import UsageError
 from .membership import FieldContext, MembershipFunction, MuRule, PointMatcher
-from .real_field import (
-    FAIL,
-    PASS,
-    UNMET,
-    REAL_IDENTITIES,
-    IdentityCheckReport,
-    check_real_identity,
-)
+from .real_field import PASS, UNMET, REAL_IDENTITIES, IdentityCheckReport, check_real_identity
 
 _PIN_TOL = 1e-12
 
@@ -48,8 +42,17 @@ def _cplx(rng, lo=1e-3, hi=1e3) -> complex:
     return complex(r * math.cos(th), r * math.sin(th))
 
 
+def _one(draw):
+    return lambda rng: (draw(rng),)
+
+
 def _pair(draw):
     return lambda rng: (draw(rng), draw(rng))
+
+
+def _signs(*signs):
+    """Operands of the given signs; their magnitudes are drawn in order."""
+    return lambda rng: tuple(s * _mag(rng) for s in signs)
 
 
 def _sample_r5(rng):
@@ -119,74 +122,70 @@ class RegistryEntry:
     summary: str
     sample: object  # rng -> operands
     point_groups: object  # operands -> [[coupled points], ...]
-    hidden: bool = False  # literal variants stay out of the default sweep
+
+    @property
+    def hidden(self) -> bool:
+        """Literal variants stay out of the default sweep."""
+        return self.ident in LITERAL_VARIANTS.values()
 
 
-def _real(ident, sample, groups, hidden=False):
-    return RegistryEntry(ident, "real", REAL_IDENTITIES[ident][0], sample, groups, hidden)
+def _real(ident, sample, groups):
+    return RegistryEntry(ident, "real", REAL_IDENTITIES[ident][0], sample, groups)
 
 
-def _cx(ident, sample, groups, hidden=False):
-    return RegistryEntry(ident, "complex", COMPLEX_IDENTITIES[ident][0], sample, groups, hidden)
+def _cx(ident, sample, groups):
+    return RegistryEntry(ident, "complex", COMPLEX_IDENTITIES[ident][0], sample, groups)
 
 
-def _nonneg(rng):
-    return (_mag(rng),)
-
-
-def _nonpos(rng):
-    return (-_mag(rng),)
-
+LITERAL_VARIANTS = {"C7": "C7_literal", "P1": "P1_additive"}
 
 REGISTRY = {
     e.ident: e
     for e in [
-        _real("O1", lambda rng: (_signed(rng),), _groups_single),
-        _real("O2", _nonneg, _groups_neg_pair),
-        _real("O3", lambda rng: (_mag(rng), _mag(rng)), _groups_with(lambda a, b: a + b)),
-        _real("O4", lambda rng: (-_mag(rng), -_mag(rng)), _groups_with(lambda a, b: a + b)),
-        _real("O5", lambda rng: (_mag(rng), _mag(rng)), _groups_with(lambda a, b: a * b)),
-        _real("O6", lambda rng: (-_mag(rng), -_mag(rng)), _groups_with(lambda a, b: a * b)),
-        _real("O7", lambda rng: (_mag(rng), -_mag(rng)), _groups_with(lambda a, b: a * b)),
-        _real("O8", lambda rng: (_signed(rng),), _groups_square),
-        _real("R1", lambda rng: (_signed(rng),), _groups_single),
-        _real("R2", lambda rng: (_signed(rng),), _groups_neg_pair),
-        _real("R3", _pair(_signed), _groups_with(lambda a, b: a * b)),
-        _real("R4", _pair(_signed), _groups_with(lambda a, b: a + b)),
+        _real("O1", _one(_signed), _groups_single),
+        _real("O2", _signs(1.0), _groups_neg_pair),
+        _real("O3", _signs(1.0, 1.0), _groups_with(add)),
+        _real("O4", _signs(-1.0, -1.0), _groups_with(add)),
+        _real("O5", _signs(1.0, 1.0), _groups_with(mul)),
+        _real("O6", _signs(-1.0, -1.0), _groups_with(mul)),
+        _real("O7", _signs(1.0, -1.0), _groups_with(mul)),
+        _real("O8", _one(_signed), _groups_square),
+        _real("R1", _one(_signed), _groups_single),
+        _real("R2", _one(_signed), _groups_neg_pair),
+        _real("R3", _pair(_signed), _groups_with(mul)),
+        _real("R4", _pair(_signed), _groups_with(add)),
         _real("R5a", _sample_r5, _groups_single),
         _real("R5b", _sample_r5, _groups_r5b),
         _real("S1", _sample_set, _groups_set),
-        _cx("C1", lambda rng: (_cplx(rng),), _groups_single),
-        _cx("C2", _pair(_cplx), _groups_with(lambda a, b: a + b)),
-        _cx("C3", _pair(_cplx), _groups_with(lambda a, b: a - b)),
-        _cx("C4", _pair(_cplx), _groups_with(lambda a, b: a * b)),
-        _cx("C5", _pair(_cplx), _groups_with(lambda a, b: a / b)),
-        _cx("C6", lambda rng: (_cplx(rng),), _groups_single),
-        _cx("C7", lambda rng: (_cplx(rng),), _groups_single),
-        _cx("C7_literal", lambda rng: (_cplx(rng),), _groups_single, hidden=True),
-        _cx("M1", _pair(_cplx), _groups_with(lambda a, b: a * b)),
-        _cx("M2", _pair(_cplx), _groups_with(lambda a, b: a + b)),
-        _cx("M3", _pair(_cplx), _groups_with(lambda a, b: a / b)),
-        _cx("M4", lambda rng: (_cplx(rng),), _groups_single),
-        _cx("M5", _pair(_cplx), _groups_with(lambda a, b: a - b)),
-        _cx("M6", lambda rng: (_cplx(rng),), _groups_single),
-        _cx("M7", lambda rng: (_cplx(rng),), _groups_single),
-        _cx("A1", _pair(_cplx), _groups_with(lambda a, b: a * b)),
-        _cx("E1", _pair(lambda rng: _cplx(rng, 1e-3, 3.0)), _groups_with(lambda a, b: a + b)),
-        _cx("E2", _pair(lambda rng: _cplx(rng, 1e-3, 3.0)), _groups_with(lambda a, b: a - b)),
+        _cx("C1", _one(_cplx), _groups_single),
+        _cx("C2", _pair(_cplx), _groups_with(add)),
+        _cx("C3", _pair(_cplx), _groups_with(sub)),
+        _cx("C4", _pair(_cplx), _groups_with(mul)),
+        _cx("C5", _pair(_cplx), _groups_with(truediv)),
+        _cx("C6", _one(_cplx), _groups_single),
+        _cx("C7", _one(_cplx), _groups_single),
+        _cx("C7_literal", _one(_cplx), _groups_single),
+        _cx("M1", _pair(_cplx), _groups_with(mul)),
+        _cx("M2", _pair(_cplx), _groups_with(add)),
+        _cx("M3", _pair(_cplx), _groups_with(truediv)),
+        _cx("M4", _one(_cplx), _groups_single),
+        _cx("M5", _pair(_cplx), _groups_with(sub)),
+        _cx("M6", _one(_cplx), _groups_single),
+        _cx("M7", _one(_cplx), _groups_single),
+        _cx("A1", _pair(_cplx), _groups_with(mul)),
+        _cx("E1", _pair(lambda rng: _cplx(rng, 1e-3, 3.0)), _groups_with(add)),
+        _cx("E2", _pair(lambda rng: _cplx(rng, 1e-3, 3.0)), _groups_with(sub)),
         _cx("EN1", lambda rng: (), lambda ops: []),
         _cx("EN2", _sample_en2, _groups_en2),
-        _cx("L1", _pair(_cplx), _groups_with(lambda a, b: a * b)),
-        _cx("L2", _pair(_cplx), _groups_with(lambda a, b: a / b)),
+        _cx("L1", _pair(_cplx), _groups_with(mul)),
+        _cx("L2", _pair(_cplx), _groups_with(truediv)),
         _cx("P1", _sample_pow2, _groups_p1),
-        _cx("P1_additive", _sample_pow2, _groups_p1, hidden=True),
+        _cx("P1_additive", _sample_pow2, _groups_p1),
         _cx("P2", _sample_pow_bases, _groups_p2),
     ]
 }
 
 DEFAULT_SWEEP_IDS = tuple(i for i, e in REGISTRY.items() if not e.hidden)
-
-LITERAL_VARIANTS = {"C7": "C7_literal", "P1": "P1_additive"}
 
 
 def table_membership(groups, rng, zero_rate: float) -> MembershipFunction:

@@ -30,23 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_object
+from .errors import SpecError, UsageError, ValidationError, number, spec_object
 from .forms import (
     EXP_INDEX_CAP,
     ValueForm,
     WeightForm,
-    constant_weight,
+    form_params,
     parse_weight_form,
     weight_form_to_obj,
 )
 from .membership import FieldContext, crisp, parse_mu_spec, serialize_mu_spec
-from .real_field import (
-    FAIL,
-    PASS,
-    UNMET,
-    IdentityCheckReport,
-    ScaledValue,
-)
+from .real_field import FAIL, PASS, UNMET, IdentityCheckReport, ScaledValue, _unmet
 
 DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_HORIZON = 100_000
@@ -83,10 +77,9 @@ class SequenceSpec:
             raise SpecError(f"unknown sequence form {self.form!r}; known: {SEQUENCE_FORMS}")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValidationError(f"index range [{self.n_min}, {self.n_max}] is invalid")
-        cap = self.index_cap()
-        if cap is not None and self.n_max > cap:
+        if self.form == "exp_plus" and self.n_max > EXP_INDEX_CAP:
             raise ValidationError(
-                f"form {self.form!r} caps at n <= {cap} to avoid overflow, got n_max={self.n_max}"
+                f"form 'exp_plus' caps at n <= {EXP_INDEX_CAP} to avoid overflow, got n_max={self.n_max}"
             )
         if self.form == "constant" and "value" not in self.params:
             raise SpecError("constant sequence requires params.value")
@@ -97,9 +90,6 @@ class SequenceSpec:
             for k in range(self.n_min, self.n_max + 1):
                 if k not in pts:
                     raise ValidationError(f"table sequence missing index n={k}")
-
-    def index_cap(self) -> int | None:
-        return EXP_INDEX_CAP if self.form == "exp_plus" else None
 
     def _value_form(self) -> ValueForm:
         return ValueForm(_FORM_TO_VALUE_FORM[self.form], self.params)
@@ -191,9 +181,6 @@ class ExperimentSpec:
                 raise ValidationError(
                     f"horizon {self.horizon} exceeds sequence n_max {s.n_max}"
                 )
-            cap = s.index_cap()
-            if cap is not None and self.horizon > cap:
-                raise ValidationError(f"horizon {self.horizon} exceeds family cap {cap}")
         if self.horizon < self.n_start:
             raise ValidationError("horizon below the first valid index")
         for expr, value in self.candidates:
@@ -540,10 +527,8 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
         both = cl.verdict != REFUTED and cm.verdict != REFUTED
         for expr, target in (("sum", l + m), ("product", l * m)):
             if not both:
-                checks.append(IdentityCheckReport(
-                    f"limit-{expr}", (l, m), math.nan, math.nan, math.nan, UNMET,
-                    ("classical support not established at this horizon",), {},
-                ))
+                checks.append(_unmet(f"limit-{expr}", (l, m),
+                                     "classical support not established at this horizon"))
                 continue
             v = stream.verdict(expr, target)
             ok = v.verdict in (SUPPORTED, SUPPORTED_TRIVIALLY)
@@ -579,14 +564,9 @@ def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
 def _parse_sequence(doc, where="sequence") -> SequenceSpec:
     if not isinstance(doc, dict) or "form" not in doc:
         raise SpecError(f"{where}: needs an object with 'form'")
-    params = dict(spec_object(doc.get("params", {}), f"{where}.params"))
-    if doc["form"] == "table" and "points" in params:
-        at = f"{where}.params.points"
-        params["points"] = {number(k, at, int): number(v, f"{at}[{k}]")
-                            for k, v in spec_object(params["points"], at).items()}
     return SequenceSpec(
         form=doc["form"],
-        params=params,
+        params=form_params(doc.get("params", {}), where),
         n_min=number(doc.get("n_min", 1), f"{where}.n_min", int),
         n_max=number(doc.get("n_max", DEFAULT_HORIZON), f"{where}.n_max", int),
     )

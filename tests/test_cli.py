@@ -261,6 +261,38 @@ class TestMalformedInput:
         code, _, err = run(capsys, "converge", self.write(tmp_path, "exp.json", {**doc, **change}))
         assert code == 2 and err.startswith("error:") and field in err
 
+    # sequence, family and weight-form params are converted when the spec is read
+    @pytest.mark.parametrize("change, field", [
+        ({"sequence": {"form": "log_plus", "params": {"c": "x"}, "n_max": 50}}, "sequence.params.c"),
+        ({"sequence": {"form": "constant", "params": {"value": "x"}, "n_max": 50}}, "sequence.params.value"),
+        ({"mu": {"self": {"form": "rational_poly", "params": {"p": 5, "q": [1]}}}}, "mu[self].params.p"),
+        ({"mu": {"self": {"form": "rational_poly", "params": {"p": [1], "q": []}}}}, "mu[self].params.q"),
+    ])
+    def test_malformed_form_params_in_experiment(self, capsys, tmp_path, change, field):
+        doc = {"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50}, "candidates": [1.0], "horizon": 50}
+        code, _, err = run(capsys, "converge", self.write(tmp_path, "exp.json", {**doc, **change}))
+        assert code == 2 and err.startswith("error:") and field in err
+
+    def test_malformed_family_weight_params(self, capsys, tmp_path):
+        rule = {"match": {"kind": "family", "form": "log_n_plus_c", "params": {"c": 0.0}, "n_max": 50},
+                "mu": {"form": "rational_poly", "params": {"p": ["x"], "q": [1]}}}
+        spec = self.write(tmp_path, "mu.json", {"default": 1.0, "rules": [rule]})
+        code, _, err = run(capsys, "axioms", spec)
+        assert code == 2 and err.startswith("error:") and "rules[0].mu.params.p[0]" in err
+
+    # an input file that is not UTF-8 (here UTF-16 with its ff fe mark) names the file
+    @pytest.mark.parametrize("cmd", ["converge", "axioms", "eval --mu", "axioms --samples"])
+    def test_non_utf8_input_file(self, capsys, tmp_path, cmd):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"default": 1.0, "rules": []}'.encode("utf-16-le"))
+        argv = {"converge": ["converge", str(bad)],
+                "axioms": ["axioms", str(bad)],
+                "eval --mu": ["eval", "mu", "--a", "1", "--mu", str(bad)],
+                "axioms --samples": ["axioms", "--samples", str(bad)]}[cmd]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(bad) in err and "UTF-8" in err
+
 
 class TestRuleWalk:
     # a rule point holding a tiny imaginary part is within tol of a real

@@ -218,6 +218,11 @@ class TestIdentityExamples:
             check_complex_identity(ctx, "M1", [1j])
         with pytest.raises(DomainError):
             check_complex_identity(ctx, "A1", [0j, 1 + 0j])
+        # the division laws refuse z2 = 0; the exponential quotient law evaluates there
+        for ident in ("C5", "M3"):
+            with pytest.raises(DomainError, match=f"{ident} needs z2 != 0"):
+                check_complex_identity(ctx, ident, [1 + 1j, 0j])
+        assert check_complex_identity(FieldContext(kind="complex"), "E2", [0.5 + 1j, 0j]).verdict == PASS
 
 
 @settings(max_examples=80)

@@ -195,6 +195,23 @@ class TestRegistry:
         rep = check_real_identity(ctx, "O2", [-5.0])
         assert rep.verdict == UNMET
 
+    # the operand signs each sign law assumes; under crisp weights a sign
+    # hypothesis holds up to eq_tol = 1e-9 on the far side of 0
+    @pytest.mark.parametrize("ident, signs", [
+        ("O2", (1,)), ("O3", (1, 1)), ("O4", (-1, -1)), ("O5", (1, 1)), ("O6", (-1, -1)), ("O7", (1, -1)),
+    ])
+    def test_sign_law_hypotheses(self, ident, signs):
+        ctx = FieldContext()
+        assert check_real_identity(ctx, ident, [2.0 * s for s in signs]).verdict == PASS
+        for i in range(len(signs)):
+            for off, verdict in ((5e-10, PASS), (2e-9, UNMET)):
+                ops = [2.0 * s for s in signs]
+                ops[i] = -signs[i] * off
+                rep = check_real_identity(ctx, ident, ops)
+                assert rep.verdict == verdict, (ops, rep)
+                if verdict == UNMET:
+                    assert rep.notes == ("hypothesis not satisfied",)
+
     def test_r1_piecewise(self):
         ctx = FieldContext(mu=point_mu({-2.0: 0.5, 2.0: 0.25}))
         for a in (-2.0, 0.0, 2.0):
