@@ -3,7 +3,7 @@
 Commands: axioms, eval, converge, demo, identities. Output is human-readable
 by default; --json emits a schema'd envelope carrying the tool version, the
 command, sha256 digests of file inputs, the seed of any randomized sweep,
-and the command body. Identical inputs and seed produce identical envelopes
+and the command body. Identical inputs and seed produce an identical envelope
 apart from the timestamp field.
 
 Exit codes: 0 all checks passed, 1 a check failed or a domain error surfaced
@@ -135,13 +135,16 @@ def _ctx(args, mu, kind="real") -> FieldContext:
     return FieldContext(kind=kind, mu=mu, eq_tol=tol, identity_tol=tol)
 
 
-def _refuse_tol(args, source: str) -> None:
-    """Commands whose tolerances come from source reject --tol rather than ignore it."""
-    if args.tol is not None:
-        raise UsageError(f"{args.command} takes no --tol: its tolerances come from {source}")
+def _refuse_unread(args, tol_source: str | None = None) -> None:
+    """Refuse, not ignore, --seed (read by identities only) and --tol when tolerances come from tol_source."""
+    if args.seed is not None:
+        raise UsageError(f"{args.command} takes no --seed: only identities draws random operands")
+    if tol_source is not None and args.tol is not None:
+        raise UsageError(f"{args.command} takes no --tol: its tolerances come from {tol_source}")
 
 
 def cmd_axioms(args) -> int:
+    _refuse_unread(args)
     mu = _load_mu(args.mu)
     inputs = [args.mu] if args.mu else []
     if args.samples:
@@ -200,6 +203,7 @@ _WEIGHED_OPERANDS = ("a", "b", "z")  # their weights are reported with the value
 
 
 def cmd_eval(args) -> int:
+    _refuse_unread(args)
     if args.op not in _EVAL_OPS:
         print(f"unknown op {args.op!r}; known: {', '.join(sorted(_EVAL_OPS))}", file=sys.stderr)
         return EXIT_USAGE
@@ -250,7 +254,7 @@ def _trace_target(exp, text: str | None):
 
 
 def cmd_converge(args) -> int:
-    _refuse_tol(args, "the experiment spec's 'tolerances' block")
+    _refuse_unread(args, "the experiment spec's 'tolerances' block")
     exp = load_experiment(_read_text(args.experiment))
     # checked before any work, so a refused target writes no file
     target = _trace_target(exp, args.trace_target) if args.trace else None
@@ -278,7 +282,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _refuse_tol(args, "the demo catalog")
+    _refuse_unread(args, "the demo catalog")
     if args.name not in DEMO_NAMES:
         print(f"unknown demo {args.name!r}; catalog: {', '.join(DEMO_NAMES)}", file=sys.stderr)
         return EXIT_USAGE
@@ -315,13 +319,12 @@ def cmd_identities(args) -> int:
         print(f"unknown identities: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_USAGE
     mu = _load_mu(args.mu) if args.mu else None
-    if mu is None and not args.random:
-        args.random = True  # random tables are the only mode without a weighting file
     tol = 1e-9 if args.tol is None else args.tol
+    seed = 0 if args.seed is None else args.seed
     outcomes = run_identity_sweep(
         ids,
         trials=args.trials,
-        seed=args.seed,
+        seed=seed,
         mu=mu,
         eq_tol=tol,
         identity_tol=tol,
@@ -341,7 +344,7 @@ def cmd_identities(args) -> int:
             for o in outcomes
         ],
     }
-    lines = [f"identity sweep: {args.trials} trials each, seed {args.seed}"]
+    lines = [f"identity sweep: {args.trials} trials each, seed {seed}"]
     lines.append(f"  {'id':<12} {'pass':>6} {'fail':>6} {'unmet':>6}  max residual")
     for o in outcomes:
         lines.append(
@@ -351,7 +354,7 @@ def cmd_identities(args) -> int:
             lines.append(f"    first failure: operands {o.first_failure.operands}")
     status = EXIT_CHECK_FAILED if any_failed else EXIT_OK
     return _emit(
-        _envelope("identities", body, [args.mu] if args.mu else [], seed=args.seed, status=status),
+        _envelope("identities", body, [args.mu] if args.mu else [], seed=seed, status=status),
         args,
         lines,
     )
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
     parser.add_argument("--tol", type=float, default=None, help="override eq/identity tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    parser.add_argument("--seed", type=int, default=None, help="seed of the identities sweep (default 0)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
@@ -402,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", parents=[common], help="sweep the identity registry")
     p.add_argument("ids", nargs="*", help="registry ids (all when omitted)")
-    p.add_argument("--random", action="store_true", help="random operand tables (default)")
     p.add_argument("--mu", default=None, help="fixed membership spec instead of random tables")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--literal", action="store_true", help="check literal variants where they exist")

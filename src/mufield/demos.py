@@ -83,10 +83,6 @@ def _nonunique_limit() -> ExperimentSpec:
         eps_schedule=DEFAULT_EPS,
         horizon=horizon,
         ctx=FieldContext(mu=mu),
-        envelopes=(
-            ("self", 0.0, "log_drift_over_cubic"),
-            ("self", shift, "log_drift_over_cubic"),
-        ),
         label="nonunique_limit",
     )
 
@@ -109,7 +105,6 @@ def _unbounded_convergent() -> ExperimentSpec:
         eps_schedule=DEFAULT_EPS,
         horizon=horizon,
         ctx=FieldContext(mu=mu),
-        envelopes=(("self", 1.0, "inverse_exponential"),),
         label="unbounded_convergent",
     )
 
@@ -131,7 +126,6 @@ def _sum_failure() -> ExperimentSpec:
         eps_schedule=DEFAULT_EPS,
         horizon=horizon,
         ctx=FieldContext(mu=_zero_default_mu()),
-        envelopes=(("sum", 0.0, "harmonic"),),
         label="sum_failure",
     )
 
@@ -155,7 +149,6 @@ def _product_failure() -> ExperimentSpec:
         eps_schedule=DEFAULT_EPS,
         horizon=horizon,
         ctx=FieldContext(mu=_zero_default_mu()),
-        envelopes=(("product", 0.0, "harmonic"),),
         label="product_failure",
     )
 

@@ -4,9 +4,10 @@ Two families matter to callers: requests that were malformed to begin with
 (UsageError and subclasses, CLI exit 2) and evaluations that are undefined
 at the supplied point (DomainError and subclasses, CLI exit 1).
 
-The parsers of flags and documents convert their fields through number()
-and check their nested objects through spec_object(), so a malformed field is a
-usage error that names it, never a raw TypeError or ValueError.
+The parsers of flags and documents decode their JSON through spec_document(),
+convert their fields through number() and check their nested objects through
+spec_object(), so a malformed field is a usage error that names it, never a
+raw TypeError or ValueError.
 """
 
 
@@ -48,3 +49,15 @@ def spec_object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise SpecError(f"{where}: expected an object, got {type(value).__name__}")
     return value
+
+
+def spec_document(text_or_doc, where: str):
+    """The decoded JSON of text, or text_or_doc itself when it is already decoded."""
+    if not isinstance(text_or_doc, (bytes, str)):
+        return text_or_doc
+    import json  # on first use, so that `import mufield` stays without it
+
+    try:
+        return json.loads(text_or_doc)
+    except json.JSONDecodeError as e:
+        raise SpecError(f"{where}: invalid JSON ({e})") from e

@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_object
+from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_document, spec_object
 from .forms import (
     ValueForm,
     WeightForm,
@@ -45,12 +45,8 @@ Scalar = Union[float, complex]
 
 
 def _require_finite(v: Scalar, what: str = "value") -> Scalar:
-    if isinstance(v, complex):
-        if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-            raise DomainError(f"{what} must have finite components, got {v!r}")
-        return v
-    v = float(v)
-    if not np.isfinite(v):
+    v = v if isinstance(v, complex) else float(v)
+    if not cmath.isfinite(v):
         raise DomainError(f"{what} must be finite, got {v!r}")
     return v
 
@@ -333,16 +329,7 @@ def serialize_mu_spec(mu: MembershipFunction) -> dict:
 
 def load_mu_spec(text_or_doc) -> MembershipFunction:
     """Parse a membership function from JSON text or an already-decoded dict."""
-    import json
-
-    if isinstance(text_or_doc, (bytes, str)):
-        try:
-            doc = json.loads(text_or_doc)
-        except json.JSONDecodeError as e:
-            raise SpecError(f"mu spec: invalid JSON ({e})") from e
-    else:
-        doc = text_or_doc
-    return parse_mu_spec(doc)
+    return parse_mu_spec(spec_document(text_or_doc, "mu spec"))
 
 
 def _scalar_from_obj(obj, where: str) -> Scalar:

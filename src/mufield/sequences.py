@@ -5,9 +5,9 @@ weighted deviation |v_n - candidate| * w(v_n - candidate) stays below eps
 from some minimal index N(eps) through the horizon. Deviations are compared
 against eps with a slack relative to eps itself (dev < eps * (1 + eq_tol)),
 so closed forms whose deviation lands exactly on eps at the formula index
-count as within; the weighted order keeps its absolute slack. Verdicts are
-upgraded by a tail certificate when the deviation is monotone nonincreasing
-over the scanned tail, or when the experiment declares an analytic envelope.
+count as within; the weighted order keeps its absolute slack. A verdict
+carries the tail certificate monotone-decreasing-envelope when the deviation
+is monotone nonincreasing over the scanned tail, and none otherwise.
 
 A verdict is "supported-trivially" when every resolved membership from the
 first supported index onward sits at or below ctx.min_mu: the convergence
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, UsageError, ValidationError, number, spec_object
+from .errors import SpecError, UsageError, ValidationError, number, spec_document, spec_object
 from .forms import (
     EXP_INDEX_CAP,
     ValueForm,
@@ -169,7 +169,6 @@ class ExperimentSpec:
     eps_schedule: tuple = DEFAULT_EPS
     horizon: int = DEFAULT_HORIZON
     ctx: FieldContext = field(default_factory=FieldContext)
-    envelopes: tuple = ()  # ((expr, candidate, envelope label), ...)
     label: str = ""
 
     def __post_init__(self):
@@ -187,8 +186,14 @@ class ExperimentSpec:
             if expr not in EXPRESSIONS:
                 raise SpecError(f"unknown candidate expression {expr!r}")
             float(value)
+        entries = self.assignment.entries
+        for i, (e_expr, e_off, _) in enumerate(entries):
+            for expr, off, _ in entries[:i]:  # resolve would silently pick the first of two
+                if expr == e_expr and abs((off or 0.0) - (e_off or 0.0)) <= self.ctx.eq_tol:
+                    raise SpecError(f"mu: tags {_tag_to_key(expr, off)!r} and {_tag_to_key(e_expr, e_off)!r}"
+                                    " weigh the same stream")
         validated = []  # every entry shares the range, so each distinct form is scanned once
-        for e_expr, _, wf in self.assignment.entries:
+        for e_expr, _, wf in entries:
             if wf not in validated:
                 wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
                 validated.append(wf)
@@ -206,12 +211,6 @@ class ExperimentSpec:
             raise UsageError(f"unknown expression {expr!r}; known: {', '.join(EXPRESSIONS)}")
         if expr != "self" and self.partner is None:
             raise UsageError(f"expression {expr!r} needs a partner sequence")
-
-    def envelope_for(self, expr: str, candidate: float) -> str | None:
-        for e_expr, e_cand, label in self.envelopes:
-            if e_expr == expr and abs(float(e_cand) - float(candidate)) <= self.ctx.eq_tol:
-                return label
-        return None
 
 
 # the classical scans weigh every term 1 and keep the default tolerances
@@ -315,9 +314,7 @@ class _Stream:
         key = (expr, float(candidate))
         if key not in self._verdicts:
             dev, w = self.deviation(expr, candidate)
-            self._verdicts[key] = self._scan(
-                expr, candidate, dev, w, self.n0, self.exp.ctx, self.exp.envelope_for(expr, candidate)
-            )
+            self._verdicts[key] = self._scan(expr, candidate, dev, w, self.n0, self.exp.ctx)
         return self._verdicts[key]
 
     def classical(self, seq: SequenceSpec, candidate: float) -> ConvergenceVerdict:
@@ -328,11 +325,11 @@ class _Stream:
         t = self.terms(seq, seq.n_min)
         dev = np.subtract(t, float(candidate), out=self._buffer(t.size))
         np.abs(dev, out=dev)
-        v = self._scan("self", candidate, dev, None, seq.n_min, _CLASSICAL_CTX, None)
+        v = self._scan("self", candidate, dev, None, seq.n_min, _CLASSICAL_CTX)
         self._classical.append((seq, candidate, v))
         return v
 
-    def _scan(self, expr, candidate, dev, weights, n0, ctx, envelope) -> ConvergenceVerdict:
+    def _scan(self, expr, candidate, dev, weights, n0, ctx) -> ConvergenceVerdict:
         """Eps table, triviality fraction and tail certificate of dev over [n0, hi].
 
         weights None stands for weight 1 everywhere.
@@ -350,8 +347,6 @@ class _Stream:
             tdev = dev[i0:]
             if tdev.size < 2 or bool(np.all(np.diff(tdev) <= eq_tol)):
                 certificate = CERT_MONOTONE
-            elif envelope is not None:
-                certificate = f"analytic-bound({envelope})"
 
         if not all_found:
             verdict = REFUTED
@@ -573,16 +568,12 @@ def _parse_sequence(doc, where="sequence") -> SequenceSpec:
 
 
 def _parse_tag(key: str, where="mu"):
-    base, _, off = key.partition(":")
-    aliases = {"sum_with": "sum", "product_with": "product"}
-    expr = aliases.get(base, base)
-    if expr.endswith("_minus"):
-        expr = expr[: -len("_minus")]
-        if not off:
-            raise SpecError(f"{where}: tag {key!r} needs an offset after ':'")
+    """(expr, offset) of a tag in one of the two spellings _tag_to_key writes."""
+    expr, minus, off = key.partition("_minus:")
     if expr not in EXPRESSIONS:
-        raise SpecError(f"{where}: unknown expression tag {key!r}")
-    return expr, number(off, f"{where}: tag {key!r}") if off else None
+        raise SpecError(f"{where}: unknown tag {key!r}; tags are <expr> or <expr>_minus:<offset>,"
+                        f" expr one of {', '.join(EXPRESSIONS)}")
+    return expr, number(off, f"{where}: tag {key!r}") if minus else None
 
 
 def _tag_to_key(expr: str, offset) -> str:
@@ -591,10 +582,20 @@ def _tag_to_key(expr: str, offset) -> str:
     return f"{expr}_minus:{float(offset)!r}"
 
 
+# the top-level keys parse_experiment reads and serialize_experiment writes
+EXPERIMENT_KEYS = frozenset(
+    ("sequence", "partner", "mu", "candidates", "eps", "horizon", "fallback_mu", "tolerances", "label")
+)
+
+
 def parse_experiment(doc: dict) -> ExperimentSpec:
-    """Build an experiment from its schema'd document form."""
+    """Build an experiment from its schema'd document form; unknown keys are refused."""
     if not isinstance(doc, dict) or "sequence" not in doc:
         raise SpecError("experiment: top level must be an object with 'sequence'")
+    unknown = sorted(str(k) for k in doc.keys() - EXPERIMENT_KEYS)
+    if unknown:
+        raise SpecError(f"experiment: unknown top-level key(s) {', '.join(map(repr, unknown))};"
+                        f" known: {', '.join(sorted(EXPERIMENT_KEYS))}")
     seq = _parse_sequence(doc["sequence"])
     partner = _parse_sequence(doc["partner"], "partner") if doc.get("partner") else None
     entries = []
@@ -609,11 +610,6 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
             candidates.append((item["expr"], number(item["value"], "candidates")))
         else:
             candidates.append(("self", number(item, "candidates")))
-    envelopes = []
-    for item in doc.get("envelopes", []):
-        if not isinstance(item, dict) or not {"expr", "candidate", "label"} <= item.keys():
-            raise SpecError("envelopes: objects need 'expr', 'candidate' and 'label'")
-        envelopes.append((item["expr"], number(item["candidate"], "envelopes"), str(item["label"])))
     eps = tuple(number(e, "eps") for e in doc.get("eps", DEFAULT_EPS))
     horizon = number(doc.get("horizon", DEFAULT_HORIZON), "horizon", int)
     fallback = parse_mu_spec(doc["fallback_mu"]) if doc.get("fallback_mu") else crisp()
@@ -633,7 +629,6 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
         eps_schedule=eps,
         horizon=horizon,
         ctx=ctx,
-        envelopes=tuple(envelopes),
         label=str(doc.get("label", "")),
     )
 
@@ -656,7 +651,6 @@ def serialize_experiment(exp: ExperimentSpec) -> dict:
         "horizon": exp.horizon,
         "fallback_mu": serialize_mu_spec(exp.ctx.mu),
         "tolerances": {k: getattr(exp.ctx, k) for k in ("eq_tol", "identity_tol", "min_mu")},
-        "envelopes": [{"expr": e, "candidate": c, "label": lb} for e, c, lb in exp.envelopes],
         "label": exp.label,
     }
     if exp.partner is not None:
@@ -665,13 +659,5 @@ def serialize_experiment(exp: ExperimentSpec) -> dict:
 
 
 def load_experiment(text_or_doc) -> ExperimentSpec:
-    import json
-
-    if isinstance(text_or_doc, (bytes, str)):
-        try:
-            doc = json.loads(text_or_doc)
-        except json.JSONDecodeError as e:
-            raise SpecError(f"experiment: invalid JSON ({e})") from e
-    else:
-        doc = text_or_doc
-    return parse_experiment(doc)
+    """Parse an experiment from JSON text or an already-decoded dict."""
+    return parse_experiment(spec_document(text_or_doc, "experiment"))

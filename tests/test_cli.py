@@ -255,6 +255,17 @@ class TestMalformedInput:
         ({"candidates": ["x"]}, "candidates"),
         ({"tolerances": {"eq_tol": "x"}}, "tolerances.eq_tol"),
         ({"sequence": {"form": "sq_ratio", "params": [], "n_max": 50}}, "sequence.params"),
+        # a top-level key the parser does not read is refused, not dropped
+        ({"envelopes": [{"expr": "self", "candidate": 1.0, "label": "harmonic"}]}, "'envelopes'"),
+        ({"epsilon": [0.5]}, "'epsilon'"),
+        # tags are <expr> or <expr>_minus:<offset>, the two spellings the writer emits
+        ({"mu": {"sum_with": 0.5}}, "'sum_with'"),
+        ({"mu": {"product_with": 0.5}}, "'product_with'"),
+        ({"mu": {"self:1.0": 0.5}}, "'self:1.0'"),
+        # two tags that weigh the same stream: the first would win silently
+        ({"mu": {"self_minus:1.0": 0.5, "self_minus:1.0000000000001": 0.25}},
+         "'self_minus:1.0' and 'self_minus:1.0000000000001'"),
+        ({"mu": {"self": 0.5, "self_minus:0": 0.25}}, "'self' and 'self_minus:0.0'"),
     ])
     def test_malformed_experiment(self, capsys, tmp_path, change, field):
         doc = {"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50}, "candidates": [1.0], "horizon": 50}
@@ -338,6 +349,17 @@ class TestTolerances:
             assert code == 2 and out == ""
             assert err.startswith("error:") and "--tol" in err and source in err
 
+    # only identities draws random operands; elsewhere a --seed is refused, not ignored
+    @pytest.mark.parametrize("argv", [["axioms"], ["eval", "mu_abs", "--a", "2"], ["converge"],
+                                      ["demo", "unbounded_convergent"]])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_seed_outside_identities_is_refused(self, capsys, experiment_path, argv, before):
+        argv = argv + [experiment_path] if argv == ["converge"] else argv
+        flag = ["--seed", "5"]
+        code, out, err = run(capsys, *(flag + argv if before else argv + flag))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--seed" in err
+
 
 class TestDemo:
     def test_demo_runs_clean(self, capsys):
@@ -362,6 +384,10 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "C7", "--literal", "--trials", "10", "--seed", "1")
         assert code == 1
         assert "C7_literal" in out
+
+    def test_random_flag_is_gone(self, capsys):
+        code, _, err = run(capsys, "identities", "O1", "--random", "--trials", "5")
+        assert code == 2 and "--random" in err
 
     def test_unknown_identity_is_exit_2(self, capsys):
         code, _, err = run(capsys, "identities", "QQ", "--trials", "5")

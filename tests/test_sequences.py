@@ -38,6 +38,7 @@ from mufield import (
 from mufield.real_field import FAIL, PASS, UNMET
 from mufield.sequences import (
     DEFAULT_EPS,
+    EXPERIMENT_KEYS,
     REFUTED,
     SUPPORTED,
     SUPPORTED_TRIVIALLY,
@@ -307,6 +308,12 @@ class TestSchema:
         v2 = mu_converges(back, "product", 0.0)
         assert v1.eps_table == v2.eps_table
 
+    def test_written_keys_are_the_read_keys(self):
+        # the parser refuses keys outside EXPERIMENT_KEYS, so the writer may emit no other
+        exp = demo_catalog("sum_failure")
+        assert exp.partner is not None
+        assert set(serialize_experiment(exp)) == EXPERIMENT_KEYS
+
     def test_bare_number_candidates_mean_self(self):
         doc = {
             "sequence": {"form": "sq_ratio", "params": {}, "n_min": 1, "n_max": 1000},
@@ -481,7 +488,11 @@ def _experiments(draw):
     n_max = draw(st.integers(10, 40))
     seq = draw(_sequences(n_max))
     partner = draw(st.none() | _sequences(n_max))
-    tags = draw(st.lists(_tags, max_size=4, unique=True))
+    eq_tol = draw(_positive)
+    tags = []  # two tags whose offsets lie within eq_tol weigh the same stream, which the spec refuses
+    for e, off in draw(st.lists(_tags, max_size=4)):
+        if all(e != e2 or abs((off or 0.0) - (off2 or 0.0)) > eq_tol for e2, off2 in tags):
+            tags.append((e, off))
     exprs = st.sampled_from(("self", "partner", "sum", "product"))
     return ExperimentSpec(
         sequence=seq,
@@ -490,9 +501,8 @@ def _experiments(draw):
         candidates=tuple(draw(st.lists(st.tuples(exprs, _finite), max_size=3))),
         eps_schedule=tuple(draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))),
         horizon=draw(st.integers(5, n_max)),
-        ctx=FieldContext(mu=draw(_fallbacks()), eq_tol=draw(_positive),
+        ctx=FieldContext(mu=draw(_fallbacks()), eq_tol=eq_tol,
                          identity_tol=draw(_positive), min_mu=draw(st.floats(0.0, 0.5))),
-        envelopes=tuple(draw(st.lists(st.tuples(exprs, _finite, st.text(max_size=8)), max_size=2))),
         label=draw(st.text(max_size=8)),
     )
 
