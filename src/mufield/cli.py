@@ -129,10 +129,8 @@ def _parse_complex(text: str, flag: str) -> complex:
     return complex(re_im[0], re_im[1] if len(re_im) == 2 else 0.0)
 
 
-def _ctx(args, mu, kind="real") -> FieldContext:
-    tol = getattr(args, "tol", None)
-    tol = 1e-9 if tol is None else tol
-    return FieldContext(kind=kind, mu=mu, eq_tol=tol, identity_tol=tol)
+def _ctx(args, mu) -> FieldContext:
+    return FieldContext(mu=mu) if args.tol is None else FieldContext(mu=mu, eq_tol=args.tol)
 
 
 def _refuse_unread(args, tol_source: str | None = None) -> None:
@@ -183,19 +181,19 @@ def cmd_axioms(args) -> int:
     return _emit(_envelope("axioms", body, inputs, status=status), args, lines)
 
 
-# op -> (operand flags, scalar kind, evaluation taking ctx and the operands)
+# op -> (operand flags, evaluation taking ctx and the operands)
 _EVAL_OPS = {
-    "mu": (("a",), "real", mu_eval),
-    "mu_abs": (("a",), "real", mu_abs),
-    "mu_compare": (("a", "b"), "real", lambda ctx, a, b: mu_compare(ctx, a, b).value),
-    "mu_sup": (("set",), "real", mu_sup),
-    "mu_inf": (("set",), "real", mu_inf),
-    "mu_conj": (("z",), "complex", mu_conj),
-    "mu_abs_c": (("z",), "complex", mu_abs_c),
-    "mu_arg": (("z",), "complex", mu_arg),
-    "mu_exp": (("z",), "complex", mu_exp),
-    "mu_log": (("z",), "complex", mu_log),
-    "mu_pow": (("base", "z", "branch"), "complex", mu_pow),
+    "mu": (("a",), mu_eval),
+    "mu_abs": (("a",), mu_abs),
+    "mu_compare": (("a", "b"), lambda ctx, a, b: mu_compare(ctx, a, b).value),
+    "mu_sup": (("set",), mu_sup),
+    "mu_inf": (("set",), mu_inf),
+    "mu_conj": (("z",), mu_conj),
+    "mu_abs_c": (("z",), mu_abs_c),
+    "mu_arg": (("z",), mu_arg),
+    "mu_exp": (("z",), mu_exp),
+    "mu_log": (("z",), mu_log),
+    "mu_pow": (("base", "z", "branch"), mu_pow),
 }
 _OPERAND_PARSERS = {"set": lambda text, flag: [_flag_number(v, flag) for v in text.split(",")],
                     "z": _parse_complex, "base": _parse_complex}
@@ -205,16 +203,14 @@ _WEIGHED_OPERANDS = ("a", "b", "z")  # their weights are reported with the value
 def cmd_eval(args) -> int:
     _refuse_unread(args)
     if args.op not in _EVAL_OPS:
-        print(f"unknown op {args.op!r}; known: {', '.join(sorted(_EVAL_OPS))}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown op {args.op!r}; known: {', '.join(sorted(_EVAL_OPS))}")
     mu = _load_mu(args.mu)
-    needs, kind, fn = _EVAL_OPS[args.op]
+    needs, fn = _EVAL_OPS[args.op]
     raw = [getattr(args, "set_values" if flag == "set" else flag) for flag in needs]
     for flag, text in zip(needs, raw):
         if text is None:
-            print(f"op {args.op} needs --{flag}", file=sys.stderr)
-            return EXIT_USAGE
-    ctx = _ctx(args, mu, kind)
+            raise UsageError(f"op {args.op} needs --{flag}")
+    ctx = _ctx(args, mu)
     operands = [_OPERAND_PARSERS.get(flag, lambda v, _: v)(text, f"--{flag}") for flag, text in zip(needs, raw)]
     try:
         memberships = {str(v): mu_eval(ctx, v) for flag, v in zip(needs, operands) if flag in _WEIGHED_OPERANDS}
@@ -255,6 +251,8 @@ def _trace_target(exp, text: str | None):
 
 def cmd_converge(args) -> int:
     _refuse_unread(args, "the experiment spec's 'tolerances' block")
+    if args.trace_target is not None and not args.trace:
+        raise UsageError("--trace-target needs --trace: nothing is traced without it")
     exp = load_experiment(_read_text(args.experiment))
     # checked before any work, so a refused target writes no file
     target = _trace_target(exp, args.trace_target) if args.trace else None
@@ -283,9 +281,6 @@ def cmd_converge(args) -> int:
 
 def cmd_demo(args) -> int:
     _refuse_unread(args, "the demo catalog")
-    if args.name not in DEMO_NAMES:
-        print(f"unknown demo {args.name!r}; catalog: {', '.join(DEMO_NAMES)}", file=sys.stderr)
-        return EXIT_USAGE
     demo = run_demo(args.name)
     status = EXIT_OK if demo.ok else EXIT_CHECK_FAILED
     body = {
@@ -315,20 +310,14 @@ def cmd_identities(args) -> int:
     if args.literal:
         ids = [LITERAL_VARIANTS.get(i, i) for i in ids]
     unknown = [i for i in ids if i not in REGISTRY]
-    if unknown:
-        print(f"unknown identities: {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
+    if unknown:  # refused before any id runs
+        raise UsageError(f"unknown identities: {', '.join(unknown)}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be positive, got {args.trials}: a sweep of no trials checks nothing")
     mu = _load_mu(args.mu) if args.mu else None
-    tol = 1e-9 if args.tol is None else args.tol
     seed = 0 if args.seed is None else args.seed
-    outcomes = run_identity_sweep(
-        ids,
-        trials=args.trials,
-        seed=seed,
-        mu=mu,
-        eq_tol=tol,
-        identity_tol=tol,
-    )
+    tol = FieldContext.eq_tol if args.tol is None else args.tol
+    outcomes = run_identity_sweep(ids, trials=args.trials, seed=seed, mu=mu, eq_tol=tol)
     any_failed = any(o.failed for o in outcomes)
     body = {
         "trials": args.trials,
@@ -366,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification tooling for membership-weighted real and complex arithmetic.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    parser.add_argument("--tol", type=float, default=None, help="override eq/identity tolerance")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="override eq_tol, the comparison slack and identity residual bound")
     parser.add_argument("--seed", type=int, default=None, help="seed of the identities sweep (default 0)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level

@@ -5,9 +5,10 @@ Two families matter to callers: requests that were malformed to begin with
 at the supplied point (DomainError and subclasses, CLI exit 1).
 
 The parsers of flags and documents decode their JSON through spec_document(),
-convert their fields through number() and check their nested objects through
-spec_object(), so a malformed field is a usage error that names it, never a
-raw TypeError or ValueError.
+convert their fields through number() and check their objects through
+spec_object(), which also refuses any key the reader does not read, so a
+malformed field or an unread key is a usage error that names it, never a raw
+TypeError or ValueError, and never silently dropped.
 """
 
 
@@ -35,19 +36,24 @@ class RangeGuardError(DomainError):
     """An overflow guard declined to evaluate."""
 
 
-def number(value, where: str, kind=float, error=SpecError):
-    """kind(value), or an error naming where when that fails."""
+def number(value, where: str, convert=float, error=SpecError):
+    """convert(value), or an error naming where when that fails."""
     try:
-        return kind(value)
+        return convert(value)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
+        what = "an integer" if convert is int else "a number"
         raise error(f"{where}: expected {what}, got {value!r}") from None
 
 
-def spec_object(value, where: str) -> dict:
-    """value when it is an object (a dict); a SpecError naming where otherwise."""
+def spec_object(value, where: str, keys=None) -> dict:
+    """value when it is an object (a dict) with no key outside keys; a SpecError
+    naming where otherwise. keys None is a map whose keys are data, not names."""
     if not isinstance(value, dict):
         raise SpecError(f"{where}: expected an object, got {type(value).__name__}")
+    unknown = [] if keys is None else sorted(str(k) for k in value.keys() - set(keys))
+    if unknown:
+        raise SpecError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))};"
+                        f" known: {', '.join(sorted(keys)) or 'none'}")
     return value
 
 

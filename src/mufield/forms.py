@@ -15,20 +15,29 @@ import numpy as np
 
 from .errors import SpecError, ValidationError, number, spec_object
 
-VALUE_FORM_IDS = ("log_n_plus_c", "exp_n_plus_c", "sq_ratio", "moebius")
-WEIGHT_FORM_IDS = ("const", "rational_poly", "inv_exp_p1_sq")
-
-# exp(n) overflows a double past n ~ 709.78; stay clear of the edge.
-EXP_INDEX_CAP = 700
-
+# each form's parameter names: a form takes exactly these params
 _VALUE_FORM_PARAMS = {
     "log_n_plus_c": ("c",),
     "exp_n_plus_c": ("c",),
     "sq_ratio": (),
     "moebius": ("a", "b", "c", "d"),
 }
+_WEIGHT_FORM_PARAMS = {"const": ("value",), "rational_poly": ("p", "q"), "inv_exp_p1_sq": ()}
+VALUE_FORM_IDS = tuple(_VALUE_FORM_PARAMS)
+WEIGHT_FORM_IDS = tuple(_WEIGHT_FORM_PARAMS)
+
+# exp(n) overflows a double past n ~ 709.78; stay clear of the edge.
+EXP_INDEX_CAP = 700
 
 _CHUNK = 200_000  # bound memory while scanning large index ranges
+
+
+def check_params(form: str, params, names) -> None:
+    """Refuse params whose keys are not exactly names, the parameters of form."""
+    spec_object(params, f"form {form!r} params", names)
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise SpecError(f"form {form!r} missing params {missing}")
 
 
 def _horner(coeffs, n):
@@ -59,10 +68,7 @@ class ValueForm:
     def __post_init__(self):
         if self.form not in VALUE_FORM_IDS:
             raise SpecError(f"unknown value form {self.form!r}; known: {VALUE_FORM_IDS}")
-        wanted = _VALUE_FORM_PARAMS[self.form]
-        missing = [k for k in wanted if k not in self.params]
-        if missing:
-            raise SpecError(f"value form {self.form!r} missing params {missing}")
+        check_params(self.form, self.params, _VALUE_FORM_PARAMS[self.form])
 
     def terms(self, n):
         """Evaluate the form at n (scalar or array of indices)."""
@@ -110,12 +116,7 @@ class WeightForm:
     def __post_init__(self):
         if self.form not in WEIGHT_FORM_IDS:
             raise SpecError(f"unknown weight form {self.form!r}; known: {WEIGHT_FORM_IDS}")
-        if self.form == "const":
-            if "value" not in self.params:
-                raise SpecError("weight form 'const' requires params.value")
-        if self.form == "rational_poly":
-            if not self.params.get("p") or not self.params.get("q"):
-                raise SpecError("weight form 'rational_poly' requires coefficient lists p and q")
+        check_params(self.form, self.params, _WEIGHT_FORM_PARAMS[self.form])
 
     def weights(self, n):
         """Evaluate the weight at n (scalar or array of indices)."""
@@ -174,6 +175,7 @@ def parse_weight_form(obj, where: str = "mu") -> WeightForm:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return constant_weight(float(obj))
     if isinstance(obj, dict):
+        spec_object(obj, where, ("form", "params"))
         form = obj.get("form")
         if not isinstance(form, str):
             raise SpecError(f"{where}: weight form object needs a string 'form'")

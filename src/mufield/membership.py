@@ -226,24 +226,21 @@ def from_rules(rules, default: float) -> MembershipFunction:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Scalar kind, membership function, and tolerance policy.
+    """Membership function and tolerance policy, for real and complex values alike.
 
-    Every operation in the library takes one of these. eq_tol is the absolute
-    slack used by matchers and order comparisons, identity_tol the relative
-    residual bound for identity checks, and min_mu the threshold below which
-    a membership counts as zero for division guards.
+    Every operation in the library takes one of these. eq_tol is the one
+    comparison slack: the absolute slack of order comparisons and weight
+    checks, and the bound on the relative residual of identity checks. min_mu
+    is the threshold below which a membership counts as zero for division
+    guards.
     """
 
-    kind: str = "real"
     mu: MembershipFunction = field(default_factory=crisp)
     eq_tol: float = 1e-9
-    identity_tol: float = 1e-9
     min_mu: float = 1e-12
 
     def __post_init__(self):
-        if self.kind not in ("real", "complex"):
-            raise ValidationError(f"kind must be 'real' or 'complex', got {self.kind!r}")
-        if not (self.eq_tol > 0.0 and self.identity_tol > 0.0):
+        if not self.eq_tol > 0.0:
             raise ValidationError("tolerances must be strictly positive")
         if not (0.0 <= self.min_mu < 1.0):
             raise ValidationError("min_mu must lie in [0, 1)")
@@ -259,10 +256,12 @@ def mu_eval(ctx: FieldContext, v: Scalar) -> float:
 # Structured document (JSON-shaped) load / dump
 # ---------------------------------------------------------------------------
 
+_MATCH_KEYS = {"point": ("value",), "set": ("values",), "family": ("form", "params", "n_min", "n_max")}
+
+
 def parse_mu_spec(doc: dict) -> MembershipFunction:
     """Build a membership function from its schema'd document form."""
-    if not isinstance(doc, dict):
-        raise SpecError("mu spec: top level must be an object")
+    spec_object(doc, "mu spec top level", ("default", "rules"))
     if "default" not in doc:
         raise SpecError("mu spec: missing 'default'")
     default = doc["default"]
@@ -274,10 +273,14 @@ def parse_mu_spec(doc: dict) -> MembershipFunction:
     rules = []
     for i, item in enumerate(raw_rules):
         where = f"rules[{i}]"
-        if not isinstance(item, dict) or "match" not in item or "mu" not in item:
+        spec_object(item, where, ("match", "mu"))
+        if "match" not in item or "mu" not in item:
             raise SpecError(f"{where}: each rule needs 'match' and 'mu'")
         match = spec_object(item["match"], f"{where}.match")
         kind = match.get("kind")
+        if not isinstance(kind, str) or kind not in _MATCH_KEYS:
+            raise SpecError(f"{where}.match.kind: unknown kind {kind!r}")
+        spec_object(match, f"{where}.match", ("kind", "tol") + _MATCH_KEYS[kind])
         tol = number(match.get("tol", 1e-9), f"{where}.match.tol")
         if kind == "point":
             if "value" not in match:
@@ -288,13 +291,11 @@ def parse_mu_spec(doc: dict) -> MembershipFunction:
             if not isinstance(vals, list) or not vals:
                 raise SpecError(f"{where}.match: set matcher needs non-empty 'values'")
             matcher = SetMatcher(tuple(_scalar_from_obj(v, f"{where}.match.values") for v in vals), tol)
-        elif kind == "family":
+        else:
             form = parse_value_form(match.get("form"), match.get("params"), where=f"{where}.match")
             n_min = number(match.get("n_min", 1), f"{where}.match.n_min", int)
             n_max = number(match.get("n_max", 100_000), f"{where}.match.n_max", int)
             matcher = FamilyMatcher(form, n_min, n_max, tol)
-        else:
-            raise SpecError(f"{where}.match.kind: unknown kind {kind!r}")
         weight = parse_weight_form(item["mu"], where=f"{where}.mu")
         if weight.form == "const":
             rules.append(MuRule(matcher, float(weight.params["value"])))

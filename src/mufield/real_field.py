@@ -178,7 +178,7 @@ def one_sided_excess(lhs, rhs) -> float:
 
 def _eq_report(ctx, ident, operands, lhs, rhs, notes=(), **details):
     res = rel_residual(lhs, rhs)
-    verdict = PASS if res <= ctx.identity_tol else FAIL
+    verdict = PASS if res <= ctx.eq_tol else FAIL
     return IdentityCheckReport(ident, tuple(operands), lhs, rhs, res, verdict, tuple(notes), details)
 
 

@@ -230,7 +230,6 @@ def run_identity_sweep(
     zero_rate: float = 0.08,
     mu: MembershipFunction | None = None,
     eq_tol: float = 1e-9,
-    identity_tol: float = 1e-9,
 ):
     """Per-identity pass/fail/unmet counts over seeded randomized draws.
 
@@ -253,13 +252,7 @@ def run_identity_sweep(
             trial_mu = mu if mu is not None else table_membership(
                 entry.point_groups(operands), rng, zero_rate
             )
-            ctx = FieldContext(
-                kind=entry.domain,
-                mu=trial_mu,
-                eq_tol=eq_tol,
-                identity_tol=identity_tol,
-            )
-            rep = check_identity(ctx, ident, operands)
+            rep = check_identity(FieldContext(mu=trial_mu, eq_tol=eq_tol), ident, operands)
             if rep.verdict == PASS:
                 passed += 1
                 if math.isfinite(rep.residual):

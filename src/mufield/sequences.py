@@ -35,6 +35,7 @@ from .forms import (
     EXP_INDEX_CAP,
     ValueForm,
     WeightForm,
+    check_params,
     form_params,
     parse_weight_form,
     weight_form_to_obj,
@@ -81,10 +82,12 @@ class SequenceSpec:
             raise ValidationError(
                 f"form 'exp_plus' caps at n <= {EXP_INDEX_CAP} to avoid overflow, got n_max={self.n_max}"
             )
-        if self.form == "constant" and "value" not in self.params:
-            raise SpecError("constant sequence requires params.value")
+        if self.form in _FORM_TO_VALUE_FORM:
+            self._value_form()  # a closed form checks its params when it is built
+        else:
+            check_params(self.form, self.params, ("value",) if self.form == "constant" else ("points",))
         if self.form == "table":
-            pts = self.params.get("points")
+            pts = self.params["points"]
             if not isinstance(pts, dict) or not pts:
                 raise SpecError("table sequence requires a non-empty params.points map")
             for k in range(self.n_min, self.n_max + 1):
@@ -183,11 +186,11 @@ class ExperimentSpec:
         if self.horizon < self.n_start:
             raise ValidationError("horizon below the first valid index")
         for expr, value in self.candidates:
-            if expr not in EXPRESSIONS:
-                raise SpecError(f"unknown candidate expression {expr!r}")
+            self.check_expression(expr)
             float(value)
         entries = self.assignment.entries
         for i, (e_expr, e_off, _) in enumerate(entries):
+            self.check_expression(e_expr)
             for expr, off, _ in entries[:i]:  # resolve would silently pick the first of two
                 if expr == e_expr and abs((off or 0.0) - (e_off or 0.0)) <= self.ctx.eq_tol:
                     raise SpecError(f"mu: tags {_tag_to_key(expr, off)!r} and {_tag_to_key(e_expr, e_off)!r}"
@@ -504,9 +507,6 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
     and l * m. When only mu-convergence holds, observed verdicts are reported
     without asserting any arithmetic.
     """
-    for expr, _ in exp.candidates:
-        if expr in ("partner", "sum", "product") and exp.partner is None:
-            raise UsageError(f"candidate on {expr!r} needs a partner sequence")
     stream = _Stream(exp, lo=1)  # each sequence from its own n_min, for the classical scans
     verdicts = tuple(stream.verdict(expr, value) for expr, value in exp.candidates)
 
@@ -557,8 +557,9 @@ def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
 # ---------------------------------------------------------------------------
 
 def _parse_sequence(doc, where="sequence") -> SequenceSpec:
-    if not isinstance(doc, dict) or "form" not in doc:
-        raise SpecError(f"{where}: needs an object with 'form'")
+    spec_object(doc, where, ("form", "params", "n_min", "n_max"))
+    if "form" not in doc:
+        raise SpecError(f"{where}: needs 'form'")
     return SequenceSpec(
         form=doc["form"],
         params=form_params(doc.get("params", {}), where),
@@ -586,16 +587,14 @@ def _tag_to_key(expr: str, offset) -> str:
 EXPERIMENT_KEYS = frozenset(
     ("sequence", "partner", "mu", "candidates", "eps", "horizon", "fallback_mu", "tolerances", "label")
 )
+TOLERANCE_KEYS = ("eq_tol", "min_mu")
 
 
 def parse_experiment(doc: dict) -> ExperimentSpec:
-    """Build an experiment from its schema'd document form; unknown keys are refused."""
-    if not isinstance(doc, dict) or "sequence" not in doc:
-        raise SpecError("experiment: top level must be an object with 'sequence'")
-    unknown = sorted(str(k) for k in doc.keys() - EXPERIMENT_KEYS)
-    if unknown:
-        raise SpecError(f"experiment: unknown top-level key(s) {', '.join(map(repr, unknown))};"
-                        f" known: {', '.join(sorted(EXPERIMENT_KEYS))}")
+    """Build an experiment from its schema'd document form; unknown keys are refused at every level."""
+    spec_object(doc, "experiment", EXPERIMENT_KEYS)
+    if "sequence" not in doc:
+        raise SpecError("experiment: needs 'sequence'")
     seq = _parse_sequence(doc["sequence"])
     partner = _parse_sequence(doc["partner"], "partner") if doc.get("partner") else None
     entries = []
@@ -605,6 +604,7 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
     candidates = []
     for item in doc.get("candidates", []):
         if isinstance(item, dict):
+            spec_object(item, "candidates", ("expr", "value"))
             if "expr" not in item or "value" not in item:
                 raise SpecError("candidates: objects need 'expr' and 'value'")
             candidates.append((item["expr"], number(item["value"], "candidates")))
@@ -613,14 +613,9 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
     eps = tuple(number(e, "eps") for e in doc.get("eps", DEFAULT_EPS))
     horizon = number(doc.get("horizon", DEFAULT_HORIZON), "horizon", int)
     fallback = parse_mu_spec(doc["fallback_mu"]) if doc.get("fallback_mu") else crisp()
-    tols = spec_object(doc.get("tolerances", {}), "tolerances")
-    ctx = FieldContext(
-        kind="real",
-        mu=fallback,
-        eq_tol=number(tols.get("eq_tol", 1e-9), "tolerances.eq_tol"),
-        identity_tol=number(tols.get("identity_tol", 1e-9), "tolerances.identity_tol"),
-        min_mu=number(tols.get("min_mu", 1e-12), "tolerances.min_mu"),
-    )
+    tols = spec_object(doc.get("tolerances", {}), "tolerances", TOLERANCE_KEYS)
+    # an omitted tolerance keeps FieldContext's default
+    ctx = FieldContext(mu=fallback, **{k: number(v, f"tolerances.{k}") for k, v in tols.items()})
     return ExperimentSpec(
         sequence=seq,
         partner=partner,
@@ -650,7 +645,7 @@ def serialize_experiment(exp: ExperimentSpec) -> dict:
         "eps": list(exp.eps_schedule),
         "horizon": exp.horizon,
         "fallback_mu": serialize_mu_spec(exp.ctx.mu),
-        "tolerances": {k: getattr(exp.ctx, k) for k in ("eq_tol", "identity_tol", "min_mu")},
+        "tolerances": {k: getattr(exp.ctx, k) for k in TOLERANCE_KEYS},
         "label": exp.label,
     }
     if exp.partner is not None:

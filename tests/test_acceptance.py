@@ -73,7 +73,7 @@ def test_criterion_1_crisp_reduction():
     """With the identity weighting every operation matches its classical value."""
     rng = random.Random(20240601)
     ctx_r = FieldContext(mu=crisp())
-    ctx_c = FieldContext(kind="complex", mu=crisp())
+    ctx_c = FieldContext(mu=crisp())
     reals = [
         math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
         * (1 if rng.random() < 0.5 else -1)

@@ -201,6 +201,12 @@ class TestTraceTarget:
         assert err.startswith("error:") and message in err
         assert (trace.read_bytes() if trace.exists() else None) == existing
 
+    def test_target_without_trace_is_refused(self, capsys, tmp_path):
+        # nothing reads a target when nothing is traced
+        code, out, err = run(capsys, "converge", self.experiment(tmp_path), "--trace-target", "partner:5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--trace-target" in err
+
     def test_no_candidate_needs_a_target(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         code, _, err = run(capsys, "converge", self.experiment(tmp_path, candidates=()),
@@ -241,12 +247,31 @@ class TestMalformedInput:
         ({"kind": "point", "value": [0.0, "x"]}, "rules[0].match.value"),
         ({"kind": "family", "form": "sq_ratio", "n_max": "abc"}, "rules[0].match.n_max"),
         (5, "rules[0].match: expected an object"),
+        # a key the match of its kind does not read is refused, not dropped
+        ({"kind": "point", "value": 0.0, "values": [1.0]}, "rules[0].match: unknown key(s) 'values'"),
+        ({"kind": "family", "form": "log_n_plus_c", "params": {"c": 0.0, "d": 1.0}, "n_max": 50},
+         "params: unknown key(s) 'd'"),
     ])
     def test_malformed_mu_spec(self, capsys, tmp_path, cmd, match, field):
         spec = self.write(tmp_path, "mu.json", {"default": 1.0, "rules": [{"match": match, "mu": 0.5}]})
         argv = ["axioms", spec] if cmd == "axioms" else ["eval", "mu", "--mu", spec, "--a", "1"]
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and field in err
+
+    # a misspelt rule list would leave only the default weight
+    @pytest.mark.parametrize("cmd", ["axioms", "eval"])
+    @pytest.mark.parametrize("doc, field", [
+        ({"default": 1.0, "rulez": [{"match": {"kind": "point", "value": 0.0}, "mu": 0.5}]},
+         "mu spec top level: unknown key(s) 'rulez'"),
+        ({"default": 1.0, "rules": [{"match": {"kind": "point", "value": 0.0}, "mu": 0.5, "weight": 1.0}]},
+         "rules[0]: unknown key(s) 'weight'"),
+    ])
+    def test_unread_mu_spec_key(self, capsys, tmp_path, cmd, doc, field):
+        spec = self.write(tmp_path, "mu.json", doc)
+        argv = ["axioms", spec] if cmd == "axioms" else ["eval", "mu", "--mu", spec, "--a", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err
 
     @pytest.mark.parametrize("change, field", [
         ({"horizon": "abc"}, "horizon: expected an integer, got 'abc'"),
@@ -266,6 +291,23 @@ class TestMalformedInput:
         ({"mu": {"self_minus:1.0": 0.5, "self_minus:1.0000000000001": 0.25}},
          "'self_minus:1.0' and 'self_minus:1.0000000000001'"),
         ({"mu": {"self": 0.5, "self_minus:0": 0.25}}, "'self' and 'self_minus:0.0'"),
+        # a nested key the parser does not read is refused, not dropped
+        ({"tolerances": {"eq_tl": 0.5}}, "tolerances: unknown key(s) 'eq_tl'"),
+        ({"tolerances": {"identity_tol": 1e-9}}, "tolerances: unknown key(s) 'identity_tol'"),
+        ({"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50, "nmax": 50}},
+         "sequence: unknown key(s) 'nmax'"),
+        ({"candidates": [{"expr": "self", "value": 1.0, "note": "limit"}]},
+         "candidates: unknown key(s) 'note'"),
+        ({"mu": {"self": {"form": "inv_exp_p1_sq", "params": {}, "scale": 2.0}}},
+         "mu[self]: unknown key(s) 'scale'"),
+        # form params are exactly the form's parameter names
+        ({"sequence": {"form": "log_plus", "params": {"c": 1.0, "d": 7.0}, "n_max": 50}},
+         "params: unknown key(s) 'd'"),
+        ({"mu": {"self": {"form": "rational_poly", "params": {"p": [1], "q": [1], "r": 1.0}}}},
+         "params: unknown key(s) 'r'"),
+        # a tag or candidate on a stream the experiment does not have
+        ({"mu": {"sum": 0.5}}, "'sum' needs a partner sequence"),
+        ({"candidates": [{"expr": "partner", "value": 1.0}]}, "'partner' needs a partner sequence"),
     ])
     def test_malformed_experiment(self, capsys, tmp_path, change, field):
         doc = {"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50}, "candidates": [1.0], "horizon": 50}
@@ -393,12 +435,32 @@ class TestIdentities:
         code, _, err = run(capsys, "identities", "QQ", "--trials", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_is_refused(self, capsys, trials):
+        # a sweep of no trials checks nothing, and must not read as a pass
+        code, out, err = run(capsys, "--json", "identities", "O1", "--trials", trials)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--trials" in err
+
     def test_fixed_mu_guard_counts_unmet(self, capsys, tmp_path):
         p = tmp_path / "zero.json"
         p.write_text('{"default": 0.0, "rules": []}')
         code, out, _ = run(capsys, "identities", "R3", "--mu", str(p), "--trials", "20")
         assert code == 0
         assert " 20" in out  # all trials unmet, none failed
+
+
+# every usage error is printed once, by main, with the error: prefix
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "definitely_not_an_op", "--a", "1"], "unknown op 'definitely_not_an_op'"),
+    (["eval", "mu_abs"], "op mu_abs needs --a"),
+    (["demo", "nope"], "unknown demo 'nope'"),
+    (["identities", "O1", "QQ", "--trials", "5"], "unknown identities: QQ"),
+])
+def test_unknown_name_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 class TestEnvelope:

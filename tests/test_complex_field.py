@@ -40,22 +40,22 @@ def cx(rng, lo=1e-3, hi=1e3):
 
 class TestOperations:
     def test_conj_scaled(self):
-        ctx = FieldContext(kind="complex", mu=point_mu({3 + 4j: 0.5}))
+        ctx = FieldContext(mu=point_mu({3 + 4j: 0.5}))
         assert mu_conj(ctx, 3 + 4j) == 1.5 - 2j
 
     def test_conj_crisp(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         assert mu_conj(ctx, 2 - 5j) == 2 + 5j
 
     def test_abs_scaled(self):
-        ctx = FieldContext(kind="complex", mu=point_mu({3 + 4j: 0.2}))
+        ctx = FieldContext(mu=point_mu({3 + 4j: 0.2}))
         assert mu_abs_c(ctx, 3 + 4j) == pytest.approx(1.0, rel=1e-15)
         assert mu_abs_c(ctx, 0j) == 0.0
 
     def test_arg_scaled_and_branch(self):
-        ctx = FieldContext(kind="complex", mu=point_mu({-1 + 0j: 0.5}))
+        ctx = FieldContext(mu=point_mu({-1 + 0j: 0.5}))
         assert mu_arg(ctx, -1 + 0j) == pytest.approx(math.pi / 2, rel=1e-15)
-        assert mu_arg(FieldContext(kind="complex"), 1 + 0j) == 0.0
+        assert mu_arg(FieldContext(), 1 + 0j) == 0.0
 
     def test_negative_real_axis_uses_plus_pi(self):
         # a signed-zero imaginary part still lands on the +pi branch
@@ -64,38 +64,38 @@ class TestOperations:
 
     def test_arg_zero_is_domain_error(self):
         with pytest.raises(DomainError):
-            mu_arg(FieldContext(kind="complex"), 0j)
+            mu_arg(FieldContext(), 0j)
 
     def test_exp(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         assert mu_exp(ctx, 0j) == 1.0
         assert mu_exp(ctx, 1j * math.pi) == pytest.approx(-1.0, abs=1e-15)
-        half = FieldContext(kind="complex", mu=point_mu({1 + 0j: 0.5}))
+        half = FieldContext(mu=point_mu({1 + 0j: 0.5}))
         assert mu_exp(half, 1 + 0j) == pytest.approx(math.e / 2, rel=1e-15)
 
     def test_exp_overflow_guard(self):
         with pytest.raises(RangeGuardError):
-            mu_exp(FieldContext(kind="complex"), 800 + 0j)
+            mu_exp(FieldContext(), 800 + 0j)
 
     def test_log(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         assert mu_log(ctx, complex(math.e)) == pytest.approx(1.0, rel=1e-15)
         assert mu_log(ctx, 1 + 0j) == 0.0
-        half = FieldContext(kind="complex", mu=point_mu({-1 + 0j: 0.5}))
+        half = FieldContext(mu=point_mu({-1 + 0j: 0.5}))
         assert mu_log(half, -1 + 0j) == pytest.approx(1j * math.pi / 2, rel=1e-15)
         with pytest.raises(DomainError):
             mu_log(ctx, 0j)
 
     def test_pow(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         assert mu_pow(ctx, complex(math.e), 2 + 0j) == pytest.approx(math.e**2, rel=1e-14)
-        half = FieldContext(kind="complex", mu=point_mu({0.5 + 0j: 0.5}))
+        half = FieldContext(mu=point_mu({0.5 + 0j: 0.5}))
         assert mu_pow(half, 4 + 0j, 0.5 + 0j) == pytest.approx(1.0, rel=1e-14)
         with pytest.raises(DomainError):
             mu_pow(ctx, 0j, 1 + 0j)
 
     def test_pow_nonprincipal_branch(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         got = mu_pow(ctx, 1 + 0j, 1j, branch=1)
         assert got == pytest.approx(math.exp(-2 * math.pi), rel=1e-12)
 
@@ -103,12 +103,12 @@ class TestOperations:
         # base e^2 puts the exponent at 2 but the product z log a at 4, so the
         # two readings pick up different weights
         mu = point_mu({2 + 0j: 0.5}, default=1.0)
-        ctx = FieldContext(kind="complex", mu=mu)
+        ctx = FieldContext(mu=mu)
         forms = mu_pow_forms(ctx, complex(math.e**2), 2 + 0j)
         assert forms.primary == pytest.approx(0.5 * math.e**4, rel=1e-13)
         assert forms.exp_form == pytest.approx(math.e**4, rel=1e-13)
         assert forms.residual > 0.1
-        crisp_forms = mu_pow_forms(FieldContext(kind="complex"), complex(math.e**2), 2 + 0j)
+        crisp_forms = mu_pow_forms(FieldContext(), complex(math.e**2), 2 + 0j)
         assert crisp_forms.residual == 0.0
 
 
@@ -142,13 +142,13 @@ class TestArgK:
 
 class TestIdentityExamples:
     def test_c6(self):
-        ctx = FieldContext(kind="complex", mu=point_mu({3 + 4j: 0.5}))
+        ctx = FieldContext(mu=point_mu({3 + 4j: 0.5}))
         rep = check_complex_identity(ctx, "C6", [3 + 4j])
         assert rep.verdict == PASS
         assert rep.lhs == pytest.approx(3.0)
 
     def test_c7_corrected_vs_literal(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         assert check_complex_identity(ctx, "C7", [1j]).verdict == PASS
         rep = check_complex_identity(ctx, "C7_literal", [1j])
         assert rep.verdict == FAIL
@@ -157,40 +157,40 @@ class TestIdentityExamples:
 
     def test_m1_ratios_cancel(self):
         ctx = FieldContext(
-            kind="complex", mu=point_mu({1 + 1j: 0.3, 2 + 0j: 0.7, 2 + 2j: 0.9})
+            mu=point_mu({1 + 1j: 0.3, 2 + 0j: 0.7, 2 + 2j: 0.9})
         )
         rep = check_complex_identity(ctx, "M1", [1 + 1j, 2 + 0j])
         assert rep.verdict == PASS
         assert rep.lhs == pytest.approx(2 * math.sqrt(2), rel=1e-12)
 
     def test_a1_negative_reals(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         rep = check_complex_identity(ctx, "A1", [-1 + 0j, -1 + 0j])
         assert rep.verdict == PASS
         assert rep.details["k"] == -1
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_l1_branch_correction_reported(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         rep = check_complex_identity(ctx, "L1", [-1 + 0j, -1 + 0j])
         assert rep.verdict == PASS
         assert rep.details["k_log"] == -1
         assert rep.residual < 1e-12
 
     def test_en1(self):
-        assert check_complex_identity(FieldContext(kind="complex"), "EN1", []).verdict == PASS
-        broken = FieldContext(kind="complex", mu=point_mu({0j: 0.9}))
+        assert check_complex_identity(FieldContext(), "EN1", []).verdict == PASS
+        broken = FieldContext(mu=point_mu({0j: 0.9}))
         assert check_complex_identity(broken, "EN1", []).verdict == FAIL
 
     def test_en2_all_n(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         for n in range(-5, 6):
             rep = check_complex_identity(ctx, "EN2", [0.7 + 0.4j, complex(n)])
             assert rep.verdict == PASS
             assert rep.residual < 1e-9
 
     def test_p1_multiplicative_with_additive_residual(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         rep = check_complex_identity(ctx, "P1", [complex(math.e), 1 + 0j, 1 + 0j])
         assert rep.verdict == PASS
         assert rep.details["additive_residual"] > 0.1
@@ -198,18 +198,18 @@ class TestIdentityExamples:
         assert literal.verdict == FAIL
 
     def test_p2_requires_principal_branch(self):
-        ctx = FieldContext(kind="complex")
+        ctx = FieldContext()
         ok = check_complex_identity(ctx, "P2", [1 + 1j, 1 - 1j, 0.5 + 0j])
         assert ok.verdict == PASS
         off = check_complex_identity(ctx, "P2", [-1 + 0.1j, -1 + 0.1j, 0.5 + 0j])
         assert off.verdict == UNMET
 
     def test_m6_bounds(self):
-        ctx = FieldContext(kind="complex", mu=point_mu({-2 - 3j: 0.4}))
+        ctx = FieldContext(mu=point_mu({-2 - 3j: 0.4}))
         assert check_complex_identity(ctx, "M6", [-2 - 3j]).verdict == PASS
 
     def test_guards(self):
-        ctx = FieldContext(kind="complex", mu=point_mu({2 + 2j: 0.0}))
+        ctx = FieldContext(mu=point_mu({2 + 2j: 0.0}))
         rep = check_complex_identity(ctx, "M1", [1 + 1j, 2 + 0j])
         assert rep.verdict == UNMET
         with pytest.raises(UsageError):
@@ -222,7 +222,7 @@ class TestIdentityExamples:
         for ident in ("C5", "M3"):
             with pytest.raises(DomainError, match=f"{ident} needs z2 != 0"):
                 check_complex_identity(ctx, ident, [1 + 1j, 0j])
-        assert check_complex_identity(FieldContext(kind="complex"), "E2", [0.5 + 1j, 0j]).verdict == PASS
+        assert check_complex_identity(FieldContext(), "E2", [0.5 + 1j, 0j]).verdict == PASS
 
 
 @settings(max_examples=80)
@@ -232,7 +232,7 @@ def test_double_conjugation_exact_for_any_weights(seed, w1, w2):
     z = cx(rng)
     inner = z.conjugate() * w1
     mu = point_mu({z: w1, inner: w2}, default=0.33)
-    ctx = FieldContext(kind="complex", mu=mu)
+    ctx = FieldContext(mu=mu)
     rep = check_complex_identity(ctx, "C1", [z])
     assert rep.verdict == PASS
     assert rep.residual < 1e-12
@@ -242,7 +242,7 @@ def test_double_conjugation_exact_for_any_weights(seed, w1, w2):
 @given(st.integers(0, 2**32 - 1))
 def test_crisp_reduction_of_all_operations(seed):
     rng = random.Random(seed)
-    ctx = FieldContext(kind="complex", mu=crisp())
+    ctx = FieldContext(mu=crisp())
     z = cx(rng)
     assert mu_conj(ctx, z) == z.conjugate()
     assert mu_abs_c(ctx, z) == abs(z)

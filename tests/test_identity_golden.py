@@ -48,7 +48,7 @@ def report_digest(ident, fixed_mu=None):
     for _ in range(TRIALS):
         operands = entry.sample(rng)
         mu = fixed_mu or table_membership(entry.point_groups(operands), rng, ZERO_RATE)
-        ctx = FieldContext(kind=entry.domain, mu=mu)
+        ctx = FieldContext(mu=mu)
         try:
             reports.append(_to_jsonable(check_identity(ctx, ident, operands)))
         except DomainError as e:

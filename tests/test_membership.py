@@ -68,7 +68,7 @@ class TestEvaluation:
 
     def test_complex_point_rule(self):
         mu = from_rules([MuRule(PointMatcher(3 + 4j), 0.5)], 0.0)
-        ctx = FieldContext(kind="complex", mu=mu)
+        ctx = FieldContext(mu=mu)
         assert mu_eval(ctx, 3 + 4j) == 0.5
         assert mu_eval(ctx, 3 - 4j) == 0.0
 

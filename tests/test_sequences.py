@@ -287,13 +287,12 @@ class TestRunExperiment:
         assert report.verdict_for("product", third).verdict == SUPPORTED_TRIVIALLY
 
     def test_partner_required_for_sum(self):
-        exp = ExperimentSpec(
-            sequence=SequenceSpec("sq_ratio", {}, 1, 100),
-            candidates=(("sum", 2.0),),
-            horizon=100,
-        )
         with pytest.raises(UsageError):
-            run_experiment(exp)
+            ExperimentSpec(
+                sequence=SequenceSpec("sq_ratio", {}, 1, 100),
+                candidates=(("sum", 2.0),),
+                horizon=100,
+            )
 
 
 class TestSchema:
@@ -462,7 +461,6 @@ _weight_forms = st.one_of(
     st.just(WeightForm("rational_poly", {"p": [1], "q": [0, 1]})),
     st.just(WeightForm("inv_exp_p1_sq", {})),
 )
-_tags = st.tuples(st.sampled_from(("self", "partner", "sum", "product")), st.none() | _finite)
 
 
 @st.composite
@@ -489,11 +487,12 @@ def _experiments(draw):
     seq = draw(_sequences(n_max))
     partner = draw(st.none() | _sequences(n_max))
     eq_tol = draw(_positive)
+    # an expression other than self needs a partner, which the spec refuses otherwise
+    exprs = st.sampled_from(("self", "partner", "sum", "product") if partner else ("self",))
     tags = []  # two tags whose offsets lie within eq_tol weigh the same stream, which the spec refuses
-    for e, off in draw(st.lists(_tags, max_size=4)):
+    for e, off in draw(st.lists(st.tuples(exprs, st.none() | _finite), max_size=4)):
         if all(e != e2 or abs((off or 0.0) - (off2 or 0.0)) > eq_tol for e2, off2 in tags):
             tags.append((e, off))
-    exprs = st.sampled_from(("self", "partner", "sum", "product"))
     return ExperimentSpec(
         sequence=seq,
         partner=partner,
@@ -501,8 +500,7 @@ def _experiments(draw):
         candidates=tuple(draw(st.lists(st.tuples(exprs, _finite), max_size=3))),
         eps_schedule=tuple(draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))),
         horizon=draw(st.integers(5, n_max)),
-        ctx=FieldContext(mu=draw(_fallbacks()), eq_tol=eq_tol,
-                         identity_tol=draw(_positive), min_mu=draw(st.floats(0.0, 0.5))),
+        ctx=FieldContext(mu=draw(_fallbacks()), eq_tol=eq_tol, min_mu=draw(st.floats(0.0, 0.5))),
         label=draw(st.text(max_size=8)),
     )
 
