@@ -19,22 +19,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add, mul, sub, truediv
 
 from .errors import DomainError, RangeGuardError
 from .membership import FieldContext, mu_eval
 from .real_field import (
-    FAIL,
-    PASS,
     IdentityCheckReport,
+    _all_le,
+    _decided,
     _dispatch,
     _eq_report,
     _le_report,
     _ratio_law,
     _unmet,
     _weights_ok,
-    one_sided_excess,
     rel_residual,
 )
 
@@ -249,12 +248,8 @@ def _check_m6(ctx, ops):
     (z,) = ops
     w = mu_eval(ctx, z)
     m = mu_abs_c(ctx, z)
-    worst = max(one_sided_excess(z.real * w, m), one_sided_excess(z.imag * w, m))
-    ok = (z.real * w - m) <= ctx.eq_tol and (z.imag * w - m) <= ctx.eq_tol
-    return IdentityCheckReport(
-        "M6", tuple(ops), m, max(z.real * w, z.imag * w), worst,
-        PASS if ok else FAIL, (), {},
-    )
+    x, y = z.real * w, z.imag * w
+    return _all_le(ctx, "M6", ops, ((x, m), (y, m)), m, max(x, y))
 
 
 def _check_m7(ctx, ops):
@@ -314,10 +309,10 @@ def _log_law(ident, derive, combine):
         lhs = mu_log(ctx, d) / mu_eval(ctx, d)
         base = combine(mu_log(ctx, z1) / mu_eval(ctx, z1), mu_log(ctx, z2) / mu_eval(ctx, z2))
         k_log = _log_correction(lhs, base)
-        rep = _eq_report(ctx, ident, ops, lhs, base + complex(0.0, TWO_PI * k_log), k_log=k_log)
+        rhs = base + complex(0.0, TWO_PI * k_log)
         if abs(k_log) > 1:
-            return replace(rep, residual=math.inf, verdict=FAIL, notes=("branch correction outside {-1, 0, 1}",))
-        return rep
+            return _decided(ident, ops, lhs, rhs, False, ("branch correction outside {-1, 0, 1}",), k_log=k_log)
+        return _eq_report(ctx, ident, ops, lhs, rhs, k_log=k_log)
 
     return check
 

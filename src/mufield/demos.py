@@ -29,6 +29,7 @@ from .membership import (
     MuRule,
 )
 from .forms import ValueForm
+from .real_field import BoundsReport
 from .sequences import (
     DEFAULT_EPS,
     SUPPORTED,
@@ -41,7 +42,6 @@ from .sequences import (
     mu_converges,
     run_experiment,
     seq_bounded_report,
-    SeqBoundsReport,
 )
 
 # n / (n+1)^3, the index weighting both log-drift families carry
@@ -260,7 +260,7 @@ class DemoReport:
     experiment: ExperimentSpec
     report: ExperimentReport
     claims: tuple  # ((label, bool), ...)
-    bounds: SeqBoundsReport | None = None
+    bounds: BoundsReport | None = None
     literal_variant: object = None
 
     @property

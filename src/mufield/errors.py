@@ -57,6 +57,13 @@ def spec_object(value, where: str, keys=None) -> dict:
     return value
 
 
+def spec_array(value, where: str) -> list:
+    """value when it is an array (a list); a SpecError naming where otherwise."""
+    if not isinstance(value, list):
+        raise SpecError(f"{where}: expected an array, got {type(value).__name__}")
+    return value
+
+
 def spec_document(text_or_doc, where: str):
     """The decoded JSON of text, or text_or_doc itself when it is already decoded."""
     if not isinstance(text_or_doc, (bytes, str)):

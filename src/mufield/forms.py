@@ -41,16 +41,8 @@ def check_params(form: str, params, names) -> None:
 
 
 def _horner(coeffs, n):
-    """Evaluate a polynomial given by ascending coefficients at n.
-
-    An array is evaluated in place in one accumulator, with the same
-    operations in the same order as the scalar path.
-    """
-    if not isinstance(n, np.ndarray):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * n + c
-        return acc
+    """Evaluate a polynomial given by ascending coefficients at an index array n,
+    in place in one accumulator: acc = acc * n + c for each c from the top."""
     acc = np.zeros_like(n, dtype=float)
     for c in reversed(coeffs):
         np.multiply(acc, n, out=acc)
@@ -118,16 +110,13 @@ class WeightForm:
             raise SpecError(f"unknown weight form {self.form!r}; known: {WEIGHT_FORM_IDS}")
         check_params(self.form, self.params, _WEIGHT_FORM_PARAMS[self.form])
 
-    def weights(self, n):
-        """Evaluate the weight at n (scalar or array of indices)."""
+    def weights(self, n: np.ndarray) -> np.ndarray:
+        """Evaluate the weight at an array of indices."""
         if self.form == "const":
-            v = float(self.params["value"])
-            if isinstance(n, np.ndarray):
-                return np.full_like(n, v, dtype=float)
-            return v
+            return np.full_like(n, float(self.params["value"]), dtype=float)
         if self.form == "rational_poly":
             p, q = _horner(self.params["p"], n), _horner(self.params["q"], n)
-            return np.divide(p, q, out=p) if isinstance(p, np.ndarray) else p / q
+            return np.divide(p, q, out=p)
         # inv_exp_p1_sq: 1 / (e^n + 1)^2, computed stably for large n
         e = np.exp(-n)
         return np.exp(-2.0 * n) / (1.0 + e) ** 2

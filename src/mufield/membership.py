@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_document, spec_object
+from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object
 from .forms import (
     ValueForm,
     WeightForm,
@@ -267,11 +267,8 @@ def parse_mu_spec(doc: dict) -> MembershipFunction:
     default = doc["default"]
     if not isinstance(default, (int, float)) or isinstance(default, bool):
         raise SpecError("mu spec: 'default' must be a number")
-    raw_rules = doc.get("rules", [])
-    if not isinstance(raw_rules, list):
-        raise SpecError("mu spec: 'rules' must be an array")
     rules = []
-    for i, item in enumerate(raw_rules):
+    for i, item in enumerate(spec_array(doc.get("rules", []), "mu spec rules")):
         where = f"rules[{i}]"
         spec_object(item, where, ("match", "mu"))
         if "match" not in item or "mu" not in item:

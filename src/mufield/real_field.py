@@ -6,12 +6,21 @@ be weighted onto the same scaled value, so "equal" here means mu-equivalent.
 Order comparisons use an absolute slack (ctx.eq_tol) because scaled values
 cluster near zero by design.
 
+One bounds report serves finite sets and sequence streams: bounds_report
+builds every BoundsReport from arrays of values, weights and scaled values.
+
 The identity registry covers the ordered-field implications O1..O8, the
 modulus laws R1..R5b, and the supremum characterization S1. Each law shape
 has one factory: _sign_law builds O2..O7, and _ratio_law builds R3/R4 here
 and the complex ratio laws. Ratio-form identities are guarded: when a
 referenced membership is at or below ctx.min_mu the verdict is
 "precondition-unmet" rather than a failure.
+
+Every verdict, here, in complex_field and in sequences, comes from one of
+five constructors: _eq_report (an equality), _le_report (an inequality),
+_all_le (several inequalities, scored by the worst), _decided (a verdict
+decided by a search or a scan) and _unmet. check_monotone alone builds two
+reports of its own, whose residuals are measures of their own.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from operator import add, mul, neg
+
+import numpy as np
 
 from .errors import DomainError, UsageError
 from .membership import FieldContext, mu_eval
@@ -104,43 +115,53 @@ def mu_inf(ctx: FieldContext, values) -> ScaledValue:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Scaled extremes of a finite set, with an optional probe comparison.
+    """Scaled extremes of a finite set or of one sequence stream, with an
+    optional probe comparison.
 
-    Finite sets always have both bounds. scaled_within_raw records the
-    finite-scale fact max |x w(x)| <= max |x|, which holds because w <= 1.
+    The *_n fields are indices: a sequence's n, a set's position. Ties go to
+    the first. scaled_within_raw records the finite-scale fact
+    max |x w(x)| <= max |x|, which holds because w <= 1. first_exceed_n is
+    the first index whose |x w(x)| exceeds the probe.
     """
 
+    expr: str | None
     sup: ScaledValue
+    sup_n: int
     inf: ScaledValue
-    mu_bounded_above: bool
-    mu_bounded_below: bool
+    inf_n: int
     scaled_abs_max: float
     raw_abs_max: float
     scaled_within_raw: bool
     probe: float | None = None
     within_probe: bool | None = None
+    first_exceed_n: int | None = None
+
+
+def bounds_report(values, weights, scaled, eq_tol, probe=None, n0=0, expr=None) -> BoundsReport:
+    """The bounds of arrays with scaled = values * weights; element i is index n0 + i."""
+    i_sup, i_inf = int(np.argmax(scaled)), int(np.argmin(scaled))
+    scaled_abs = float(np.max(np.abs(scaled)))
+    raw_abs = float(np.max(np.abs(values)))
+    over = None if probe is None else np.nonzero(np.abs(scaled) > probe)[0]
+
+    def at(i):
+        return ScaledValue(float(values[i]), float(weights[i]), float(scaled[i]))
+
+    return BoundsReport(
+        expr, at(i_sup), n0 + i_sup, at(i_inf), n0 + i_inf, scaled_abs, raw_abs,
+        scaled_abs <= raw_abs + eq_tol, probe,
+        within_probe=None if over is None else over.size == 0,
+        first_exceed_n=n0 + int(over[0]) if over is not None and over.size else None,
+    )
 
 
 def mu_bounded_report(ctx: FieldContext, values, bound_probe: float | None = None) -> BoundsReport:
+    """The bounds of a finite non-empty set, each value weighed by mu_eval."""
     vals = [float(v) for v in values]
     if not vals:
         raise UsageError("mu_bounded_report needs a non-empty set")
-    svals = [ScaledValue.of(ctx, v) for v in vals]
-    sup = max(svals, key=lambda s: s.scaled)
-    inf = min(svals, key=lambda s: s.scaled)
-    scaled_abs = max(abs(s.scaled) for s in svals)
-    raw_abs = max(abs(v) for v in vals)
-    return BoundsReport(
-        sup=sup,
-        inf=inf,
-        mu_bounded_above=True,
-        mu_bounded_below=True,
-        scaled_abs_max=scaled_abs,
-        raw_abs_max=raw_abs,
-        scaled_within_raw=scaled_abs <= raw_abs + ctx.eq_tol,
-        probe=bound_probe,
-        within_probe=None if bound_probe is None else scaled_abs <= bound_probe,
-    )
+    raw, w = np.array(vals), np.array([mu_eval(ctx, v) for v in vals])
+    return bounds_report(raw, w, raw * w, ctx.eq_tol, bound_probe)
 
 
 @dataclass(frozen=True)
@@ -188,6 +209,20 @@ def _le_report(ctx, ident, operands, lhs, rhs, notes=(), **details):
     return IdentityCheckReport(ident, tuple(operands), lhs, rhs, excess, verdict, tuple(notes), details)
 
 
+def _all_le(ctx, ident, operands, pairs, lhs, rhs, **details):
+    """Every (x, bound) of pairs has x <= bound, eq_tol apart; scored by the worst excess."""
+    res = max(one_sided_excess(x, bound) for x, bound in pairs)
+    verdict = PASS if all((x - bound) <= ctx.eq_tol for x, bound in pairs) else FAIL
+    return IdentityCheckReport(ident, tuple(operands), lhs, rhs, res, verdict, (), details)
+
+
+def _decided(ident, operands, lhs, rhs, ok, notes=(), **details):
+    """A verdict decided elsewhere: residual 0 when ok holds, inf when it does not."""
+    return IdentityCheckReport(
+        ident, tuple(operands), lhs, rhs, 0.0 if ok else math.inf, PASS if ok else FAIL, tuple(notes), details
+    )
+
+
 def _unmet(ident, operands, why, **details):
     return IdentityCheckReport(
         ident, tuple(operands), math.nan, math.nan, math.nan, UNMET, (why,), details
@@ -229,17 +264,7 @@ def check_sup_characterization(
             failed_eps.append(eps)
         else:
             witnesses.append(found)
-    verdict = PASS if not failed_eps else FAIL
-    return IdentityCheckReport(
-        "S1",
-        tuple(vals),
-        m,
-        m,
-        0.0 if verdict == PASS else math.inf,
-        verdict,
-        (),
-        {"witnesses": witnesses, "failed_eps": failed_eps, "bound": m},
-    )
+    return _decided("S1", vals, m, m, not failed_eps, witnesses=witnesses, failed_eps=failed_eps, bound=m)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +345,6 @@ def _abs_ratio(ctx, a):
     return mu_abs(ctx, a) / mu_eval(ctx, a)
 
 
-def _sandwich(ctx, ident, ops, bound):
-    """-bound <= a <= bound for the first operand a, scored by the worse side."""
-    a = ops[0]
-    lo = _le_report(ctx, ident, ops, -bound, a)
-    hi = _le_report(ctx, ident, ops, a, bound)
-    verdict = PASS if lo.verdict == PASS and hi.verdict == PASS else FAIL
-    return IdentityCheckReport(
-        ident, tuple(ops), a, bound, max(lo.residual, hi.residual), verdict, (), {"bound": bound}
-    )
-
-
 def _check_r5a(ctx, ops):
     a, c = ops
     if c <= 0.0:
@@ -340,7 +354,8 @@ def _check_r5a(ctx, ops):
         return _unmet("R5a", ops, why)
     if not (mu_abs(ctx, a) < c + ctx.eq_tol):
         return _unmet("R5a", ops, "hypothesis |a|_w < c not satisfied")
-    return _sandwich(ctx, "R5a", ops, c / mu_eval(ctx, a))
+    bound = c / mu_eval(ctx, a)  # -bound <= a <= bound
+    return _all_le(ctx, "R5a", ops, ((-bound, a), (a, bound)), a, bound, bound=bound)
 
 
 def _check_r5b(ctx, ops):
@@ -355,7 +370,8 @@ def _check_r5b(ctx, ops):
         return _unmet("R5b", ops, "requires w(|a|) = w(a)", w_a=wa, w_abs_a=wabs)
     if not mu_lt(ctx, abs(a), c) and not (abs(scaled(ctx, abs(a)) - scaled(ctx, c)) <= ctx.eq_tol):
         return _unmet("R5b", ops, "hypothesis |a| <_w c not satisfied")
-    return _sandwich(ctx, "R5b", ops, c * mu_eval(ctx, c) / wa)
+    bound = c * mu_eval(ctx, c) / wa  # -bound <= a <= bound
+    return _all_le(ctx, "R5b", ops, ((-bound, a), (a, bound)), a, bound, bound=bound)
 
 
 def _check_s1(ctx, ops):

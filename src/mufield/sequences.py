@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, UsageError, ValidationError, number, spec_document, spec_object
+from .errors import SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object
 from .forms import (
     EXP_INDEX_CAP,
     ValueForm,
@@ -41,7 +41,7 @@ from .forms import (
     weight_form_to_obj,
 )
 from .membership import FieldContext, crisp, parse_mu_spec, serialize_mu_spec
-from .real_field import FAIL, PASS, UNMET, IdentityCheckReport, ScaledValue, _unmet
+from .real_field import FAIL, PASS, UNMET, BoundsReport, IdentityCheckReport, _decided, _unmet, bounds_report
 
 DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_HORIZON = 100_000
@@ -400,51 +400,11 @@ def classical_converges(
     return _Stream(exp).classical(seq, candidate)
 
 
-@dataclass(frozen=True)
-class SeqBoundsReport:
-    """Scaled extremes of one expression stream over the horizon."""
-
-    expr: str
-    sup: ScaledValue
-    sup_n: int
-    inf: ScaledValue
-    inf_n: int
-    scaled_abs_max: float
-    raw_abs_max: float
-    scaled_within_raw: bool
-    probe: float | None = None
-    within_probe: bool | None = None
-    first_exceed_n: int | None = None
-
-
-def seq_bounded_report(exp: ExperimentSpec, expr: str = "self", probe: float | None = None) -> SeqBoundsReport:
+def seq_bounded_report(exp: ExperimentSpec, expr: str = "self", probe: float | None = None) -> BoundsReport:
+    """The bounds of one expression stream over the experiment range."""
     stream = _Stream(exp)
-    n0 = stream.n0
-    values = stream.values(expr)
     s, weights = stream.deviation(expr, None, signed=True)
-    i_sup, i_inf = int(np.argmax(s)), int(np.argmin(s))
-    scaled_abs = float(np.max(np.abs(s)))
-    raw_abs = float(np.max(np.abs(values)))
-    first_exceed = None
-    within = None
-    if probe is not None:
-        over = np.nonzero(np.abs(s) > probe)[0]
-        within = over.size == 0
-        if over.size:
-            first_exceed = n0 + int(over[0])
-    return SeqBoundsReport(
-        expr=expr,
-        sup=ScaledValue(float(values[i_sup]), float(weights[i_sup]), float(s[i_sup])),
-        sup_n=n0 + i_sup,
-        inf=ScaledValue(float(values[i_inf]), float(weights[i_inf]), float(s[i_inf])),
-        inf_n=n0 + i_inf,
-        scaled_abs_max=scaled_abs,
-        raw_abs_max=raw_abs,
-        scaled_within_raw=scaled_abs <= raw_abs + exp.ctx.eq_tol,
-        probe=probe,
-        within_probe=within,
-        first_exceed_n=first_exceed,
-    )
+    return bounds_report(stream.values(expr), weights, s, exp.ctx.eq_tol, probe, stream.n0, expr)
 
 
 def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityCheckReport:
@@ -463,10 +423,8 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
     drops = np.nonzero(np.diff(s) < -eq_tol)[0]
     if drops.size:
         k = stream.n0 + int(drops[0])
-        return IdentityCheckReport(
-            "monotone", (), float(s[drops[0] + 1]), float(s[drops[0]]), math.inf, FAIL,
-            (f"scaled stream decreases at n={k}",), {"first_violation_n": k},
-        )
+        return _decided("monotone", (), float(s[drops[0] + 1]), float(s[drops[0]]), False,
+                        (f"scaled stream decreases at n={k}",), first_violation_n=k)
     sup = float(np.max(s))
     if probe is not None and float(np.max(np.abs(s))) > probe:
         return IdentityCheckReport(
@@ -527,11 +485,8 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
                 continue
             v = stream.verdict(expr, target)
             ok = v.verdict in (SUPPORTED, SUPPORTED_TRIVIALLY)
-            checks.append(IdentityCheckReport(
-                f"limit-{expr}", (l, m), target, target, 0.0 if ok else math.inf,
-                PASS if ok else FAIL,
-                (f"{expr} verdict: {v.verdict}",), {"verdict": v.verdict},
-            ))
+            checks.append(_decided(f"limit-{expr}", (l, m), target, target, ok,
+                                   (f"{expr} verdict: {v.verdict}",), verdict=v.verdict))
     return ExperimentReport(exp.label, verdicts, tuple(classical), tuple(checks))
 
 
@@ -602,7 +557,7 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
         expr, offset = _parse_tag(key)
         entries.append((expr, offset, parse_weight_form(obj, where=f"mu[{key}]")))
     candidates = []
-    for item in doc.get("candidates", []):
+    for item in spec_array(doc.get("candidates", []), "candidates"):
         if isinstance(item, dict):
             spec_object(item, "candidates", ("expr", "value"))
             if "expr" not in item or "value" not in item:
@@ -610,12 +565,15 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
             candidates.append((item["expr"], number(item["value"], "candidates")))
         else:
             candidates.append(("self", number(item, "candidates")))
-    eps = tuple(number(e, "eps") for e in doc.get("eps", DEFAULT_EPS))
+    eps = tuple(number(e, "eps") for e in spec_array(doc.get("eps", list(DEFAULT_EPS)), "eps"))
     horizon = number(doc.get("horizon", DEFAULT_HORIZON), "horizon", int)
     fallback = parse_mu_spec(doc["fallback_mu"]) if doc.get("fallback_mu") else crisp()
     tols = spec_object(doc.get("tolerances", {}), "tolerances", TOLERANCE_KEYS)
     # an omitted tolerance keeps FieldContext's default
     ctx = FieldContext(mu=fallback, **{k: number(v, f"tolerances.{k}") for k, v in tols.items()})
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise SpecError(f"label: expected a string, got {type(label).__name__}")
     return ExperimentSpec(
         sequence=seq,
         partner=partner,
@@ -624,7 +582,7 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
         eps_schedule=eps,
         horizon=horizon,
         ctx=ctx,
-        label=str(doc.get("label", "")),
+        label=label,
     )
 
 

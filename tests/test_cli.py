@@ -314,6 +314,22 @@ class TestMalformedInput:
         code, _, err = run(capsys, "converge", self.write(tmp_path, "exp.json", {**doc, **change}))
         assert code == 2 and err.startswith("error:") and field in err
 
+    # candidates and eps are arrays and label a string: neither iterated nor rewritten
+    @pytest.mark.parametrize("change, field", [
+        ({"candidates": 5}, "candidates: expected an array, got int"),
+        ({"candidates": {"a": 1}}, "candidates: expected an array, got dict"),
+        ({"candidates": None}, "candidates: expected an array, got NoneType"),
+        ({"eps": 5}, "eps: expected an array, got int"),
+        ({"eps": "0.1"}, "eps: expected an array, got str"),
+        ({"label": [1]}, "label: expected a string, got list"),
+        ({"label": None}, "label: expected a string, got NoneType"),
+        ({"label": 3}, "label: expected a string, got int"),
+    ])
+    def test_wrongly_typed_experiment_field(self, capsys, tmp_path, change, field):
+        doc = {"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50}, "candidates": [1.0], "horizon": 50}
+        code, _, err = run(capsys, "converge", self.write(tmp_path, "exp.json", {**doc, **change}))
+        assert code == 2 and err.startswith("error:") and field in err
+
     # sequence, family and weight-form params are converted when the spec is read
     @pytest.mark.parametrize("change, field", [
         ({"sequence": {"form": "log_plus", "params": {"c": "x"}, "n_max": 50}}, "sequence.params.c"),

@@ -209,6 +209,12 @@ class TestSpecDocuments:
         with pytest.raises(SpecError, match=needle):
             load_mu_spec(doc)
 
+    def test_non_array_rules_rejected(self):
+        from mufield import SpecError
+
+        with pytest.raises(SpecError, match="rules: expected an array, got dict"):
+            load_mu_spec('{"default": 1, "rules": {}}')
+
     def test_round_trip_is_evaluation_equivalent(self):
         mu = from_rules(
             [

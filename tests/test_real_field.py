@@ -22,7 +22,7 @@ from mufield import (
     mu_sup,
     two_level,
 )
-from mufield.real_field import FAIL, PASS, UNMET
+from mufield.real_field import FAIL, PASS, UNMET, ScaledValue
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -131,6 +131,49 @@ class TestBounds:
         ctx = FieldContext(mu=two_level({0.0, 1.0}, level))
         rep = mu_bounded_report(ctx, values)
         assert rep.scaled_within_raw
+
+
+# values whose scaled values tie under two_level weightings: 1 and 2 at level
+# 0.5 with 1 in the set, any two outside the set at level 0, 0.0 and -0.0
+TIE_POOL = [0.0, -0.0, 1.0, 2.0, -1.0, -2.0, 0.5, -0.5]
+
+
+def reference_bounds(ctx, values, probe):
+    """The per-value computation: ScaledValue.of, then max/min by scaled."""
+    svals = [ScaledValue.of(ctx, v) for v in values]
+    sup = max(svals, key=lambda s: s.scaled)
+    inf = min(svals, key=lambda s: s.scaled)
+    scaled_abs = max(abs(s.scaled) for s in svals)
+    raw_abs = max(abs(v) for v in values)
+    first_exceed = next((i for i, s in enumerate(svals) if abs(s.scaled) > probe), None)
+    return {
+        "sup": repr(sup), "sup_n": next(i for i, s in enumerate(svals) if s is sup),
+        "inf": repr(inf), "inf_n": next(i for i, s in enumerate(svals) if s is inf),
+        "scaled_abs_max": repr(scaled_abs), "raw_abs_max": repr(raw_abs),
+        "scaled_within_raw": scaled_abs <= raw_abs + ctx.eq_tol,
+        "within_probe": scaled_abs <= probe, "first_exceed_n": first_exceed,
+    }
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(TIE_POOL) | finite, min_size=1, max_size=12),
+    st.sets(st.sampled_from(TIE_POOL)),
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1e6),
+)
+def test_bounds_report_matches_per_value_reference(values, ones, level, probe):
+    # ties go to the first extreme, and -0.0 stays apart from 0.0 (repr)
+    ctx = FieldContext(mu=two_level(ones, level))
+    rep = mu_bounded_report(ctx, values, bound_probe=probe)
+    got = {
+        "sup": repr(rep.sup), "sup_n": rep.sup_n, "inf": repr(rep.inf), "inf_n": rep.inf_n,
+        "scaled_abs_max": repr(rep.scaled_abs_max), "raw_abs_max": repr(rep.raw_abs_max),
+        "scaled_within_raw": rep.scaled_within_raw,
+        "within_probe": rep.within_probe, "first_exceed_n": rep.first_exceed_n,
+    }
+    assert got == reference_bounds(ctx, values, probe)
+    assert rep.expr is None and rep.probe == probe
 
 
 class TestSupCharacterization:

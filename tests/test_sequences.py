@@ -27,6 +27,7 @@ from mufield import (
     demo_catalog,
     load_experiment,
     min_index_for_epsilon,
+    mu_bounded_report,
     mu_converges,
     run_experiment,
     scaled_deviation,
@@ -217,6 +218,30 @@ class TestBounded:
         rep = seq_bounded_report(log_drift_experiment(10_000), "self", probe=1.0)
         assert rep.within_probe
         assert rep.scaled_within_raw
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -2.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=10),
+    st.integers(1, 50),
+    st.sets(st.sampled_from([0.0, 1.0, -2.0])),
+    st.sampled_from([0.0, 0.5]) | st.floats(0, 1),
+)
+def test_table_sequence_bounds_equal_finite_set_bounds(values, n_min, ones, level):
+    # one bounds report: a table stream and the set of its values agree, the
+    # stream's indices offset by n_min from the set's positions
+    ctx = FieldContext(mu=two_level(ones, level))
+    n_max = n_min + len(values) - 1
+    seq = SequenceSpec("table", {"points": {n_min + i: v for i, v in enumerate(values)}}, n_min, n_max)
+    stream = seq_bounded_report(ExperimentSpec(sequence=seq, horizon=n_max, ctx=ctx), "self", probe=1.0)
+    finite_set = mu_bounded_report(ctx, values, bound_probe=1.0)
+    for name in ("sup", "inf", "scaled_abs_max", "within_probe"):
+        assert repr(getattr(stream, name)) == repr(getattr(finite_set, name))
+    assert stream.sup_n == finite_set.sup_n + n_min and stream.inf_n == finite_set.inf_n + n_min
+    if finite_set.first_exceed_n is None:
+        assert stream.first_exceed_n is None
+    else:
+        assert stream.first_exceed_n == finite_set.first_exceed_n + n_min
 
 
 class TestMonotone:
