@@ -29,7 +29,6 @@ from .membership import (
     SetMatcher,
     check_axioms,
     crisp,
-    from_rules,
     load_mu_spec,
     mu_eval,
     mu_summary,
@@ -47,17 +46,12 @@ from .real_field import (
     mu_abs,
     mu_bounded_report,
     mu_compare,
-    mu_ge,
-    mu_gt,
     mu_inf,
-    mu_le,
-    mu_lt,
     mu_sup,
 )
 from .sequences import (
     ConvergenceVerdict,
     ExperimentSpec,
-    MuAssignment,
     SequenceSpec,
     classical_converges,
     check_monotone,
@@ -68,10 +62,8 @@ from .sequences import (
     scaled_deviation,
     seq_bounded_report,
     serialize_experiment,
-    term_at,
 )
 from .complex_field import (
-    ArgAdjustment,
     PowerForms,
     arg_k,
     check_complex_identity,

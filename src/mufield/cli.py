@@ -6,8 +6,8 @@ command, sha256 digests of file inputs, the seed of any randomized sweep,
 and the command body. Identical inputs and seed produce an identical envelope
 apart from the timestamp field.
 
-Exit codes: 0 all checks passed, 1 a check failed or a domain error surfaced
-from a valid request, 2 invalid input or usage.
+Exit codes: 0 all checks passed, 1 a check failed or a valid request met a
+domain error or did not fit in memory, 2 invalid input or usage.
 """
 
 from __future__ import annotations
@@ -110,12 +110,16 @@ def _flag_number(text: str, flag: str) -> float:
 
 def _parse_grid(text: str):
     parts = [_flag_number(p, "--grid") for p in text.split(":")]
-    if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0 or parts[1] < parts[0]:
-        raise UsageError(f"--grid: expected lo:hi:step, finite, with step > 0, got {text!r}")
+    if len(parts) != 3 or parts[2] <= 0 or parts[1] < parts[0]:
+        raise UsageError(f"--grid: expected lo:hi:step with step > 0, got {text!r}")
     lo, hi, step = parts
+    top = hi + 1e-12
+    # v += step moves v only while step exceeds half an ulp of v (a tie may round back)
+    if step <= math.ulp(max(abs(lo), abs(top))) / 2:
+        raise UsageError(f"--grid: step {step!r} is too small to move a value of the grid, got {text!r}")
     out = []
     v = lo
-    while v <= hi + 1e-12:
+    while v <= top:
         out.append(round(v, 12))
         v += step
     return out
@@ -195,7 +199,8 @@ _EVAL_OPS = {
     "mu_log": (("z",), mu_log),
     "mu_pow": (("base", "z", "branch"), mu_pow),
 }
-_OPERAND_PARSERS = {"set": lambda text, flag: [_flag_number(v, flag) for v in text.split(",")],
+_OPERAND_PARSERS = {"a": _flag_number, "b": _flag_number,
+                    "set": lambda text, flag: [_flag_number(v, flag) for v in text.split(",")],
                     "z": _parse_complex, "base": _parse_complex}
 _WEIGHED_OPERANDS = ("a", "b", "z")  # their weights are reported with the value
 
@@ -375,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="evaluate one weighted operation")
     p.add_argument("op", help=f"one of: {', '.join(sorted(_EVAL_OPS))}")
     p.add_argument("--mu", default=None, help="membership spec (JSON); identity weighting if omitted")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--a", default=None)
+    p.add_argument("--b", default=None)
     p.add_argument("--set", dest="set_values", default=None, help="comma-separated reals")
     p.add_argument("--z", default=None, help="complex as re,im")
     p.add_argument("--base", default=None, help="complex base as re,im")
@@ -410,8 +415,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (DomainError, MemoryError) as e:  # a valid request, undefined or too big for this machine
+        print(f"error: {str(e) or 'not enough memory for this request'}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (MuFieldError, FileNotFoundError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

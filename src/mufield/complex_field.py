@@ -78,20 +78,14 @@ def mu_arg(ctx: FieldContext, z: complex) -> float:
     return principal_arg(z) * mu_eval(ctx, z)
 
 
-@dataclass(frozen=True)
-class ArgAdjustment:
-    """Integer k in {-1, 0, 1} with Arg(z1 z2) = Arg z1 + Arg z2 + 2 k pi."""
-
-    k: int
-
-
-def arg_k(z1: complex, z2: complex) -> ArgAdjustment:
+def arg_k(z1: complex, z2: complex) -> int:
+    """The integer k in {-1, 0, 1} with Arg(z1 z2) = Arg z1 + Arg z2 + 2 k pi."""
     s = principal_arg(z1) + principal_arg(z2)
     if s > math.pi:
-        return ArgAdjustment(-1)
+        return -1
     if s <= -math.pi:
-        return ArgAdjustment(1)
-    return ArgAdjustment(0)
+        return 1
+    return 0
 
 
 def mu_exp(ctx: FieldContext, z: complex) -> complex:
@@ -267,7 +261,7 @@ def _check_a1(ctx, ops):
     ok, why = _weights_ok(ctx, (z1, z2, p))
     if not ok:
         return _unmet("A1", ops, why)
-    k = arg_k(z1, z2).k
+    k = arg_k(z1, z2)
     lhs = mu_arg(ctx, p) / mu_eval(ctx, p)
     rhs = mu_arg(ctx, z1) / mu_eval(ctx, z1) + mu_arg(ctx, z2) / mu_eval(ctx, z2) + TWO_PI * k
     return _eq_report(ctx, "A1", ops, lhs, rhs, k=k)
@@ -349,7 +343,7 @@ def _check_p2(ctx, ops):
     a, b, z = ops
     if a == 0 or b == 0:
         raise DomainError("P2 needs nonzero bases")
-    k = arg_k(a, b).k
+    k = arg_k(a, b)
     if k != 0:
         return _unmet("P2", ops, "argument sum leaves the principal branch", k=k)
     w = mu_eval(ctx, z)

@@ -37,7 +37,6 @@ from .sequences import (
     REFUTED,
     ExperimentSpec,
     ExperimentReport,
-    MuAssignment,
     SequenceSpec,
     mu_converges,
     run_experiment,
@@ -73,11 +72,9 @@ def _nonunique_limit() -> ExperimentSpec:
     )
     return ExperimentSpec(
         sequence=seq,
-        assignment=MuAssignment(
-            (
-                ("self", None, _POLY_N_OVER_CUBE),
-                ("self", shift, _POLY_N_OVER_CUBE),
-            )
+        assignment=(
+            ("self", None, _POLY_N_OVER_CUBE),
+            ("self", shift, _POLY_N_OVER_CUBE),
         ),
         candidates=(("self", 0.0), ("self", shift)),
         eps_schedule=DEFAULT_EPS,
@@ -95,11 +92,9 @@ def _unbounded_convergent() -> ExperimentSpec:
     )
     return ExperimentSpec(
         sequence=seq,
-        assignment=MuAssignment(
-            (
-                ("self", None, constant_weight(1.0)),
-                ("self", 1.0, _INV_EXP),
-            )
+        assignment=(
+            ("self", None, constant_weight(1.0)),
+            ("self", 1.0, _INV_EXP),
         ),
         candidates=(("self", 1.0),),
         eps_schedule=DEFAULT_EPS,
@@ -115,12 +110,10 @@ def _sum_failure() -> ExperimentSpec:
     return ExperimentSpec(
         sequence=seq,
         partner=seq,
-        assignment=MuAssignment(
-            (
-                ("self", 1.0, _POLY_SQ_OVER_ODD_CUBE),
-                ("partner", 1.0, _POLY_SQ_OVER_ODD_CUBE),
-                ("sum", None, _POLY_SQ_OVER_2CUBE),
-            )
+        assignment=(
+            ("self", 1.0, _POLY_SQ_OVER_ODD_CUBE),
+            ("partner", 1.0, _POLY_SQ_OVER_ODD_CUBE),
+            ("sum", None, _POLY_SQ_OVER_2CUBE),
         ),
         candidates=(("self", 1.0), ("partner", 1.0), ("sum", 0.0), ("sum", 2.0)),
         eps_schedule=DEFAULT_EPS,
@@ -138,12 +131,10 @@ def _product_failure() -> ExperimentSpec:
     return ExperimentSpec(
         sequence=seq,
         partner=partner,
-        assignment=MuAssignment(
-            (
-                ("self", 1.0, _POLY_SQ_OVER_ODD_CUBE),
-                ("partner", third, _POLY_PARTNER),
-                ("product", None, _POLY_INV_N),
-            )
+        assignment=(
+            ("self", 1.0, _POLY_SQ_OVER_ODD_CUBE),
+            ("partner", third, _POLY_PARTNER),
+            ("product", None, _POLY_INV_N),
         ),
         candidates=(("self", 1.0), ("partner", third), ("product", 0.0), ("product", third)),
         eps_schedule=DEFAULT_EPS,
@@ -178,12 +169,10 @@ def _unbounded_convergent_claims(exp, report):
     # could not keep them apart.
     literal_exp = ExperimentSpec(
         sequence=exp.sequence,
-        assignment=MuAssignment(
-            (
-                ("self", None, constant_weight(1.0)),
-                ("self", -1.0, _INV_EXP),
-                ("self", 1.0, constant_weight(0.0)),
-            )
+        assignment=(
+            ("self", None, constant_weight(1.0)),
+            ("self", -1.0, _INV_EXP),
+            ("self", 1.0, constant_weight(0.0)),
         ),
         candidates=(("self", 1.0),),
         eps_schedule=exp.eps_schedule,

@@ -8,8 +8,11 @@ The parsers of flags and documents decode their JSON through spec_document(),
 convert their fields through number() and check their objects through
 spec_object(), which also refuses any key the reader does not read, so a
 malformed field or an unread key is a usage error that names it, never a raw
-TypeError or ValueError, and never silently dropped.
+TypeError or ValueError, and never silently dropped. number() refuses NaN and
+the infinities too, which would make a verdict or a rule silently wrong.
 """
+
+import math
 
 
 class MuFieldError(Exception):
@@ -37,12 +40,15 @@ class RangeGuardError(DomainError):
 
 
 def number(value, where: str, convert=float, error=SpecError):
-    """convert(value), or an error naming where when that fails."""
+    """convert(value), or an error naming where when that fails or is not finite."""
     try:
-        return convert(value)
+        out = convert(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if convert is int else "a number"
         raise error(f"{where}: expected {what}, got {value!r}") from None
+    if convert is float and not math.isfinite(out):
+        raise error(f"{where}: expected a finite number, got {value!r}")
+    return out
 
 
 def spec_object(value, where: str, keys=None) -> dict:

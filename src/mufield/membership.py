@@ -219,11 +219,6 @@ def two_level(values, level: float, tol: float = 1e-9) -> MembershipFunction:
     )
 
 
-def from_rules(rules, default: float) -> MembershipFunction:
-    """Validated construction from an explicit rule list."""
-    return MembershipFunction(tuple(rules), float(default))
-
-
 @dataclass(frozen=True)
 class FieldContext:
     """Membership function and tolerance policy, for real and complex values alike.
@@ -332,7 +327,7 @@ def load_mu_spec(text_or_doc) -> MembershipFunction:
 
 def _scalar_from_obj(obj, where: str) -> Scalar:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return float(obj)
+        return number(obj, where)
     if isinstance(obj, list) and len(obj) == 2:
         return complex(number(obj[0], where), number(obj[1], where))
     raise SpecError(f"{where}: scalar must be a number or an [re, im] pair")
@@ -361,9 +356,9 @@ class AxiomReport:
     """Sample-relative verdicts for the five closure axioms.
 
     The report speaks only about the supplied samples; nothing is claimed
-    about unsampled points. negation_symmetry is a derived check: wherever
-    axiom (ii) holds at both a and -a, the two weights must agree, which the
-    report verifies explicitly.
+    about unsampled points. negation_symmetry cannot be false: it is tested
+    only where |w(-a) - w(a)| <= eq_tol, against 2 eq_tol. It stays because
+    the axioms envelope reports it; axiom (ii) is the check that can fail.
     """
 
     verdicts: dict

@@ -73,22 +73,6 @@ def mu_compare(ctx: FieldContext, a: float, b: float) -> Ordering:
     return Ordering.LESS if sa < sb else Ordering.GREATER
 
 
-def mu_le(ctx, a, b) -> bool:
-    return mu_compare(ctx, a, b) in (Ordering.LESS, Ordering.EQUAL)
-
-
-def mu_lt(ctx, a, b) -> bool:
-    return mu_compare(ctx, a, b) is Ordering.LESS
-
-
-def mu_ge(ctx, a, b) -> bool:
-    return mu_compare(ctx, a, b) in (Ordering.GREATER, Ordering.EQUAL)
-
-
-def mu_gt(ctx, a, b) -> bool:
-    return mu_compare(ctx, a, b) is Ordering.GREATER
-
-
 def mu_abs(ctx: FieldContext, a: float) -> float:
     """Weighted modulus |a| * w(a); zero at a = 0 regardless of the weight."""
     a = float(a)
@@ -368,7 +352,7 @@ def _check_r5b(ctx, ops):
     wa, wabs = mu_eval(ctx, a), mu_eval(ctx, abs(a))
     if abs(wa - wabs) > ctx.eq_tol:
         return _unmet("R5b", ops, "requires w(|a|) = w(a)", w_a=wa, w_abs_a=wabs)
-    if not mu_lt(ctx, abs(a), c) and not (abs(scaled(ctx, abs(a)) - scaled(ctx, c)) <= ctx.eq_tol):
+    if mu_compare(ctx, abs(a), c) is Ordering.GREATER:
         return _unmet("R5b", ops, "hypothesis |a| <_w c not satisfied")
     bound = c * mu_eval(ctx, c) / wa  # -bound <= a <= bound
     return _all_le(ctx, "R5b", ops, ((-bound, a), (a, bound)), a, bound, bound=bound)

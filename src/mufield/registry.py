@@ -218,10 +218,6 @@ class SweepOutcome:
     max_residual: float
     first_failure: IdentityCheckReport | None
 
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
 
 def run_identity_sweep(
     idents=None,

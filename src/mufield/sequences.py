@@ -111,44 +111,6 @@ class SequenceSpec:
         return float(self.terms(np.array([n]))[0])
 
 
-def term_at(seq: SequenceSpec, n: int) -> float:
-    return seq.term_at(n)
-
-
-@dataclass(frozen=True)
-class MuAssignment:
-    """Maps tracked expressions to weight forms of n.
-
-    Entries are (expression, offset, form): expression names which stream is
-    weighted (self, partner, sum, product), offset is the candidate the
-    stream is shifted by (None means the raw stream, equivalent to 0).
-    Unassigned expressions fall back to the context membership function
-    evaluated at the numeric value of the expression.
-    """
-
-    entries: tuple = ()
-
-    def __post_init__(self):
-        for e in self.entries:
-            expr, offset, wf = e
-            if expr not in EXPRESSIONS:
-                raise SpecError(f"unknown expression tag {expr!r}; known: {EXPRESSIONS}")
-            if offset is not None:
-                float(offset)
-            if not isinstance(wf, WeightForm):
-                raise SpecError(f"assignment for {expr!r} must carry a WeightForm")
-
-    def resolve(self, expr: str, offset: float | None, tol: float) -> WeightForm | None:
-        want = 0.0 if offset is None else float(offset)
-        for e_expr, e_off, wf in self.entries:
-            if e_expr != expr:
-                continue
-            have = 0.0 if e_off is None else float(e_off)
-            if abs(want - have) <= tol:
-                return wf
-        return None
-
-
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     expr: str
@@ -163,11 +125,16 @@ class ConvergenceVerdict:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sequence (optionally a partner), weights, candidates, and a horizon."""
+    """A sequence (optionally a partner), weights, candidates, and a horizon.
+
+    An assignment entry (expr, offset, form) weighs the stream expr shifted by
+    offset (None counts as 0) by a weight form of n; a stream with no entry
+    falls back to ctx.mu at its numeric value.
+    """
 
     sequence: SequenceSpec
     partner: SequenceSpec | None = None
-    assignment: MuAssignment = MuAssignment()
+    assignment: tuple = ()  # ((expr, offset or None, WeightForm), ...)
     candidates: tuple = ()  # ((expr, value), ...)
     eps_schedule: tuple = DEFAULT_EPS
     horizon: int = DEFAULT_HORIZON
@@ -188,15 +155,18 @@ class ExperimentSpec:
         for expr, value in self.candidates:
             self.check_expression(expr)
             float(value)
-        entries = self.assignment.entries
-        for i, (e_expr, e_off, _) in enumerate(entries):
-            self.check_expression(e_expr)
-            for expr, off, _ in entries[:i]:  # resolve would silently pick the first of two
-                if expr == e_expr and abs((off or 0.0) - (e_off or 0.0)) <= self.ctx.eq_tol:
-                    raise SpecError(f"mu: tags {_tag_to_key(expr, off)!r} and {_tag_to_key(e_expr, e_off)!r}"
-                                    " weigh the same stream")
+        for i, (expr, offset, wf) in enumerate(self.assignment):
+            self.check_expression(expr)
+            if not isinstance(wf, WeightForm):
+                raise SpecError(f"assignment for {expr!r} must carry a WeightForm")
+            first = self.assigned(expr, offset)
+            if first is None:  # only a non-finite offset misses its own entry
+                raise ValidationError(f"mu: tag {_tag_to_key(expr, offset)!r}: offset is not finite")
+            if self.assignment.index(first) < i:  # the lookup would silently pick the first of two
+                raise SpecError(f"mu: tags {_tag_to_key(*first[:2])!r} and {_tag_to_key(expr, offset)!r}"
+                                " weigh the same stream")
         validated = []  # every entry shares the range, so each distinct form is scanned once
-        for e_expr, _, wf in entries:
+        for e_expr, _, wf in self.assignment:
             if wf not in validated:
                 wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
                 validated.append(wf)
@@ -214,6 +184,15 @@ class ExperimentSpec:
             raise UsageError(f"unknown expression {expr!r}; known: {', '.join(EXPRESSIONS)}")
         if expr != "self" and self.partner is None:
             raise UsageError(f"expression {expr!r} needs a partner sequence")
+
+    def assigned(self, expr: str, offset: float | None):
+        """The first assignment entry that weighs expr shifted by offset, or None;
+        no offset counts as 0, and offsets within eq_tol are equal."""
+        want = 0.0 if offset is None else float(offset)
+        for e_expr, e_off, wf in self.assignment:
+            if e_expr == expr and abs(want - (0.0 if e_off is None else float(e_off))) <= self.ctx.eq_tol:
+                return e_expr, e_off, wf
+        return None
 
 
 # the classical scans weigh every term 1 and keep the default tolerances
@@ -305,8 +284,8 @@ class _Stream:
         buf = self._buffer(self.hi - self.n0 + 1)
         shift = 0.0 if candidate is None else float(candidate)
         dev = np.subtract(self.values(expr, out=buf), shift, out=buf)
-        wf = exp.assignment.resolve(expr, candidate, exp.ctx.eq_tol)
-        w = exp.ctx.mu.weight_many(dev) if wf is None else self.weights(wf)
+        entry = exp.assigned(expr, candidate)
+        w = exp.ctx.mu.weight_many(dev) if entry is None else self.weights(entry[2])
         if not signed:
             np.abs(dev, out=dev)
         dev *= w
@@ -552,10 +531,8 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
         raise SpecError("experiment: needs 'sequence'")
     seq = _parse_sequence(doc["sequence"])
     partner = _parse_sequence(doc["partner"], "partner") if doc.get("partner") else None
-    entries = []
-    for key, obj in spec_object(doc.get("mu", {}), "mu").items():
-        expr, offset = _parse_tag(key)
-        entries.append((expr, offset, parse_weight_form(obj, where=f"mu[{key}]")))
+    assignment = tuple((*_parse_tag(key), parse_weight_form(obj, where=f"mu[{key}]"))
+                       for key, obj in spec_object(doc.get("mu", {}), "mu").items())
     candidates = []
     for item in spec_array(doc.get("candidates", []), "candidates"):
         if isinstance(item, dict):
@@ -577,7 +554,7 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
     return ExperimentSpec(
         sequence=seq,
         partner=partner,
-        assignment=MuAssignment(tuple(entries)),
+        assignment=assignment,
         candidates=tuple(candidates),
         eps_schedule=eps,
         horizon=horizon,
@@ -597,7 +574,7 @@ def serialize_experiment(exp: ExperimentSpec) -> dict:
         "sequence": seq_obj(exp.sequence),
         "mu": {
             _tag_to_key(expr, off): weight_form_to_obj(wf)
-            for expr, off, wf in exp.assignment.entries
+            for expr, off, wf in exp.assignment
         },
         "candidates": [{"expr": e, "value": v} for e, v in exp.candidates],
         "eps": list(exp.eps_schedule),

@@ -17,7 +17,7 @@ import pytest
 from mufield import (
     ExperimentSpec,
     FieldContext,
-    MuAssignment,
+    MembershipFunction,
     MuRule,
     Ordering,
     PointMatcher,
@@ -26,27 +26,22 @@ from mufield import (
     check_monotone,
     classical_converges,
     crisp,
-    demo_catalog,
-    from_rules,
-    min_index_for_epsilon,
     mu_abs,
     mu_arg,
     mu_compare,
     mu_conj,
     mu_converges,
-    mu_eval,
     mu_exp,
     mu_log,
     mu_pow,
     mu_sup,
     run_demo,
     run_identity_sweep,
-    seq_bounded_report,
     two_level,
 )
 from mufield.real_field import PASS
 from mufield.registry import DEFAULT_SWEEP_IDS
-from mufield.sequences import DEFAULT_EPS, REFUTED, SUPPORTED, SUPPORTED_TRIVIALLY
+from mufield.sequences import SUPPORTED, SUPPORTED_TRIVIALLY
 
 EQ_TOL = 1e-9
 
@@ -300,7 +295,7 @@ def test_criterion_9_axiom_checker():
     ]
     for axiom, point, samples in mutations:
         rng = random.Random(f"acceptance:{axiom}")
-        mu = from_rules([MuRule(PointMatcher(point), rng.uniform(0.1, 0.95))], 1.0)
+        mu = MembershipFunction([MuRule(PointMatcher(point), rng.uniform(0.1, 0.95))], 1.0)
         report = check_axioms(FieldContext(mu=mu), list(samples))
         failing = {a for a, ok in report.verdicts.items() if not ok}
         assert failing == {axiom}, f"mutation {axiom} detected as {failing}"

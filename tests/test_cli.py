@@ -156,6 +156,21 @@ class TestConverge:
         assert lines[0] == "n,term,membership,scaled_deviation"
         assert len(lines) == 2001
 
+    @pytest.mark.parametrize("reason, message", [
+        ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array"),
+        ("", "not enough memory for this request"),
+    ])
+    def test_request_too_big_for_memory_is_exit_1(self, capsys, monkeypatch, experiment_path, reason, message):
+        # a valid request this machine cannot hold; raised, not allocated, since
+        # whether a huge allocation fails at once depends on memory overcommit
+        def too_big(exp):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr("mufield.cli.run_experiment", too_big)
+        code, out, err = run(capsys, "converge", experiment_path)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_horizon_over_family_cap_is_exit_2(self, capsys, tmp_path):
         doc = {
             "sequence": {"form": "exp_plus", "params": {"c": 0.0}, "n_min": 1, "n_max": 700},
@@ -186,6 +201,7 @@ class TestTraceTarget:
 
     @pytest.mark.parametrize("partner, target, message", [
         (False, "self:abc", "--trace-target candidate: expected a number, got 'abc'"),
+        (False, "self:nan", "--trace-target candidate: expected a finite number, got 'nan'"),
         (False, "bogus:0", "unknown expression 'bogus'"),
         (True, "bogus:0", "unknown expression 'bogus'"),
         (False, "sum:0", "expression 'sum' needs a partner sequence"),
@@ -230,6 +246,16 @@ class TestMalformedInput:
         (["eval", "mu_sup", "--set", "1,x"], "--set"),
         (["axioms", "--grid", "1:x:1"], "--grid"),
         (["axioms", "--grid", "1:2"], "--grid"),
+        # NaN and the infinities are refused where they are read, not passed on
+        (["eval", "mu", "--a", "nan"], "--a: expected a finite number, got 'nan'"),
+        (["eval", "mu_compare", "--a", "1", "--b=-inf"], "--b: expected a finite number"),
+        (["eval", "mu_conj", "--z", "1,nan"], "--z: expected a finite number"),
+        (["eval", "mu_pow", "--base", "inf", "--z", "1"], "--base: expected a finite number"),
+        (["eval", "mu_sup", "--set", "1,nan"], "--set: expected a finite number"),
+        (["axioms", "--grid", "0:inf:1"], "--grid: expected a finite number"),
+        # a step that cannot move the grid's values would loop forever
+        (["axioms", "--grid=1e16:2e16:1"], "--grid"),
+        (["axioms", "--grid=1e16:10000000000000002:1"], "--grid"),  # 1e16 + 1 ties back to 1e16
     ])
     def test_malformed_flag_number(self, capsys, argv, field):
         code, out, err = run(capsys, *argv)
@@ -241,6 +267,12 @@ class TestMalformedInput:
         code, _, err = run(capsys, "axioms", "--samples", samples)
         assert code == 2 and err.startswith("error:") and "--samples" in err and "'x'" in err
 
+    def test_non_finite_sample(self, capsys, tmp_path):
+        # a usage error (exit 2) when read, not a domain error (exit 1) in the audit
+        samples = self.write(tmp_path, "samples.json", [1, float("nan")])
+        code, _, err = run(capsys, "axioms", "--samples", samples)
+        assert code == 2 and err.startswith("error:") and "--samples: expected a finite number" in err
+
     @pytest.mark.parametrize("cmd", ["axioms", "eval"])
     @pytest.mark.parametrize("match, field", [
         ({"kind": "point", "value": 0.0, "tol": "x"}, "rules[0].match.tol"),
@@ -251,6 +283,10 @@ class TestMalformedInput:
         ({"kind": "point", "value": 0.0, "values": [1.0]}, "rules[0].match: unknown key(s) 'values'"),
         ({"kind": "family", "form": "log_n_plus_c", "params": {"c": 0.0, "d": 1.0}, "n_max": 50},
          "params: unknown key(s) 'd'"),
+        # a NaN tolerance or point would never match, leaving the default weight
+        ({"kind": "point", "value": 0.0, "tol": "nan"}, "rules[0].match.tol: expected a finite number"),
+        ({"kind": "point", "value": float("nan")}, "rules[0].match.value: expected a finite number"),
+        ({"kind": "set", "values": [0.0, float("inf")]}, "rules[0].match.values: expected a finite number"),
     ])
     def test_malformed_mu_spec(self, capsys, tmp_path, cmd, match, field):
         spec = self.write(tmp_path, "mu.json", {"default": 1.0, "rules": [{"match": match, "mu": 0.5}]})
@@ -308,6 +344,18 @@ class TestMalformedInput:
         # a tag or candidate on a stream the experiment does not have
         ({"mu": {"sum": 0.5}}, "'sum' needs a partner sequence"),
         ({"candidates": [{"expr": "partner", "value": 1.0}]}, "'partner' needs a partner sequence"),
+        # the refusal names the earlier tag that weighs the same stream, not the first tag
+        ({"mu": {"self_minus:2.0": 0.5, "self_minus:1.0": 0.5, "self_minus:1.0000000000001": 0.25}},
+         "tags 'self_minus:1.0' and 'self_minus:1.0000000000001'"),
+        ({"tolerances": {"eq_tol": 0.25}, "mu": {"self": 0.5, "self_minus:-0.25": 0.25}},
+         "tags 'self' and 'self_minus:-0.25'"),
+        # NaN and the infinities are refused where they are read
+        ({"candidates": ["nan"], "eps": ["nan", 0.1]}, "candidates: expected a finite number, got 'nan'"),
+        ({"candidates": [float("nan")]}, "candidates: expected a finite number, got nan"),
+        ({"eps": ["nan", 0.1]}, "eps: expected a finite number, got 'nan'"),
+        ({"eps": ["inf"]}, "eps: expected a finite number, got 'inf'"),
+        ({"mu": {"self_minus:nan": 0.5}}, "tag 'self_minus:nan': expected a finite number"),
+        ({"sequence": {"form": "log_plus", "params": {"c": "-inf"}, "n_max": 50}}, "sequence.params.c"),
     ])
     def test_malformed_experiment(self, capsys, tmp_path, change, field):
         doc = {"sequence": {"form": "sq_ratio", "params": {}, "n_max": 50}, "candidates": [1.0], "horizon": 50}

@@ -14,7 +14,6 @@ import pytest
 from mufield import (
     ExperimentSpec,
     FieldContext,
-    MuAssignment,
     SequenceSpec,
     WeightForm,
     classical_converges,
@@ -55,7 +54,7 @@ def test_classical_verdicts_equal_standalone_scan():
     exp = ExperimentSpec(
         sequence=seq,
         partner=partner,
-        assignment=MuAssignment((("sum", None, constant_weight(0.5)),)),
+        assignment=(("sum", None, constant_weight(0.5)),),
         candidates=(("self", 1.0), ("partner", 1.0), ("self", 1.05), ("sum", 2.0)),
         eps_schedule=eps,
         horizon=1_500,

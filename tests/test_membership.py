@@ -19,7 +19,6 @@ from mufield import (
     WeightForm,
     check_axioms,
     crisp,
-    from_rules,
     load_mu_spec,
     mu_eval,
     mu_summary,
@@ -33,7 +32,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6,
 
 def log_family_mu(n_max=100_000):
     """Zero default with weight n/(n+1)^3 on the log-drift family log(n) + 1."""
-    return from_rules(
+    return MembershipFunction(
         [
             MuRule(
                 FamilyMatcher(ValueForm("log_n_plus_c", {"c": 1.0}), 1, n_max),
@@ -50,7 +49,7 @@ class TestEvaluation:
         assert mu_eval(ctx, 7.3) == 1.0
 
     def test_point_rule_and_default_split(self):
-        mu = from_rules([MuRule(PointMatcher(0.0, 1e-9), 1.0)], 0.0)
+        mu = MembershipFunction([MuRule(PointMatcher(0.0, 1e-9), 1.0)], 0.0)
         ctx = FieldContext(mu=mu)
         assert mu_eval(ctx, 0.0) == 1.0
         assert mu_eval(ctx, 0.5) == 0.0
@@ -61,13 +60,13 @@ class TestEvaluation:
         assert mu_eval(ctx, 0.123) == 0.0
 
     def test_first_rule_wins(self):
-        mu = from_rules(
+        mu = MembershipFunction(
             [MuRule(PointMatcher(1.0), 0.2), MuRule(PointMatcher(1.0), 0.9)], 0.5
         )
         assert mu.weight(1.0) == 0.2
 
     def test_complex_point_rule(self):
-        mu = from_rules([MuRule(PointMatcher(3 + 4j), 0.5)], 0.0)
+        mu = MembershipFunction([MuRule(PointMatcher(3 + 4j), 0.5)], 0.0)
         ctx = FieldContext(mu=mu)
         assert mu_eval(ctx, 3 + 4j) == 0.5
         assert mu_eval(ctx, 3 - 4j) == 0.0
@@ -147,7 +146,7 @@ class TestBuilders:
 
     def test_weight_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            from_rules([MuRule(PointMatcher(1.0), 1.5)], 1.0)
+            MembershipFunction([MuRule(PointMatcher(1.0), 1.5)], 1.0)
         with pytest.raises(ValidationError):
             MembershipFunction((), 2.0)
 
@@ -155,9 +154,9 @@ class TestBuilders:
         # weight 3(3n+1)/(2n^2) stays in [0, 1] from n = 5 on, but hits 6 at n = 1
         form = ValueForm("moebius", {"a": 0.0, "b": 2.0, "c": 9.0, "d": 3.0})
         weight = WeightForm("rational_poly", {"p": [3, 9], "q": [0, 0, 2]})
-        from_rules([MuRule(FamilyMatcher(form, 5, 100), weight)], 0.0)
+        MembershipFunction([MuRule(FamilyMatcher(form, 5, 100), weight)], 0.0)
         with pytest.raises(ValidationError, match="n=1"):
-            from_rules([MuRule(FamilyMatcher(form, 1, 100), weight)], 0.0)
+            MembershipFunction([MuRule(FamilyMatcher(form, 1, 100), weight)], 0.0)
 
     def test_index_weight_requires_family(self):
         with pytest.raises(ValidationError):
@@ -216,7 +215,7 @@ class TestSpecDocuments:
             load_mu_spec('{"default": 1, "rules": {}}')
 
     def test_round_trip_is_evaluation_equivalent(self):
-        mu = from_rules(
+        mu = MembershipFunction(
             [
                 MuRule(PointMatcher(0.0), 1.0),
                 MuRule(SetMatcher((2.0, -2.0), 1e-9), 0.25),
@@ -241,7 +240,7 @@ class TestAxioms:
         assert report.negation_symmetry
 
     def test_zero_weight_mutation_fails_exactly_v(self):
-        mu = from_rules([MuRule(PointMatcher(0.0), 0.9)], 1.0)
+        mu = MembershipFunction([MuRule(PointMatcher(0.0), 0.9)], 1.0)
         report = check_axioms(FieldContext(mu=mu), [2.0])
         failing = {a for a, ok in report.verdicts.items() if not ok}
         assert failing == {"v"}
@@ -269,7 +268,7 @@ class TestAxioms:
     def test_seeded_single_axiom_mutations(self, axiom, rule_point, samples):
         rng = random.Random(f"mutation:{axiom}")
         w = rng.uniform(0.1, 0.95)
-        mu = from_rules([MuRule(PointMatcher(rule_point), w)], 1.0)
+        mu = MembershipFunction([MuRule(PointMatcher(rule_point), w)], 1.0)
         report = check_axioms(FieldContext(mu=mu), list(samples))
         failing = {a for a, ok in report.verdicts.items() if not ok}
         assert failing == {axiom}
@@ -282,7 +281,7 @@ class TestSummary:
         assert s.inf_mu == 1.0 and s.count_zero == 0
 
     def test_zero_default_summary(self):
-        mu = from_rules([MuRule(PointMatcher(0.0), 1.0)], 0.0)
+        mu = MembershipFunction([MuRule(PointMatcher(0.0), 1.0)], 0.0)
         s = mu_summary(FieldContext(mu=mu), [0.0, 5.0])
         assert s.inf_mu == 0.0 and s.count_zero == 1 and s.witness == 5.0
 

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from mufield import (
     DomainError,
     FieldContext,
+    MembershipFunction,
     MuRule,
     Ordering,
     PointMatcher,
     UsageError,
     check_real_identity,
     check_sup_characterization,
-    crisp,
-    from_rules,
     mu_abs,
     mu_bounded_report,
     mu_compare,
@@ -28,7 +27,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_va
 
 
 def point_mu(table, default=1.0):
-    return from_rules([MuRule(PointMatcher(float(k), 1e-12), w) for k, w in table.items()], default)
+    return MembershipFunction([MuRule(PointMatcher(float(k), 1e-12), w) for k, w in table.items()], default)
 
 
 class TestCompare:

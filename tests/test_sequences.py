@@ -10,7 +10,6 @@ from mufield import (
     FamilyMatcher,
     FieldContext,
     MembershipFunction,
-    MuAssignment,
     MuRule,
     PointMatcher,
     SequenceSpec,
@@ -33,7 +32,6 @@ from mufield import (
     scaled_deviation,
     seq_bounded_report,
     serialize_experiment,
-    term_at,
     two_level,
 )
 from mufield.real_field import FAIL, PASS, UNMET
@@ -54,7 +52,7 @@ def log_drift_experiment(horizon=100_000):
     seq = SequenceSpec("log_plus", {"c": 1.0}, 1, horizon)
     return ExperimentSpec(
         sequence=seq,
-        assignment=MuAssignment((("self", None, POLY_N_CUBE),)),
+        assignment=(("self", None, POLY_N_CUBE),),
         candidates=(("self", 0.0),),
         horizon=horizon,
     )
@@ -64,11 +62,9 @@ def exp_drift_experiment():
     seq = SequenceSpec("exp_plus", {"c": 2.0}, 1, 600)
     return ExperimentSpec(
         sequence=seq,
-        assignment=MuAssignment(
-            (
-                ("self", None, constant_weight(1.0)),
-                ("self", 1.0, WeightForm("inv_exp_p1_sq", {})),
-            )
+        assignment=(
+            ("self", None, constant_weight(1.0)),
+            ("self", 1.0, WeightForm("inv_exp_p1_sq", {})),
         ),
         candidates=(("self", 1.0),),
         horizon=600,
@@ -77,23 +73,23 @@ def exp_drift_experiment():
 
 class TestTerms:
     def test_log_plus(self):
-        assert term_at(SequenceSpec("log_plus", {"c": 1.0}), 1) == 1.0
+        assert SequenceSpec("log_plus", {"c": 1.0}).term_at(1) == 1.0
 
     def test_sq_ratio(self):
-        assert term_at(SequenceSpec("sq_ratio", {}), 2) == 2.25
+        assert SequenceSpec("sq_ratio", {}).term_at(2) == 2.25
 
     def test_moebius(self):
         seq = SequenceSpec("moebius", {"a": 1, "b": 1, "c": 3, "d": 1})
-        assert term_at(seq, 5) == 0.375
+        assert seq.term_at(5) == 0.375
 
     def test_constant_and_table(self):
-        assert term_at(SequenceSpec("constant", {"value": 5.0}), 17) == 5.0
+        assert SequenceSpec("constant", {"value": 5.0}).term_at(17) == 5.0
         seq = SequenceSpec("table", {"points": {1: 0.5, 2: 0.75}}, 1, 2)
-        assert term_at(seq, 2) == 0.75
+        assert seq.term_at(2) == 0.75
 
     def test_out_of_range(self):
         with pytest.raises(UsageError):
-            term_at(SequenceSpec("log_plus", {"c": 0.0}, 1, 10), 11)
+            SequenceSpec("log_plus", {"c": 0.0}, 1, 10).term_at(11)
 
     def test_exp_cap_enforced(self):
         with pytest.raises(ValidationError):
@@ -183,8 +179,7 @@ class TestVerdicts:
         shift = 1.0 - math.sqrt(2.0)
         exp = ExperimentSpec(
             sequence=seq,
-            assignment=MuAssignment(((
-                "self", shift, POLY_N_CUBE),)),
+            assignment=(("self", shift, POLY_N_CUBE),),
             candidates=(("self", shift),),
             horizon=horizon,
         )
@@ -245,7 +240,7 @@ def test_table_sequence_bounds_equal_finite_set_bounds(values, n_min, ones, leve
 
 
 class TestMonotone:
-    def _exp(self, seq, mu=None, horizon=1000, assignment=MuAssignment(())):
+    def _exp(self, seq, mu=None, horizon=1000, assignment=()):
         return ExperimentSpec(
             sequence=seq,
             assignment=assignment,
@@ -268,9 +263,7 @@ class TestMonotone:
     def test_unbounded_increasing_is_unmet_with_probe(self):
         # terms n with weight n/(n+1): scaled n^2/(n+1) grows without bound
         seq = SequenceSpec("moebius", {"a": 1, "b": 0, "c": 0, "d": 1}, 1, 2000)
-        assignment = MuAssignment(
-            (("self", None, WeightForm("rational_poly", {"p": [0, 1], "q": [1, 1]})),)
-        )
+        assignment = (("self", None, WeightForm("rational_poly", {"p": [0, 1], "q": [1, 1]})),)
         rep = check_monotone(self._exp(seq, horizon=2000, assignment=assignment), probe=1000.0)
         assert rep.verdict == UNMET
         no_probe = check_monotone(self._exp(seq, horizon=2000, assignment=assignment))
@@ -327,7 +320,7 @@ class TestSchema:
         back = load_experiment(json.dumps(doc))
         assert back.horizon == exp.horizon
         assert back.candidates == exp.candidates
-        assert back.assignment.entries[0][0] == "self"
+        assert back.assignment[0][0] == "self"
         v1 = mu_converges(exp, "product", 0.0)
         v2 = mu_converges(back, "product", 0.0)
         assert v1.eps_table == v2.eps_table
@@ -377,6 +370,36 @@ class TestSchema:
             load_experiment(json.dumps(doc))
         doc["sequence"]["n_min"] = 5
         load_experiment(json.dumps(doc))
+
+
+# eq_tol 0.25 and the offsets below are exact in binary, so the boundary is exact
+_ENTRIES = (("self", None, constant_weight(0.5)), ("self", 1.0, constant_weight(0.25)),
+            ("partner", 0.0, constant_weight(0.75)))
+
+
+@pytest.mark.parametrize("expr, offset, index", [
+    ("self", None, 0),
+    ("self", 0.0, 0),  # no offset is the offset 0
+    ("partner", None, 2),
+    ("self", -0.25, 0),  # within eq_tol
+    ("self", 1.25, 1),
+    ("self", float(np.nextafter(1.25, 2.0)), None),  # just beyond it
+    ("self", 0.5, None),
+    ("sum", 0.0, None),  # an expression with no entry
+])
+def test_assigned_entry(expr, offset, index):
+    seq = SequenceSpec("sq_ratio", {}, 1, 10)
+    exp = ExperimentSpec(sequence=seq, partner=seq, assignment=_ENTRIES, horizon=10,
+                         ctx=FieldContext(eq_tol=0.25))
+    assert exp.assigned(expr, offset) == (None if index is None else _ENTRIES[index])
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf])
+def test_non_finite_offset_is_refused(offset):
+    # such an entry would weigh no stream, not even its own
+    with pytest.raises(ValidationError, match="offset is not finite"):
+        ExperimentSpec(sequence=SequenceSpec("sq_ratio", {}, 1, 10), horizon=10,
+                       assignment=(("self", offset, constant_weight(0.5)),))
 
 
 def test_trace_rows_shape():
@@ -521,7 +544,7 @@ def _experiments(draw):
     return ExperimentSpec(
         sequence=seq,
         partner=partner,
-        assignment=MuAssignment(tuple((e, off, draw(_weight_forms)) for e, off in tags)),
+        assignment=tuple((e, off, draw(_weight_forms)) for e, off in tags),
         candidates=tuple(draw(st.lists(st.tuples(exprs, _finite), max_size=3))),
         eps_schedule=tuple(draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))),
         horizon=draw(st.integers(5, n_max)),

@@ -12,7 +12,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mufield"
-CLASSES = ("FieldContext", "ExperimentSpec", "SequenceSpec", "MuAssignment", "MembershipFunction")
+CLASSES = ("FieldContext", "ExperimentSpec", "SequenceSpec", "MembershipFunction")
 
 
 def unread_fields(sources, classes) -> list:

@@ -1,9 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, and no test module, imports a name it never uses.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library: every name bound by an import must be read
 somewhere in the module. `__init__.py` is skipped, since it imports to
-re-export.
+re-export. The tests are walked too, so a name removed from the package
+leaves no dangling import behind.
 """
 
 import ast
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mufield"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "mufield").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
