@@ -39,6 +39,9 @@ from .sequences import load_experiment, run_experiment, trace_rows
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+# axioms audits every pair of samples, O(n^2) weighings, so a larger request
+# would run for minutes and is refused before any sample is built
+MAX_AXIOM_SAMPLES = 2_000
 
 
 def _sha256(path: str) -> str:
@@ -117,6 +120,12 @@ def _parse_grid(text: str):
     # v += step moves v only while step exceeds half an ulp of v (a tie may round back)
     if step <= math.ulp(max(abs(lo), abs(top))) / 2:
         raise UsageError(f"--grid: step {step!r} is too small to move a value of the grid, got {text!r}")
+    # the loop below makes floor(span) + 1 samples, up to rounding; as step
+    # moves the grid, neither quotient exceeds 2**54, where top - lo may overflow
+    span = top / step - lo / step
+    if span >= MAX_AXIOM_SAMPLES:
+        raise UsageError(f"--grid: {text!r} gives {math.floor(span) + 1} samples,"
+                         f" more than the cap of {MAX_AXIOM_SAMPLES}")
     out = []
     v = lo
     while v <= top:
@@ -156,6 +165,8 @@ def cmd_axioms(args) -> int:
             raise UsageError(f"--samples: invalid JSON ({e})") from e
         if not isinstance(doc, list):
             raise UsageError("--samples: expected a JSON array of numbers")
+        if len(doc) > MAX_AXIOM_SAMPLES:
+            raise UsageError(f"--samples: {len(doc)} samples, more than the cap of {MAX_AXIOM_SAMPLES}")
         samples = [_flag_number(v, "--samples") for v in doc]
         inputs.append(args.samples)
     else:

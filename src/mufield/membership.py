@@ -51,6 +51,13 @@ def _require_finite(v: Scalar, what: str = "value") -> Scalar:
     return v
 
 
+def _unit_default(default) -> float:
+    w = float(default)
+    if not (0.0 <= w <= 1.0):
+        raise ValidationError(f"default weight {default!r} out of [0, 1]")
+    return w
+
+
 @dataclass(frozen=True)
 class PointMatcher:
     """Accepts values within tol of a single point."""
@@ -148,42 +155,75 @@ class MembershipFunction:
     Rule order is significant and user-controlled; overlapping matchers are
     allowed. Construction scans every family rule's index range and rejects
     any weight outside [0, 1], so evaluation never has to re-check.
+
+    Construction also compiles the point and set rules ahead of the first
+    family rule into one flat tuple of (point, tol, weight) rows, one row per
+    point: the scalar weight reads them from there and nowhere else.
+    from_points builds a function from such rows alone, and its rules are
+    then built on first read.
     """
 
-    rules: tuple = ()
+    rules: tuple
     default: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        if not (0.0 <= float(self.default) <= 1.0):
-            raise ValidationError(f"default weight {self.default!r} out of [0, 1]")
+        object.__setattr__(self, "default", _unit_default(self.default))
+        rows, family = [], False
         validated = []  # (form, n_min, n_max) already scanned
         for i, rule in enumerate(self.rules):
             if not isinstance(rule, MuRule):
                 raise ValidationError(f"rules[{i}] is not a MuRule")
-            if isinstance(rule.weight, WeightForm) and isinstance(rule.matcher, FamilyMatcher):
-                key = (rule.weight, rule.matcher.n_min, rule.matcher.n_max)
-                if key not in validated:
+            m = rule.matcher
+            if isinstance(m, FamilyMatcher):
+                family = True
+                key = (rule.weight, m.n_min, m.n_max)
+                if isinstance(rule.weight, WeightForm) and key not in validated:
                     rule.weight.validate_range(key[1], key[2], where=f"rules[{i}]")
                     validated.append(key)
+            elif not family:
+                points = (m.value,) if isinstance(m, PointMatcher) else m.values
+                rows += [(p, m.tol, float(rule.weight)) for p in points]
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_family", family)
+
+    @classmethod
+    def from_points(cls, rows, default: float) -> MembershipFunction:
+        """Point rules given as (point, tol, weight) rows, the first match winning,
+        with a float weight in [0, 1] and a tol >= 0 on each row."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "default", _unit_default(default))
+        object.__setattr__(mu, "_rows", tuple(rows))
+        object.__setattr__(mu, "_family", False)
+        for _, tol, w in mu._rows:
+            if not (0.0 <= w <= 1.0 and tol >= 0.0):
+                raise ValidationError(f"point row weight {w!r} out of [0, 1] or tol {tol!r} < 0")
+        return mu
+
+    def __getattr__(self, name):
+        """The rules of a function from from_points, one point rule per row, built on first read."""
+        if name != "rules":
+            raise AttributeError(name)
+        rules = tuple(MuRule(PointMatcher(p, tol), w) for p, tol, w in self._rows)
+        object.__setattr__(self, "rules", rules)
+        return rules
 
     def weight(self, v: Scalar) -> float:
         """Weight of the first rule accepting v, else the default.
 
-        Point and set rules are tested here one at a time; from the first
-        family rule on, weight_many walks the rules.
+        The point and set rules ahead of the first family rule are tested as
+        flat rows; from the first family rule on, weight_many walks the rules.
         """
-        for rule in self.rules:
-            m = rule.matcher
-            if isinstance(m, FamilyMatcher):
-                return float(self.weight_many(np.array([v]))[0])
-            if m.hit(v):
-                return float(rule.weight)
-        return float(self.default)
+        for p, tol, w in self._rows:
+            if abs(v - p) <= tol:
+                return w
+        if self._family:
+            return float(self.weight_many(np.array([v]))[0])
+        return self.default
 
     def weight_many(self, values: np.ndarray) -> np.ndarray:
         """Weight of each real or complex value; first matching rule wins."""
-        out = np.full(values.shape, float(self.default))
+        out = np.full(values.shape, self.default)
         decided = np.zeros(values.shape, dtype=bool)
         real = values
         if np.iscomplexobj(values):
@@ -235,15 +275,16 @@ class FieldContext:
     min_mu: float = 1e-12
 
     def __post_init__(self):
-        if not self.eq_tol > 0.0:
-            raise ValidationError("tolerances must be strictly positive")
+        if not 0.0 < self.eq_tol < cmath.inf:
+            raise ValidationError(f"tolerances must be strictly positive and finite, got eq_tol={self.eq_tol!r}")
         if not (0.0 <= self.min_mu < 1.0):
             raise ValidationError("min_mu must lie in [0, 1)")
 
 
 def mu_eval(ctx: FieldContext, v: Scalar) -> float:
     """Membership weight of v under ctx.mu; v must be finite."""
-    v = _require_finite(v)
+    if not (type(v) in (float, complex) and cmath.isfinite(v)):  # subclasses, e.g. np.float64, are converted
+        v = _require_finite(v)
     return ctx.mu.weight(v)
 
 

@@ -22,7 +22,7 @@ from operator import add, mul, sub, truediv
 
 from .complex_field import COMPLEX_IDENTITIES, check_complex_identity
 from .errors import UsageError
-from .membership import FieldContext, MembershipFunction, MuRule, PointMatcher
+from .membership import FieldContext, MembershipFunction, crisp
 from .real_field import PASS, UNMET, REAL_IDENTITIES, IdentityCheckReport, check_real_identity
 
 _PIN_TOL = 1e-12
@@ -189,14 +189,12 @@ DEFAULT_SWEEP_IDS = tuple(i for i, e in REGISTRY.items() if not e.hidden)
 
 
 def table_membership(groups, rng, zero_rate: float) -> MembershipFunction:
-    """Point-rule weighting for one trial: one drawn weight per coupled group."""
-    rules = [MuRule(PointMatcher(0.0, _PIN_TOL), 1.0), MuRule(PointMatcher(1.0, _PIN_TOL), 1.0)]
+    """Point-table weighting for one trial: one drawn weight per coupled group."""
+    rows = [(0.0, _PIN_TOL, 1.0), (1.0, _PIN_TOL, 1.0)]
     for group in groups:
         w = 0.0 if rng.random() < zero_rate else rng.uniform(0.05, 1.0)
-        for p in group:
-            rules.append(MuRule(PointMatcher(p, _PIN_TOL), w))
-    default = rng.uniform(0.05, 1.0)
-    return MembershipFunction(tuple(rules), default)
+        rows += [(p, _PIN_TOL, w) for p in group]
+    return MembershipFunction.from_points(rows, rng.uniform(0.05, 1.0))
 
 
 def check_identity(ctx: FieldContext, ident: str, operands) -> IdentityCheckReport:
@@ -234,6 +232,7 @@ def run_identity_sweep(
     fall to its default weight).
     """
     ids = tuple(idents) if idents else DEFAULT_SWEEP_IDS
+    ctx = FieldContext(mu=crisp() if mu is None else mu, eq_tol=eq_tol)  # checks eq_tol before any trial
     outcomes = []
     for ident in ids:
         if ident not in REGISTRY:
@@ -245,10 +244,10 @@ def run_identity_sweep(
         first_failure = None
         for _ in range(trials):
             operands = entry.sample(rng)
-            trial_mu = mu if mu is not None else table_membership(
-                entry.point_groups(operands), rng, zero_rate
+            trial_ctx = ctx if mu is not None else FieldContext(
+                table_membership(entry.point_groups(operands), rng, zero_rate), eq_tol
             )
-            rep = check_identity(FieldContext(mu=trial_mu, eq_tol=eq_tol), ident, operands)
+            rep = check_identity(trial_ctx, ident, operands)
             if rep.verdict == PASS:
                 passed += 1
                 if math.isfinite(rep.residual):

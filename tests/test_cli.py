@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mufield import FieldContext, load_mu_spec, mu_eval
-from mufield.cli import main
+from mufield import FieldContext, UsageError, load_mu_spec, mu_eval
+from mufield.cli import MAX_AXIOM_SAMPLES, _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -48,6 +48,22 @@ class TestAxioms:
         code, out, _ = run(capsys, "axioms", crisp_path, "--samples", str(samples))
         assert code == 0
 
+    # every pair of samples is audited, so a larger request is refused before any sample is built
+    @pytest.mark.parametrize("grid, count", [(f"0:{MAX_AXIOM_SAMPLES}:1", MAX_AXIOM_SAMPLES + 1),
+                                             ("0:1e-3:1e-9", 1_000_001)])
+    def test_grid_over_the_sample_cap_is_refused(self, grid, count):
+        with pytest.raises(UsageError, match=f"gives {count} samples, more than the cap of {MAX_AXIOM_SAMPLES}"):
+            _parse_grid(grid)
+        assert len(_parse_grid(f"0:{MAX_AXIOM_SAMPLES - 1}:1")) == MAX_AXIOM_SAMPLES
+
+    def test_samples_over_the_cap_are_exit_2(self, capsys, tmp_path):
+        grid, samples = f"--grid=0:{MAX_AXIOM_SAMPLES}:1", tmp_path / "samples.json"
+        samples.write_text(json.dumps([0.5] * (MAX_AXIOM_SAMPLES + 1)))
+        for argv in (["axioms", grid], ["axioms", "--samples", str(samples)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"{MAX_AXIOM_SAMPLES + 1} samples, more than the cap of {MAX_AXIOM_SAMPLES}" in err
+
     def test_bad_spec_is_usage_error(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"default": 2.0, "rules": []}')
@@ -83,7 +99,8 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["body"]["value"] == 0.25
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan"])
+    # an infinite slack made every comparison equal and every identity pass
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf", "1e309"])
     def test_non_positive_tol_is_exit_2(self, capsys, tol):
         code, _, err = run(capsys, f"--tol={tol}", "eval", "mu_abs", "--a", "2")
         assert code == 2

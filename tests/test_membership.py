@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -149,6 +150,11 @@ class TestBuilders:
             MembershipFunction([MuRule(PointMatcher(1.0), 1.5)], 1.0)
         with pytest.raises(ValidationError):
             MembershipFunction((), 2.0)
+
+    def test_infinite_eq_tol_rejected(self):
+        # an infinite slack would make every comparison equal and every identity pass
+        with pytest.raises(ValidationError, match="finite, got eq_tol=inf"):
+            FieldContext(eq_tol=math.inf)
 
     def test_family_range_scan(self):
         # weight 3(3n+1)/(2n^2) stays in [0, 1] from n = 5 on, but hits 6 at n = 1
@@ -313,3 +319,70 @@ def test_evaluation_is_deterministic(v):
 @given(st.lists(finite_floats.filter(lambda x: x != 0), min_size=1, max_size=6))
 def test_crisp_axioms_pass_on_any_samples(samples):
     assert check_axioms(FieldContext(), samples).passed
+
+
+# The scalar weight walks flat (point, tol, weight) rows; weight_many walks the
+# rules. Points are drawn from a small pool as well, so that rules overlap.
+_points = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.25, 1j, 1 + 1j]),
+    st.floats(-4, 4),
+    st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)),
+)
+_tols = st.sampled_from([0.0, 1e-12, 0.25, 1.0])
+_FAMILY = FamilyMatcher(ValueForm("sq_ratio", {}), 1, 50)  # members ((n + 1) / n)^2 lie in (1, 4]
+
+
+@st.composite
+def _rules(draw):
+    """Point, set and family rules in any order, so a point rule may follow a family rule."""
+    rules = []
+    for kind in draw(st.lists(st.sampled_from(["point", "set", "family"]), max_size=6)):
+        if kind == "point":
+            rules.append(MuRule(PointMatcher(draw(_points), draw(_tols)), draw(st.floats(0, 1))))
+        elif kind == "set":
+            members = tuple(draw(st.lists(_points, min_size=1, max_size=4)))
+            rules.append(MuRule(SetMatcher(members, draw(_tols)), draw(st.floats(0, 1))))
+        else:
+            cubic = WeightForm("rational_poly", {"p": [0, 1], "q": [1, 3, 3, 1]})
+            weight = draw(st.one_of(st.floats(0, 1), st.just(cubic)))
+            rules.append(MuRule(_FAMILY, weight))
+    return rules
+
+
+@settings(max_examples=200)
+@given(_rules(), st.floats(0, 1), st.lists(_points, max_size=4), st.lists(st.integers(1, 52), max_size=3))
+def test_scalar_weight_agrees_with_weight_many(rules, default, extra, indices):
+    mu = MembershipFunction(rules, default)
+    probes = list(extra) + [float(_FAMILY.form.terms(np.array([float(n)]))[0]) for n in indices]
+    for rule in rules:
+        m = rule.matcher
+        if not isinstance(m, FamilyMatcher):
+            for p in (m.value,) if isinstance(m, PointMatcher) else m.values:
+                probes += [p, p + m.tol, p - 2 * m.tol]
+    if probes:
+        assert [mu.weight(v) for v in probes] == list(mu.weight_many(np.array(probes)))
+
+
+_rows = st.lists(st.tuples(_points, _tols, st.floats(0, 1)), max_size=8)
+
+
+@given(_rows, st.floats(0, 1), st.lists(_points, max_size=4))
+def test_point_table_weighs_like_its_point_rules(rows, default, extra):
+    table = MembershipFunction.from_points(rows, default)
+    ruled = MembershipFunction([MuRule(PointMatcher(p, tol), w) for p, tol, w in rows], default)
+    back = load_mu_spec(json.dumps(serialize_mu_spec(table)))
+    assert table.rules == ruled.rules and table == ruled
+    probes = list(extra) + [p for p, _, _ in rows] + [p + tol for p, tol, _ in rows]
+    for v in probes:
+        assert table.weight(v) == ruled.weight(v) == back.weight(v)
+    if probes:
+        assert list(table.weight_many(np.array(probes))) == [table.weight(v) for v in probes]
+
+
+def test_point_table_refuses_a_weight_out_of_range():
+    with pytest.raises(ValidationError, match="1.5"):
+        MembershipFunction.from_points([(0.0, 1e-12, 1.0), (2.0, 1e-12, 1.5)], 0.5)
+    with pytest.raises(ValidationError, match="-1"):
+        MembershipFunction.from_points([(0.0, -1.0, 1.0)], 0.5)
+    with pytest.raises(ValidationError):
+        MembershipFunction.from_points([], float("nan"))
