@@ -53,21 +53,21 @@ def _sha256(path: str) -> str:
 
 
 def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
+    """obj as JSON data; the dataclass test comes last, as nearly every leaf is a built-in type."""
+    if isinstance(obj, float):  # np.float64 included
+        return obj if math.isfinite(obj) else "nan" if obj != obj else "inf" if obj > 0 else "-inf"
+    t = type(obj)
+    if t is int or t is str or t is bool or obj is None:
         return obj
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, bool)) or obj is None:
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, (str, int)):
         return obj
     return repr(obj)
 

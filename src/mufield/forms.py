@@ -77,26 +77,6 @@ class ValueForm:
     def term_at(self, n: int) -> float:
         return float(self.terms(np.array([n], dtype=float))[0])
 
-    def invert(self, v):
-        """Real-valued index estimate with terms(estimate) = v (scalar or array).
-
-        NaN where there is no estimate: where it is undefined or not finite.
-        """
-        p = self.params
-        with np.errstate(all="ignore"):
-            if self.form == "log_n_plus_c":
-                t = v - p["c"]  # beyond 50, past any practical index range
-                est = np.where(t <= 50.0, np.exp(np.minimum(t, 50.0)), np.nan)
-            elif self.form == "exp_n_plus_c":
-                t = v - p["c"]
-                est = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), np.nan)
-            elif self.form == "sq_ratio":
-                est = 1.0 / (np.sqrt(np.where(v > 1.0, v, np.nan)) - 1.0)
-            else:
-                den = v * p["c"] - p["a"]
-                est = np.where(den != 0.0, (p["b"] - v * p["d"]) / np.where(den != 0.0, den, 1.0), np.nan)
-        return np.where(np.isfinite(est), est, np.nan)
-
 
 @dataclass(frozen=True)
 class WeightForm:

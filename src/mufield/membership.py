@@ -40,6 +40,7 @@ from .forms import (
 )
 
 AXIOM_IDS = ("i", "ii", "iii", "iv", "v")
+AXIOM_BLOCK = 65_536  # derived values check_axioms weighs per weight_many call
 
 Scalar = Union[float, complex]
 
@@ -80,6 +81,9 @@ class SetMatcher:
         return any(abs(v - s) <= self.tol for s in self.values)
 
 
+MAX_FAMILY_MEMBERS = 2_000_000  # a family's member table takes O(n_max - n_min) memory
+
+
 @dataclass(frozen=True)
 class FamilyMatcher:
     """Accepts values within tol of form(n) for some n in [n_min, n_max].
@@ -88,6 +92,12 @@ class FamilyMatcher:
     may be a WeightForm of n. A value within tol of several members matches
     the nearest one, and the lower index on a tie, so members closer together
     than tol still match their own index.
+
+    The first lookup evaluates every member once and keeps the finite ones in
+    one sorted table (non-finite members, past an exp overflow or at a
+    moebius pole, match nothing). A lookup is then one binary search and a
+    comparison of the two neighbours. Two float-equal members would make
+    the nearest one ambiguous, so building the table refuses them.
     """
 
     form: ValueForm
@@ -95,29 +105,57 @@ class FamilyMatcher:
     n_max: int
     tol: float = 1e-9
 
+    def _members(self) -> tuple:
+        """The member table, built on first use and kept: the finite members
+        ascending after one -inf and before two +inf sentinels, and each
+        one's n - n_min as int32 (-1 at the sentinels)."""
+        table = getattr(self, "_table", None)
+        if table is None:
+            with np.errstate(all="ignore"):
+                terms = self.form.terms(np.arange(self.n_min, self.n_max + 1, dtype=float))
+            order = np.argsort(terms, kind="stable")  # -inf first, then the finite, +inf and NaN last
+            start = np.count_nonzero(terms == -np.inf)
+            order = order[start:start + np.count_nonzero(np.isfinite(terms))]
+            members = np.full(order.size + 3, np.inf)
+            members[0] = -np.inf
+            np.take(terms, order, out=members[1:-2])
+            positions = np.full(order.size + 3, -1, dtype=np.int32)
+            positions[1:-2] = order
+            same = np.flatnonzero(members[1:] == members[:-1])
+            if same.size and members[same[0]] < np.inf:
+                k = int(same[0])
+                raise ValidationError(
+                    f"family {self.form.form} on [{self.n_min}, {self.n_max}]: the members at"
+                    f" n={self.n_min + int(positions[k])} and n={self.n_min + int(positions[k + 1])}"
+                    f" are both {float(members[k])!r}, so the nearest member is ambiguous"
+                )
+            table = (members, positions)
+            object.__setattr__(self, "_table", table)
+        return table
+
     def match_index(self, v: float) -> int | None:
         """The index whose member is nearest v within tol (the lower on a tie), or None."""
         k = int(self.match_indices(np.array([v], dtype=float))[0])
         return None if k < 0 else k
 
     def match_indices(self, values: np.ndarray) -> np.ndarray:
-        """Per-element match_index of real values (NaN matches nothing), or -1."""
-        out = np.full(values.shape, -1, dtype=np.int64)
-        best = np.full(values.shape, np.inf)
-        est = self.form.invert(values)
-        with np.errstate(all="ignore"):
-            base = np.floor(np.where(np.isfinite(est), est, self.n_min - 10)).astype(np.int64)
-            for off in (-1, 0, 1, 2):  # ascending, and only a strictly nearer index replaces
-                k = base + off
-                ok = (k >= self.n_min) & (k <= self.n_max)
-                if not ok.any():
-                    continue
-                kf = np.where(ok, k, self.n_min).astype(float)
-                d = np.abs(values - self.form.terms(kf))
-                hit = ok & (d <= self.tol) & (d < best)
-                out = np.where(hit, k, out)
-                best = np.where(hit, d, best)
-        return out
+        """Per-element match_index of real values (NaN and +-inf match nothing), or -1."""
+        members, positions = self._members()
+        # members[k] < v <= members[k + 1]: the two neighbours, with k in range for any v, NaN too
+        k = np.searchsorted(members[1:-1], values)
+        left, right = members.take(k), members[1:].take(k)
+        with np.errstate(invalid="ignore"):  # inf - inf where v is infinite
+            np.subtract(values, left, out=left)
+            np.subtract(right, values, out=right)
+        step = right < left
+        tie = right == left
+        if tie.any():
+            step[tie] = positions[k[tie] + 1] < positions[k[tie]]
+        k += step
+        np.minimum(left, right, out=left)  # the nearest distance; NaN where v is NaN or infinite
+        np.add(positions.take(k), self.n_min, out=k)
+        k[~(left <= self.tol)] = -1
+        return k
 
 
 Matcher = Union[PointMatcher, SetMatcher, FamilyMatcher]
@@ -139,12 +177,16 @@ class MuRule:
             if not (0.0 <= w <= 1.0):
                 raise ValidationError(f"rule weight {w!r} out of [0, 1]")
         tol = self.matcher.tol
-        if tol < 0.0:
-            raise ValidationError(f"matcher tol {tol!r} must be >= 0")
+        if not 0.0 <= tol < cmath.inf:  # an infinite tol would let a family match its sentinels
+            raise ValidationError(f"matcher tol {tol!r} must be finite and >= 0")
         if isinstance(self.matcher, FamilyMatcher):
-            if self.matcher.n_min < 1 or self.matcher.n_min > self.matcher.n_max:
+            m = self.matcher
+            if m.n_min < 1 or m.n_min > m.n_max:
+                raise ValidationError(f"family index range [{m.n_min}, {m.n_max}] is invalid")
+            if m.n_max - m.n_min + 1 > MAX_FAMILY_MEMBERS:
                 raise ValidationError(
-                    f"family index range [{self.matcher.n_min}, {self.matcher.n_max}] is invalid"
+                    f"family rule {m.form.form} on [{m.n_min}, {m.n_max}] has {m.n_max - m.n_min + 1}"
+                    f" members, more than the cap of {MAX_FAMILY_MEMBERS}"
                 )
 
 
@@ -196,8 +238,8 @@ class MembershipFunction:
         object.__setattr__(mu, "_rows", tuple(rows))
         object.__setattr__(mu, "_family", False)
         for _, tol, w in mu._rows:
-            if not (0.0 <= w <= 1.0 and tol >= 0.0):
-                raise ValidationError(f"point row weight {w!r} out of [0, 1] or tol {tol!r} < 0")
+            if not (0.0 <= w <= 1.0 and 0.0 <= tol < cmath.inf):
+                raise ValidationError(f"point row weight {w!r} out of [0, 1] or tol {tol!r} not finite and >= 0")
         return mu
 
     def __getattr__(self, name):
@@ -420,11 +462,30 @@ def _derived(v: Scalar, op: str, *operands) -> Scalar:
     return v
 
 
+def _outer_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = a[i] * b[j], as Python's float or complex * computes it.
+
+    numpy's own complex multiply may round differently, so a complex product
+    is built from its parts: (ar br - ai bi) + (ar bi + ai br) i.
+    """
+    if not np.iscomplexobj(out):
+        np.multiply.outer(a, b, out=out)
+        return
+    t = np.multiply.outer(a.imag, b.imag)
+    np.multiply.outer(a.real, b.real, out=out.real)
+    np.subtract(out.real, t, out=out.real)
+    np.multiply.outer(a.imag, b.real, out=t)
+    np.multiply.outer(a.real, b.imag, out=out.imag)
+    np.add(out.imag, t, out=out.imag)
+
+
 def check_axioms(ctx: FieldContext, samples) -> AxiomReport:
     """Audit the five axioms over all pairs of samples (O(n^2) pair work).
 
-    Each sample x is one row: its n sums x + y and n products x y are
-    weighed in one weight_many call, so memory stays O(n).
+    The sums x + y and products x y of as many sample rows as fit in
+    AXIOM_BLOCK derived values are weighed in one weight_many call, so memory
+    stays O(AXIOM_BLOCK + n). Violations come in pair order, the sum of a
+    pair before its product.
     """
     pts = [_require_finite(s, "sample") for s in samples]
     if not pts:
@@ -437,20 +498,28 @@ def check_axioms(ctx: FieldContext, samples) -> AxiomReport:
     def violate(axiom, operands, lhs, rhs):
         violations.append(AxiomViolation(axiom, operands, float(lhs), float(rhs)))
 
-    for i, x in enumerate(pts):
-        derived = np.array([x + y for y in pts] + [x * y for y in pts])
-        if not np.isfinite(derived).all():
-            for y in pts:  # name the first non-finite result in pair order
-                _derived(x + y, "{} + {}", x, y)
-                _derived(x * y, "{} * {}", x, y)
+    rows = max(1, AXIOM_BLOCK // (2 * n))
+    for r0 in range(0, n, rows):
+        x = arr[r0:r0 + rows]
+        derived = np.empty((2, x.size, n), dtype=arr.dtype)  # the sums, then the products
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.outer(x, arr, out=derived[0])
+            _outer_product(x, arr, derived[1])
+        bad = ~np.isfinite(derived)
+        if bad.any():  # name the first non-finite result in pair order
+            i, j = np.argwhere(bad.any(axis=0))[0]
+            a, b = pts[r0 + i], pts[j]
+            _derived(a + b, "{} + {}", a, b)
+            _derived(a * b, "{} * {}", a, b)
         wd = weigh(derived)
-        bound = np.minimum(w[i], w)
-        low_sum, low_product = wd[:n] < bound - tol, wd[n:] < bound - tol
-        for j in np.flatnonzero(low_sum | low_product):
-            if low_sum[j]:
-                violate("i", (x, pts[j]), wd[j], bound[j])
-            if low_product[j]:
-                violate("iii", (x, pts[j]), wd[n + j], bound[j])
+        bound = np.minimum.outer(w[r0:r0 + rows], w)
+        low = wd < bound - tol
+        for i, j in zip(*np.nonzero(low[0] | low[1])):
+            a, b = pts[r0 + i], pts[j]
+            if low[0, i, j]:
+                violate("i", (a, b), wd[0, i, j], bound[i, j])
+            if low[1, i, j]:
+                violate("iii", (a, b), wd[1, i, j], bound[i, j])
     wn = weigh(-arr)
     inverses = {i: _derived(1.0 / x, "1 / {}", x) for i, x in enumerate(pts) if abs(x) > tol}
     wi = dict(zip(inverses, weigh(np.array(list(inverses.values())))))
