@@ -21,17 +21,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .forms import WeightForm, constant_weight
-from .membership import (
-    FamilyMatcher,
-    FieldContext,
-    MembershipFunction,
-    MuRule,
-)
-from .forms import ValueForm
+from .forms import ValueForm, WeightForm, constant_weight
+from .membership import FamilyMatcher, FieldContext, MembershipFunction, MuRule
 from .real_field import BoundsReport
 from .sequences import (
-    DEFAULT_EPS,
     SUPPORTED,
     SUPPORTED_TRIVIALLY,
     REFUTED,
@@ -56,20 +49,14 @@ _POLY_INV_N = WeightForm("rational_poly", {"p": [1], "q": [0, 1]})
 _INV_EXP = WeightForm("inv_exp_p1_sq", {})
 
 
-def _zero_default_mu(rules=()) -> MembershipFunction:
-    return MembershipFunction(tuple(rules), 0.0)
-
-
 def _nonunique_limit() -> ExperimentSpec:
     horizon = 100_000
     seq = SequenceSpec("log_plus", {"c": 1.0}, n_min=1, n_max=horizon)
     shift = 1.0 - math.sqrt(2.0)
-    mu = _zero_default_mu(
-        (
-            MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": 1.0}), 1, horizon), _POLY_N_OVER_CUBE),
-            MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": math.sqrt(2.0)}), 1, horizon), _POLY_N_OVER_CUBE),
-        )
-    )
+    mu = MembershipFunction((
+        MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": 1.0}), 1, horizon), _POLY_N_OVER_CUBE),
+        MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": math.sqrt(2.0)}), 1, horizon), _POLY_N_OVER_CUBE),
+    ), 0.0)
     return ExperimentSpec(
         sequence=seq,
         assignment=(
@@ -77,7 +64,6 @@ def _nonunique_limit() -> ExperimentSpec:
             ("self", shift, _POLY_N_OVER_CUBE),
         ),
         candidates=(("self", 0.0), ("self", shift)),
-        eps_schedule=DEFAULT_EPS,
         horizon=horizon,
         ctx=FieldContext(mu=mu),
         label="nonunique_limit",
@@ -87,9 +73,7 @@ def _nonunique_limit() -> ExperimentSpec:
 def _unbounded_convergent() -> ExperimentSpec:
     horizon = 600
     seq = SequenceSpec("exp_plus", {"c": 2.0}, n_min=1, n_max=horizon)
-    mu = _zero_default_mu(
-        (MuRule(FamilyMatcher(ValueForm("exp_n_plus_c", {"c": 2.0}), 1, horizon), 1.0),)
-    )
+    mu = MembershipFunction((MuRule(FamilyMatcher(ValueForm("exp_n_plus_c", {"c": 2.0}), 1, horizon), 1.0),), 0.0)
     return ExperimentSpec(
         sequence=seq,
         assignment=(
@@ -97,7 +81,6 @@ def _unbounded_convergent() -> ExperimentSpec:
             ("self", 1.0, _INV_EXP),
         ),
         candidates=(("self", 1.0),),
-        eps_schedule=DEFAULT_EPS,
         horizon=horizon,
         ctx=FieldContext(mu=mu),
         label="unbounded_convergent",
@@ -116,9 +99,8 @@ def _sum_failure() -> ExperimentSpec:
             ("sum", None, _POLY_SQ_OVER_2CUBE),
         ),
         candidates=(("self", 1.0), ("partner", 1.0), ("sum", 0.0), ("sum", 2.0)),
-        eps_schedule=DEFAULT_EPS,
         horizon=horizon,
-        ctx=FieldContext(mu=_zero_default_mu()),
+        ctx=FieldContext(mu=MembershipFunction((), 0.0)),
         label="sum_failure",
     )
 
@@ -137,9 +119,8 @@ def _product_failure() -> ExperimentSpec:
             ("product", None, _POLY_INV_N),
         ),
         candidates=(("self", 1.0), ("partner", third), ("product", 0.0), ("product", third)),
-        eps_schedule=DEFAULT_EPS,
         horizon=horizon,
-        ctx=FieldContext(mu=_zero_default_mu()),
+        ctx=FieldContext(mu=MembershipFunction((), 0.0)),
         label="product_failure",
     )
 
@@ -263,12 +244,4 @@ def run_demo(name: str) -> DemoReport:
     report = run_experiment(exp)
     _, headline, check = _CATALOG[name]
     claims, bounds, literal = check(exp, report)
-    return DemoReport(
-        name=name,
-        headline=headline,
-        experiment=exp,
-        report=report,
-        claims=tuple(claims),
-        bounds=bounds,
-        literal_variant=literal,
-    )
+    return DemoReport(name, headline, exp, report, tuple(claims), bounds, literal)

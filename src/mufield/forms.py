@@ -29,9 +29,6 @@ WEIGHT_FORM_IDS = tuple(_WEIGHT_FORM_PARAMS)
 # exp(n) overflows a double past n ~ 709.78; stay clear of the edge.
 EXP_INDEX_CAP = 700
 
-_CHUNK = 200_000  # bound memory while scanning large index ranges
-
-
 def check_params(form: str, params, names) -> None:
     """Refuse params whose keys are not exactly names, the parameters of form."""
     spec_object(params, f"form {form!r} params", names)
@@ -42,9 +39,13 @@ def check_params(form: str, params, names) -> None:
 
 def _horner(coeffs, n):
     """Evaluate a polynomial given by ascending coefficients at an index array n,
-    in place in one accumulator: acc = acc * n + c for each c from the top."""
-    acc = np.zeros_like(n, dtype=float)
-    for c in reversed(coeffs):
+    in place in one accumulator: acc = acc * n + c for each c from the top,
+    from acc = 0. The first step gives the top coefficient itself, so acc
+    starts there, unless it is a zero: 0 * n + -0.0 takes the sign of n."""
+    top = coeffs[-1]
+    first = top != 0.0
+    acc = np.full(n.shape, float(top) if first else 0.0)
+    for c in reversed(coeffs[:-1] if first else coeffs):
         np.multiply(acc, n, out=acc)
         np.add(acc, c, out=acc)
     return acc
@@ -101,20 +102,14 @@ class WeightForm:
         e = np.exp(-n)
         return np.exp(-2.0 * n) / (1.0 + e) ** 2
 
-    def validate_range(self, n_min: int, n_max: int, where: str = "weight form") -> None:
-        """Scan the declared index range and reject any weight outside [0, 1]."""
-        lo = n_min
-        while lo <= n_max:
-            hi = min(lo + _CHUNK - 1, n_max)
-            ns = np.arange(lo, hi + 1, dtype=float)
-            ws = self.weights(ns)
-            bad = np.nonzero((ws < 0.0) | (ws > 1.0) | ~np.isfinite(ws))[0]
-            if bad.size:
-                k = int(ns[bad[0]])
-                raise ValidationError(
-                    f"{where}: weight {float(ws[bad[0]])!r} out of [0, 1] at n={k}"
-                )
-            lo = hi + 1
+    def validate_range(self, n_min: int, n_max: int, where: str = "weight form") -> np.ndarray:
+        """The weights over the index range [n_min, n_max], in one array; a
+        ValidationError names the first n whose weight is outside [0, 1]."""
+        ws = self.weights(np.arange(n_min, n_max + 1, dtype=float))
+        if not (ws.min() >= 0.0 and ws.max() <= 1.0):  # NaN fails both
+            i = int(np.flatnonzero((ws < 0.0) | (ws > 1.0) | ~np.isfinite(ws))[0])
+            raise ValidationError(f"{where}: weight {float(ws[i])!r} out of [0, 1] at n={n_min + i}")
+        return ws
 
 
 def constant_weight(value: float) -> WeightForm:

@@ -69,16 +69,48 @@ class PointMatcher:
     def hit(self, v: Scalar) -> bool:
         return abs(v - self.value) <= self.tol
 
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        """Per-element hit of an array of real or complex values."""
+        return np.abs(values - self.value) <= self.tol
+
 
 @dataclass(frozen=True)
 class SetMatcher:
-    """Accepts values within tol of any member of a finite set."""
+    """Accepts values within tol of any member of a finite set.
+
+    An array lookup tests each value against the two real members that
+    neighbour its real part in one sorted table (the nearest, as |v - s|
+    grows with the gap in real parts), found by one binary search; members
+    off the real axis are tested one by one. A non-finite member matches nothing.
+    """
 
     values: tuple
     tol: float = 1e-9
 
     def hit(self, v: Scalar) -> bool:
         return any(abs(v - s) <= self.tol for s in self.values)
+
+    def _members(self) -> tuple:
+        """The finite real members ascending, and those off the real axis; built on first use and kept."""
+        table = getattr(self, "_table", None)
+        if table is None:
+            off = [isinstance(s, complex) and s.imag != 0.0 for s in self.values]
+            real = np.array([s.real for s, o in zip(self.values, off) if not o], dtype=float)
+            table = (np.sort(real[np.isfinite(real)]), [s for s, o in zip(self.values, off) if o])
+            object.__setattr__(self, "_table", table)
+        return table
+
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        """Per-element hit of an array of real or complex values."""
+        members, off_axis = self._members()
+        hit = np.zeros(values.shape, dtype=bool)
+        if members.size:
+            k = np.searchsorted(members, values.real)
+            for j in (np.maximum(k - 1, 0), np.minimum(k, members.size - 1)):
+                hit |= np.abs(values - members.take(j)) <= self.tol
+        for p in off_axis:
+            hit |= np.abs(values - p) <= self.tol
+        return hit
 
 
 MAX_FAMILY_MEMBERS = 2_000_000  # a family's member table takes O(n_max - n_min) memory
@@ -279,9 +311,7 @@ class MembershipFunction:
                 if take.any():
                     out[take] = w.weights(ks[take].astype(float)) if isinstance(w, WeightForm) else float(w)
             else:
-                hit = np.zeros(values.shape, dtype=bool)
-                for p in (m.value,) if isinstance(m, PointMatcher) else m.values:
-                    hit |= np.abs(values - p) <= m.tol
+                hit = m.hits(values)
                 out[hit & ~decided] = float(w)
             decided |= hit
             if decided.all():

@@ -15,12 +15,14 @@ then rests entirely on zero weights, so any candidate would be supported.
 The flag keeps statements like "converges to 0, not to 2 nontrivially"
 machine-checkable.
 
-Each stream is computed once per experiment: run_experiment evaluates the
-terms of each distinct sequence and the weights of each distinct assigned
-weight form once, and every scan (candidates, classical cross-checks, limit
-checks) reads from them. The classical scans keep their own range and
-tolerances: weight 1 over the sequence's own [n_min, horizon], with the
-default FieldContext tolerances, exactly as classical_converges.
+Each stream is computed once per experiment. The ExperimentSpec keeps the
+weights of each distinct assigned weight form from the pass that checks
+them against [0, 1]: one read-only array over [n_start, horizon], 8 bytes
+per index per form, which every scan slices. run_experiment evaluates the
+terms of each distinct sequence once for every scan (candidates, classical
+cross-checks, limit checks). The classical scans read weight 1 over the
+sequence's own [n_min, horizon] with the default FieldContext tolerances,
+exactly as classical_converges. N(eps) comes from block maxima (_eps_table).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .real_field import FAIL, PASS, UNMET, BoundsReport, IdentityCheckReport, _d
 DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_HORIZON = 100_000
 TRACE_CHUNK = 4096  # trace rows converted to Python numbers at a time
+EPS_BLOCK = 4096  # deviations per block maximum in the eps table
 
 SEQUENCE_FORMS = ("log_plus", "exp_plus", "sq_ratio", "moebius", "constant", "table")
 EXPRESSIONS = ("self", "partner", "sum", "product")
@@ -144,8 +147,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.eps_schedule or any(e <= 0.0 for e in self.eps_schedule):
             raise ValidationError("eps schedule must be non-empty and positive")
-        seqs = [self.sequence] + ([self.partner] if self.partner else [])
-        for s in seqs:
+        for s in [self.sequence] + ([self.partner] if self.partner else []):
             if self.horizon > s.n_max:
                 raise ValidationError(
                     f"horizon {self.horizon} exceeds sequence n_max {s.n_max}"
@@ -165,11 +167,13 @@ class ExperimentSpec:
             if self.assignment.index(first) < i:  # the lookup would silently pick the first of two
                 raise SpecError(f"mu: tags {_tag_to_key(*first[:2])!r} and {_tag_to_key(expr, offset)!r}"
                                 " weigh the same stream")
-        validated = []  # every entry shares the range, so each distinct form is scanned once
+        weights = []  # (form, its weights over [n_start, horizon]): every entry shares the range
         for e_expr, _, wf in self.assignment:
-            if wf not in validated:
-                wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
-                validated.append(wf)
+            if all(f != wf for f, _ in weights):
+                ws = wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
+                ws.flags.writeable = False
+                weights.append((wf, ws))
+        object.__setattr__(self, "_weights", tuple(weights))
 
     @property
     def n_start(self) -> int:
@@ -199,15 +203,26 @@ class ExperimentSpec:
 _CLASSICAL_CTX = FieldContext()
 
 
-def _eps_n(dev: np.ndarray, n0: int, eps: float, eq_tol: float) -> int | None:
-    """N(eps) for a deviation stream whose element i is index n0 + i."""
-    bad = dev >= eps * (1.0 + eq_tol)
-    if not bad.any():
-        return n0
-    last = int(np.nonzero(bad)[0][-1])
-    if last == dev.size - 1:
-        return None
-    return n0 + last + 1
+def _eps_table(dev: np.ndarray, n0: int, schedule, eq_tol: float) -> tuple:
+    """((eps, N(eps)), ...) for a deviation stream whose element i is index n0 + i.
+
+    N(eps) is the index after the last deviation >= eps (1 + eq_tol), n0 when
+    there is none, and None when it is the last; a NaN deviation counts as
+    within. One pass takes the maximum of each EPS_BLOCK deviations (fmax
+    skips NaN), and each eps searches only the last block that reaches it.
+    """
+    peaks = np.fmax.reduceat(dev, np.arange(0, dev.size, EPS_BLOCK))
+    table = []
+    for eps in schedule:
+        bound = float(eps) * (1.0 + eq_tol)
+        blocks = np.flatnonzero(peaks >= bound)
+        n = n0
+        if blocks.size:
+            lo = int(blocks[-1]) * EPS_BLOCK
+            last = lo + int(np.flatnonzero(dev[lo:lo + EPS_BLOCK] >= bound)[-1])
+            n = None if last == dev.size - 1 else n0 + last + 1
+        table.append((eps, n))
+    return tuple(table)
 
 
 class _Stream:
@@ -215,13 +230,14 @@ class _Stream:
 
     Scans read indices [lo, hi]. lo defaults to the experiment's n_start; a
     lower lo lets the classical scans read each sequence from its own n_min.
-    The terms of each distinct sequence and the weights of each distinct
-    assigned weight form are evaluated once; expressions, weights and
-    deviations cover the experiment range [n0, hi], n0 = max(n_start, lo).
-    No index array is kept: element i of a range that starts at n is index
-    n + i. Deviations are built in one reused buffer, so a scan finishes with
-    one deviation before it asks for the next. Verdicts are kept per
-    candidate, so a limit check that repeats a declared candidate is free.
+    The terms of each distinct sequence are evaluated once; the weights of an
+    assigned form are a slice of the array the spec keeps. Expressions,
+    weights and deviations cover the experiment range [n0, hi], n0 =
+    max(n_start, lo). No index array is kept: element i of a range that
+    starts at n is index n + i. Deviations are built in one reused buffer,
+    so a scan finishes with one deviation before it asks for the next.
+    Verdicts are kept per candidate, so a limit check that repeats a
+    declared candidate is free.
     """
 
     def __init__(self, exp: ExperimentSpec, lo: int | None = None, hi: int | None = None):
@@ -230,13 +246,9 @@ class _Stream:
         self.hi = exp.horizon if hi is None else hi
         self.n0 = max(exp.n_start, self.lo)
         self._terms = []  # (SequenceSpec, first index, terms from there to hi)
-        self._weights = []  # (WeightForm, weights over [n0, hi])
         self._verdicts = {}  # (expr, candidate) -> ConvergenceVerdict
         self._classical = []  # (SequenceSpec, candidate, ConvergenceVerdict)
         self._buf = np.empty(0)
-
-    def _indices(self, first: int) -> np.ndarray:
-        return np.arange(first, self.hi + 1, dtype=float)
 
     def _buffer(self, size: int) -> np.ndarray:
         if self._buf.size < size:
@@ -250,17 +262,15 @@ class _Stream:
             if s == seq:
                 return t[first - start:]
         start = max(seq.n_min, self.lo)
-        t = seq.terms(self._indices(start))
+        t = seq.terms(np.arange(start, self.hi + 1, dtype=float))
         self._terms.append((seq, start, t))
         return t[first - start:]
 
     def weights(self, wf: WeightForm) -> np.ndarray:
-        for f, w in self._weights:
-            if f == wf:
-                return w
-        w = wf.weights(self._indices(self.n0))
-        self._weights.append((wf, w))
-        return w
+        """The weights of an assigned form over [n0, hi]; a read-only view."""
+        exp = self.exp
+        w = next(w for f, w in exp._weights if f == wf)
+        return w[self.n0 - exp.n_start:self.hi - exp.n_start + 1]
 
     def values(self, expr: str, out: np.ndarray | None = None) -> np.ndarray:
         """The stream of expr over [n0, hi]; a sum or product is built into out."""
@@ -317,7 +327,7 @@ class _Stream:
         weights None stands for weight 1 everywhere.
         """
         eq_tol = ctx.eq_tol
-        table = tuple((eps, _eps_n(dev, n0, float(eps), eq_tol)) for eps in self.exp.eps_schedule)
+        table = _eps_table(dev, n0, self.exp.eps_schedule, eq_tol)
         found = [n for _, n in table if n is not None]
         all_found = len(found) == len(table)
         tail_from = min(found) if found else n0
@@ -362,7 +372,7 @@ def min_index_for_epsilon(exp: ExperimentSpec, expr: str, candidate: float, eps:
         raise UsageError("eps must be > 0")
     stream = _Stream(exp)
     dev, _ = stream.deviation(expr, candidate)
-    return _eps_n(dev, stream.n0, float(eps), exp.ctx.eq_tol)
+    return _eps_table(dev, stream.n0, (eps,), exp.ctx.eq_tol)[0][1]
 
 
 def mu_converges(exp: ExperimentSpec, expr: str, candidate: float) -> ConvergenceVerdict:
@@ -551,16 +561,8 @@ def parse_experiment(doc: dict) -> ExperimentSpec:
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise SpecError(f"label: expected a string, got {type(label).__name__}")
-    return ExperimentSpec(
-        sequence=seq,
-        partner=partner,
-        assignment=assignment,
-        candidates=tuple(candidates),
-        eps_schedule=eps,
-        horizon=horizon,
-        ctx=ctx,
-        label=label,
-    )
+    return ExperimentSpec(sequence=seq, partner=partner, assignment=assignment, candidates=tuple(candidates),
+                          eps_schedule=eps, horizon=horizon, ctx=ctx, label=label)
 
 
 def serialize_experiment(exp: ExperimentSpec) -> dict:
@@ -572,10 +574,7 @@ def serialize_experiment(exp: ExperimentSpec) -> dict:
 
     doc = {
         "sequence": seq_obj(exp.sequence),
-        "mu": {
-            _tag_to_key(expr, off): weight_form_to_obj(wf)
-            for expr, off, wf in exp.assignment
-        },
+        "mu": {_tag_to_key(expr, off): weight_form_to_obj(wf) for expr, off, wf in exp.assignment},
         "candidates": [{"expr": e, "value": v} for e, v in exp.candidates],
         "eps": list(exp.eps_schedule),
         "horizon": exp.horizon,

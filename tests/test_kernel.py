@@ -2,7 +2,8 @@
 
 The golden file holds the four catalog demos' reports as computed by the
 scans before they shared one stream per experiment; every float is compared
-exactly.
+exactly. The eps table, computed from block maxima, is held to the per-eps
+scan it replaced, and each assigned weight form is evaluated once.
 """
 
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mufield import (
     ExperimentSpec,
@@ -18,11 +20,15 @@ from mufield import (
     WeightForm,
     classical_converges,
     constant_weight,
+    mu_converges,
     run_experiment,
+    scaled_deviation,
+    seq_bounded_report,
 )
 from mufield.cli import _to_jsonable
 from mufield.demos import DEMO_NAMES, run_demo
 from mufield.forms import _horner
+from mufield.sequences import DEFAULT_EPS, EPS_BLOCK, _eps_table, trace_rows
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "demo_golden.json").read_text())
 
@@ -77,6 +83,15 @@ COEFFS = [
     [0, 0, 1],
     [3, 9],
     [2.5, -1.25, 0.5, -0.1, 1e-3],
+    # a zero top coefficient: from acc = 0, the first step 0 * n + -0.0 is
+    # -0.0 only where n is negative, so it cannot be skipped
+    [1, 2, 0.0],
+    [1, 2, -0.0],
+    [-0.0],
+    [0.0],
+    [3, -0.0, -0.0],
+    [-0.0, 0.0, -0.0],
+    [-0.0, -0.0],
 ]
 
 
@@ -100,3 +115,63 @@ def test_rational_poly_weights_match_scalar_division():
     n = np.arange(1.0, 2_001.0)
     want = np.array([horner_by_rebinding([0, 0, 1], x) / horner_by_rebinding([1, 6, 12, 8], x) for x in n])
     assert wf.weights(n).tobytes() == want.tobytes()
+
+
+def eps_n_reference(dev, n0, eps, eq_tol):
+    """N(eps) by one full pass per eps: the scan the eps table replaced."""
+    bad = dev >= eps * (1.0 + eq_tol)
+    if not bad.any():
+        return n0
+    last = int(np.nonzero(bad)[0][-1])
+    return None if last == dev.size - 1 else n0 + last + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 4095, 4096, 4097, 3 * 4096 + 17, 1_200_000]), st.integers(0, 2**32 - 1),
+       st.permutations(DEFAULT_EPS + (0.5, 3e-3)), st.sampled_from([1e-9, 0.25]), st.data())
+def test_eps_table_matches_per_eps_scan(size, seed, schedule, eq_tol, data):
+    rng = np.random.default_rng(seed)
+    n0 = data.draw(st.integers(1, 50))
+    # a decaying envelope with noise, so N(eps) falls anywhere in the range
+    dev = 10.0 ** (-8.0 * np.arange(size) / size) * rng.uniform(0.0, 2.0, size)
+    for _ in range(data.draw(st.integers(0, 3))):  # NaN runs, some longer than a block
+        lo = int(rng.integers(0, size))
+        dev[lo:lo + int(rng.integers(1, 3 * EPS_BLOCK))] = np.nan
+    if data.draw(st.booleans()) and size >= EPS_BLOCK:  # an aligned all-NaN block
+        b = int(rng.integers(0, size // EPS_BLOCK))
+        dev[b * EPS_BLOCK:(b + 1) * EPS_BLOCK] = np.nan
+    for eps in data.draw(st.lists(st.sampled_from(schedule), max_size=4)):
+        bound = float(eps) * (1.0 + eq_tol)  # exactly on the bound counts as outside
+        dev[int(rng.integers(0, size))] = bound
+        dev[int(rng.integers(0, size))] = np.nextafter(bound, 0.0)
+    if data.draw(st.booleans()):
+        dev[-1] = data.draw(st.sampled_from([np.nan, 1.0, 0.0]))
+    want = tuple((eps, eps_n_reference(dev, n0, float(eps), eq_tol)) for eps in schedule)
+    assert _eps_table(dev, n0, schedule, eq_tol) == want
+
+
+@pytest.mark.parametrize("name", ["sum_failure", "product_failure"])
+def test_each_assigned_form_is_weighed_once(monkeypatch, name):
+    calls = []
+    weights = WeightForm.weights
+
+    def counted(self, n):
+        calls.append((self, float(n[0]), float(n[-1])))
+        return weights(self, n)
+
+    monkeypatch.setattr(WeightForm, "weights", counted)
+    exp = run_demo(name).experiment
+    forms = []
+    for _, _, wf in exp.assignment:
+        if wf not in forms:
+            forms.append(wf)
+    assert calls == [(wf, exp.n_start, exp.horizon) for wf in forms]
+    assert all(not w.flags.writeable for _, w in exp._weights)
+
+    calls.clear()
+    expr = exp.assignment[-1][0]  # the combined stream, weighed by its own form at offset 0
+    scaled_deviation(exp, expr, 0.0, exp.n_start + 7)
+    mu_converges(exp, expr, 0.0)
+    next(trace_rows(exp, "self", 1.0))
+    seq_bounded_report(exp, "partner")
+    assert calls == []

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +31,23 @@ from mufield import (
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+
+
+def weight_bad_at(kind, k):
+    """A rational weight form in [0, 1] at every index but k, where it is NaN
+    (0/0 at a root of q), +inf, -0.5 or 1.5."""
+    k = float(k)
+    sq_plus_1 = [k * k + 1.0, -2.0 * k, 1.0]  # (n - k)^2 + 1
+    p, q = {
+        "nan": ([-k, 1.0], [-k, 1.0]),
+        "inf": ([1.0], [k * k, -2.0 * k, 1.0]),
+        "negative": ([k * k - 0.5, -2.0 * k, 1.0], sq_plus_1),
+        "above_one": ([1.5], sq_plus_1),
+    }[kind]
+    return WeightForm("rational_poly", {"p": p, "q": q})
+
+
+BAD_WEIGHTS = [("nan", "nan"), ("inf", "inf"), ("negative", "-0.5"), ("above_one", "1.5")]
 
 
 def log_family_mu(n_max=100_000):
@@ -162,6 +181,15 @@ class TestBuilders:
         MembershipFunction([MuRule(FamilyMatcher(form, 5, 100), weight)], 0.0)
         with pytest.raises(ValidationError, match="n=1"):
             MembershipFunction([MuRule(FamilyMatcher(form, 1, 100), weight)], 0.0)
+
+    @pytest.mark.parametrize("kind, shown", BAD_WEIGHTS)
+    @pytest.mark.parametrize("k", [3, 500, 1000])  # the first, a middle and the last index
+    def test_family_rule_names_the_first_bad_weight(self, kind, shown, k):
+        form = ValueForm("sq_ratio", {})
+        rules = [MuRule(FamilyMatcher(form, 1, 2), 0.5), MuRule(FamilyMatcher(form, 3, 1000), weight_bad_at(kind, k))]
+        with pytest.raises(ValidationError) as raised:
+            MembershipFunction(rules, 0.0)
+        assert str(raised.value) == f"rules[1]: weight {shown} out of [0, 1] at n={k}"
 
     def test_index_weight_requires_family(self):
         with pytest.raises(ValidationError):
@@ -385,3 +413,48 @@ def test_point_table_refuses_a_weight_out_of_range():
         MembershipFunction.from_points([(0.0, -1.0, 1.0)], 0.5)
     with pytest.raises(ValidationError):
         MembershipFunction.from_points([], float("nan"))
+
+
+members = st.one_of(
+    finite_floats,
+    st.builds(complex, finite_floats, finite_floats),  # off the real axis, tested one by one
+    st.builds(complex, finite_floats, st.sampled_from([0.0, -0.0])),  # a real member spelled complex
+    st.sampled_from([math.inf, -math.inf, math.nan]),  # matches nothing
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(members, min_size=1, max_size=30), st.sampled_from([0.0, 1e-9, 0.25, 3.0]), st.data())
+def test_set_lookup_agrees_with_every_member(values, tol, data):
+    m = SetMatcher(tuple(values), tol)
+    near = [complex(v) + complex(d) for v in values if cmath.isfinite(v)
+            for d in (tol, -tol, float(np.nextafter(tol, 1.0)), complex(0.0, tol), complex(tol, tol))]
+    probes = near + data.draw(st.lists(st.builds(complex, finite_floats, st.sampled_from([0.0, 0.5, -tol]))))
+    probes += [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.nan)]
+    as_complex = np.array(probes, dtype=complex)
+    assert m.hits(as_complex).tolist() == [any(abs(v - s) <= tol for s in values) for v in probes]
+    real = as_complex.real[as_complex.imag == 0.0]
+    assert m.hits(real).tolist() == [any(abs(float(v) - s) <= tol for s in values) for v in real]
+    assert m.hits(real.reshape(1, -1, 1)).ravel().tolist() == m.hits(real).tolist()
+
+
+def test_set_rule_audit_is_fast_and_matches_member_by_member(monkeypatch):
+    # 500 samples under a set rule of those 500 points weigh 250,000 sums and
+    # as many products; tested one member at a time that is 2.5e8 distances
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1.0, 1.0, 500).tolist()
+    ctx = FieldContext(mu=two_level(pts, 0.5, tol=0.01))
+    t0 = time.perf_counter()
+    report = check_axioms(ctx, pts)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0
+
+    def every_member(self, values):
+        hit = np.zeros(values.shape, dtype=bool)
+        for p in self.values:
+            hit |= np.abs(values - p) <= self.tol
+        return hit
+
+    monkeypatch.setattr(SetMatcher, "hits", every_member)
+    assert check_axioms(ctx, pts) == report
+    assert 0 < len(report.violations) < 250_000

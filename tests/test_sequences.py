@@ -44,6 +44,7 @@ from mufield.sequences import (
     parse_experiment,
     trace_rows,
 )
+from test_membership import BAD_WEIGHTS, weight_bad_at
 
 POLY_N_CUBE = WeightForm("rational_poly", {"p": [0, 1], "q": [1, 3, 3, 1]})
 
@@ -370,6 +371,18 @@ class TestSchema:
             load_experiment(json.dumps(doc))
         doc["sequence"]["n_min"] = 5
         load_experiment(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, shown", BAD_WEIGHTS)
+@pytest.mark.parametrize("k", [3, 500, 1000])  # the first, a middle and the last index
+def test_assignment_names_the_first_bad_weight(kind, shown, k):
+    seq = SequenceSpec("sq_ratio", {}, 1, 1000)
+    partner = SequenceSpec("sq_ratio", {}, 3, 1000)
+    assignment = (("self", None, constant_weight(0.5)), ("partner", None, weight_bad_at(kind, k)),
+                  ("sum", None, weight_bad_at(kind, k)))
+    with pytest.raises(ValidationError) as raised:
+        ExperimentSpec(sequence=seq, partner=partner, assignment=assignment, horizon=1000)
+    assert str(raised.value) == f"mu[partner]: weight {shown} out of [0, 1] at n={k}"
 
 
 # eq_tol 0.25 and the offsets below are exact in binary, so the boundary is exact
