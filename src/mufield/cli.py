@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .demos import DEMO_NAMES, run_demo
-from .errors import DomainError, MuFieldError, SpecError, UsageError, number
+from .errors import DomainError, MuFieldError, SpecError, UsageError, number, spec_array, spec_document
 from .membership import (
     FieldContext,
     check_axioms,
@@ -159,15 +159,10 @@ def cmd_axioms(args) -> int:
     mu = _load_mu(args.mu)
     inputs = [args.mu] if args.mu else []
     if args.samples:
-        try:
-            doc = json.loads(_read_text(args.samples))
-        except json.JSONDecodeError as e:
-            raise UsageError(f"--samples: invalid JSON ({e})") from e
-        if not isinstance(doc, list):
-            raise UsageError("--samples: expected a JSON array of numbers")
+        doc = spec_array(spec_document(_read_text(args.samples), "--samples"), "--samples")
         if len(doc) > MAX_AXIOM_SAMPLES:
             raise UsageError(f"--samples: {len(doc)} samples, more than the cap of {MAX_AXIOM_SAMPLES}")
-        samples = [_flag_number(v, "--samples") for v in doc]
+        samples = [number(v, "--samples") for v in doc]
         inputs.append(args.samples)
     else:
         samples = _parse_grid(args.grid)

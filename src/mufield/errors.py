@@ -1,15 +1,24 @@
-"""Error hierarchy shared by all modules.
+"""Error hierarchy shared by all modules, and the readers of outside input.
 
 Two families matter to callers: requests that were malformed to begin with
 (UsageError and subclasses, CLI exit 2) and evaluations that are undefined
 at the supplied point (DomainError and subclasses, CLI exit 1).
 
-The parsers of flags and documents decode their JSON through spec_document(),
-convert their fields through number() and check their objects through
-spec_object(), which also refuses any key the reader does not read, so a
-malformed field or an unread key is a usage error that names it, never a raw
-TypeError or ValueError, and never silently dropped. number() refuses NaN and
-the infinities too, which would make a verdict or a rule silently wrong.
+Every parser of flags and documents decodes its JSON through spec_document()
+and reads each field through a reader here; none checks a field's presence or
+type itself. So a malformed field or an unread key is a usage error naming it,
+never a raw TypeError and never silently dropped. The four reading rules:
+
+1. spec_object: an object, with no key its reader does not read and no
+   required key missing ("where: missing 'k'").
+2. number: a finite number or a numeric string; true, false, NaN and the
+   infinities are refused.
+3. spec_string and spec_array: a string, an array.
+4. An optional field is absent, and takes its default, or present and read:
+   0, [], "" or null there is refused, and {} for the keys it lacks.
+
+Value rules stay with the objects built: a moebius sequence, for one, refuses
+a pole in its index range, found from -d/c without evaluating a term.
 """
 
 import math
@@ -42,6 +51,8 @@ class RangeGuardError(DomainError):
 def number(value, where: str, convert=float, error=SpecError):
     """convert(value), or an error naming where when that fails or is not finite."""
     try:
+        if isinstance(value, bool):  # JSON true or false, which convert reads as 1 or 0
+            raise TypeError
         out = convert(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if convert is int else "a number"
@@ -51,22 +62,34 @@ def number(value, where: str, convert=float, error=SpecError):
     return out
 
 
-def spec_object(value, where: str, keys=None) -> dict:
-    """value when it is an object (a dict) with no key outside keys; a SpecError
-    naming where otherwise. keys None is a map whose keys are data, not names."""
+def spec_object(value, where: str, keys=None, required=()) -> dict:
+    """value when it is an object (a dict) with no key outside keys and each in required;
+    a SpecError naming where otherwise. keys None is a map whose keys are data, not names."""
     if not isinstance(value, dict):
         raise SpecError(f"{where}: expected an object, got {type(value).__name__}")
     unknown = [] if keys is None else sorted(str(k) for k in value.keys() - set(keys))
     if unknown:
         raise SpecError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))};"
                         f" known: {', '.join(sorted(keys)) or 'none'}")
+    for k in required:
+        if k not in value:
+            raise SpecError(f"{where}: missing {k!r}")
     return value
 
 
-def spec_array(value, where: str) -> list:
-    """value when it is an array (a list); a SpecError naming where otherwise."""
+def spec_string(value, where: str) -> str:
+    """value when it is a string; a SpecError naming where otherwise."""
+    if not isinstance(value, str):
+        raise SpecError(f"{where}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def spec_array(value, where: str, nonempty=False) -> list:
+    """value when it is an array (a list), a non-empty one if nonempty; a SpecError naming where otherwise."""
     if not isinstance(value, list):
         raise SpecError(f"{where}: expected an array, got {type(value).__name__}")
+    if nonempty and not value:
+        raise SpecError(f"{where}: expected a non-empty array")
     return value
 
 

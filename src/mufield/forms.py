@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, ValidationError, number, spec_object
+from .errors import SpecError, ValidationError, number, spec_array, spec_object, spec_string
 
 # each form's parameter names: a form takes exactly these params
 _VALUE_FORM_PARAMS = {
@@ -31,10 +31,7 @@ EXP_INDEX_CAP = 700
 
 def check_params(form: str, params, names) -> None:
     """Refuse params whose keys are not exactly names, the parameters of form."""
-    spec_object(params, f"form {form!r} params", names)
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise SpecError(f"form {form!r} missing params {missing}")
+    spec_object(params, f"form {form!r} params", names, required=names)
 
 
 def _horner(coeffs, n):
@@ -95,9 +92,10 @@ class WeightForm:
         """Evaluate the weight at an array of indices."""
         if self.form == "const":
             return np.full_like(n, float(self.params["value"]), dtype=float)
-        if self.form == "rational_poly":
-            p, q = _horner(self.params["p"], n), _horner(self.params["q"], n)
-            return np.divide(p, q, out=p)
+        if self.form == "rational_poly":  # a pole or 0/0 gives inf or NaN, which validate_range refuses
+            with np.errstate(all="ignore"):
+                p, q = _horner(self.params["p"], n), _horner(self.params["q"], n)
+                return np.divide(p, q, out=p)
         # inv_exp_p1_sq: 1 / (e^n + 1)^2, computed stably for large n
         e = np.exp(-n)
         return np.exp(-2.0 * n) / (1.0 + e) ** 2
@@ -124,9 +122,7 @@ def form_params(params, where: str) -> dict:
     for k, v in spec_object(params, f"{where}.params").items():
         at = f"{where}.params.{k}"
         if k in ("p", "q"):
-            if not isinstance(v, list) or not v:
-                raise SpecError(f"{at}: expected a non-empty list of numbers, got {v!r}")
-            out[k] = [number(c, f"{at}[{i}]") for i, c in enumerate(v)]
+            out[k] = [number(c, f"{at}[{i}]") for i, c in enumerate(spec_array(v, at, nonempty=True))]
         elif k == "points":
             out[k] = {number(n, at, int): number(t, f"{at}[{n}]") for n, t in spec_object(v, at).items()}
         else:
@@ -136,14 +132,11 @@ def form_params(params, where: str) -> dict:
 
 def parse_weight_form(obj, where: str = "mu") -> WeightForm:
     """Accept a bare number (constant weight) or {"form": ..., "params": ...}."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return constant_weight(float(obj))
+    if isinstance(obj, (int, float)):
+        return constant_weight(number(obj, where))
     if isinstance(obj, dict):
-        spec_object(obj, where, ("form", "params"))
-        form = obj.get("form")
-        if not isinstance(form, str):
-            raise SpecError(f"{where}: weight form object needs a string 'form'")
-        return WeightForm(form, form_params(obj.get("params", {}), where))
+        spec_object(obj, where, ("form", "params"), required=("form",))
+        return WeightForm(spec_string(obj["form"], f"{where}.form"), form_params(obj.get("params", {}), where))
     raise SpecError(f"{where}: expected a number or a weight-form object, got {type(obj).__name__}")
 
 
@@ -152,8 +145,3 @@ def weight_form_to_obj(w: WeightForm):
         return float(w.params["value"])
     return {"form": w.form, "params": dict(w.params)}
 
-
-def parse_value_form(form: str, params, where: str = "family") -> ValueForm:
-    if not isinstance(form, str):
-        raise SpecError(f"{where}: 'form' must be a string")
-    return ValueForm(form, form_params(params or {}, where))

@@ -30,11 +30,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object
+from .errors import (
+    DomainError, SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object, spec_string,
+)
 from .forms import (
     ValueForm,
     WeightForm,
-    parse_value_form,
+    form_params,
     parse_weight_form,
     weight_form_to_obj,
 )
@@ -364,49 +366,41 @@ def mu_eval(ctx: FieldContext, v: Scalar) -> float:
 # Structured document (JSON-shaped) load / dump
 # ---------------------------------------------------------------------------
 
+# each kind's keys besides kind and tol, the one it requires first
 _MATCH_KEYS = {"point": ("value",), "set": ("values",), "family": ("form", "params", "n_min", "n_max")}
 
 
-def parse_mu_spec(doc: dict) -> MembershipFunction:
-    """Build a membership function from its schema'd document form."""
-    spec_object(doc, "mu spec top level", ("default", "rules"))
-    if "default" not in doc:
-        raise SpecError("mu spec: missing 'default'")
-    default = doc["default"]
-    if not isinstance(default, (int, float)) or isinstance(default, bool):
-        raise SpecError("mu spec: 'default' must be a number")
+def parse_mu_spec(doc: dict, where: str = "mu spec") -> MembershipFunction:
+    """Build a membership function from its schema'd document form; where names it in errors."""
+    spec_object(doc, f"{where} top level", ("default", "rules"), required=("default",))
+    default = number(doc["default"], f"{where} default")
     rules = []
-    for i, item in enumerate(spec_array(doc.get("rules", []), "mu spec rules")):
-        where = f"rules[{i}]"
-        spec_object(item, where, ("match", "mu"))
-        if "match" not in item or "mu" not in item:
-            raise SpecError(f"{where}: each rule needs 'match' and 'mu'")
-        match = spec_object(item["match"], f"{where}.match")
-        kind = match.get("kind")
-        if not isinstance(kind, str) or kind not in _MATCH_KEYS:
-            raise SpecError(f"{where}.match.kind: unknown kind {kind!r}")
-        spec_object(match, f"{where}.match", ("kind", "tol") + _MATCH_KEYS[kind])
-        tol = number(match.get("tol", 1e-9), f"{where}.match.tol")
+    for i, item in enumerate(spec_array(doc.get("rules", []), f"{where} rules")):
+        at = f"rules[{i}]"
+        spec_object(item, at, ("match", "mu"), required=("match", "mu"))
+        match = spec_object(item["match"], f"{at}.match", required=("kind",))
+        kind = spec_string(match["kind"], f"{at}.match.kind")
+        if kind not in _MATCH_KEYS:
+            raise SpecError(f"{at}.match.kind: unknown kind {kind!r}")
+        spec_object(match, f"{at}.match", ("kind", "tol") + _MATCH_KEYS[kind], required=_MATCH_KEYS[kind][:1])
+        tol = number(match.get("tol", 1e-9), f"{at}.match.tol")
         if kind == "point":
-            if "value" not in match:
-                raise SpecError(f"{where}.match: point matcher needs 'value'")
-            matcher: Matcher = PointMatcher(_scalar_from_obj(match["value"], f"{where}.match.value"), tol)
+            matcher: Matcher = PointMatcher(_scalar_from_obj(match["value"], f"{at}.match.value"), tol)
         elif kind == "set":
-            vals = match.get("values")
-            if not isinstance(vals, list) or not vals:
-                raise SpecError(f"{where}.match: set matcher needs non-empty 'values'")
-            matcher = SetMatcher(tuple(_scalar_from_obj(v, f"{where}.match.values") for v in vals), tol)
+            vals = spec_array(match["values"], f"{at}.match.values", nonempty=True)
+            matcher = SetMatcher(tuple(_scalar_from_obj(v, f"{at}.match.values") for v in vals), tol)
         else:
-            form = parse_value_form(match.get("form"), match.get("params"), where=f"{where}.match")
-            n_min = number(match.get("n_min", 1), f"{where}.match.n_min", int)
-            n_max = number(match.get("n_max", 100_000), f"{where}.match.n_max", int)
+            form = ValueForm(spec_string(match["form"], f"{at}.match.form"),
+                             form_params(match.get("params", {}), f"{at}.match"))
+            n_min = number(match.get("n_min", 1), f"{at}.match.n_min", int)
+            n_max = number(match.get("n_max", 100_000), f"{at}.match.n_max", int)
             matcher = FamilyMatcher(form, n_min, n_max, tol)
-        weight = parse_weight_form(item["mu"], where=f"{where}.mu")
+        weight = parse_weight_form(item["mu"], where=f"{at}.mu")
         if weight.form == "const":
             rules.append(MuRule(matcher, float(weight.params["value"])))
         else:
             rules.append(MuRule(matcher, weight))
-    return MembershipFunction(tuple(rules), float(default))
+    return MembershipFunction(tuple(rules), default)
 
 
 def serialize_mu_spec(mu: MembershipFunction) -> dict:
@@ -439,7 +433,7 @@ def load_mu_spec(text_or_doc) -> MembershipFunction:
 
 
 def _scalar_from_obj(obj, where: str) -> Scalar:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if isinstance(obj, (int, float)):
         return number(obj, where)
     if isinstance(obj, list) and len(obj) == 2:
         return complex(number(obj[0], where), number(obj[1], where))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object
+from .errors import SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object, spec_string
 from .forms import (
     EXP_INDEX_CAP,
     ValueForm,
@@ -89,13 +89,15 @@ class SequenceSpec:
             self._value_form()  # a closed form checks its params when it is built
         else:
             check_params(self.form, self.params, ("value",) if self.form == "constant" else ("points",))
-        if self.form == "table":
-            pts = self.params["points"]
-            if not isinstance(pts, dict) or not pts:
-                raise SpecError("table sequence requires a non-empty params.points map")
-            for k in range(self.n_min, self.n_max + 1):
-                if k not in pts:
-                    raise ValidationError(f"table sequence missing index n={k}")
+        if self.form == "table":  # a point at every index of the range
+            spec_object(self.params["points"], "table sequence params.points",
+                        required=range(self.n_min, self.n_max + 1))
+        if self.form == "moebius":  # c n + d is 0 only at an integer next to -d/c, or everywhere if c = d = 0
+            c, d = float(self.params["c"]), float(self.params["d"])
+            at = -d / c if c else (self.n_min if d == 0.0 else math.inf)
+            for n in (math.floor(at), math.ceil(at)) if math.isfinite(at) else ():
+                if self.n_min <= n <= self.n_max and c * n + d == 0.0:
+                    raise ValidationError(f"moebius sequence: pole at n={n} in [{self.n_min}, {self.n_max}]")
 
     def _value_form(self) -> ValueForm:
         return ValueForm(_FORM_TO_VALUE_FORM[self.form], self.params)
@@ -501,11 +503,9 @@ def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
 # ---------------------------------------------------------------------------
 
 def _parse_sequence(doc, where="sequence") -> SequenceSpec:
-    spec_object(doc, where, ("form", "params", "n_min", "n_max"))
-    if "form" not in doc:
-        raise SpecError(f"{where}: needs 'form'")
+    spec_object(doc, where, ("form", "params", "n_min", "n_max"), required=("form",))
     return SequenceSpec(
-        form=doc["form"],
+        form=spec_string(doc["form"], f"{where}.form"),
         params=form_params(doc.get("params", {}), where),
         n_min=number(doc.get("n_min", 1), f"{where}.n_min", int),
         n_max=number(doc.get("n_max", DEFAULT_HORIZON), f"{where}.n_max", int),
@@ -536,31 +536,25 @@ TOLERANCE_KEYS = ("eq_tol", "min_mu")
 
 def parse_experiment(doc: dict) -> ExperimentSpec:
     """Build an experiment from its schema'd document form; unknown keys are refused at every level."""
-    spec_object(doc, "experiment", EXPERIMENT_KEYS)
-    if "sequence" not in doc:
-        raise SpecError("experiment: needs 'sequence'")
+    spec_object(doc, "experiment", EXPERIMENT_KEYS, required=("sequence",))
     seq = _parse_sequence(doc["sequence"])
-    partner = _parse_sequence(doc["partner"], "partner") if doc.get("partner") else None
+    partner = _parse_sequence(doc["partner"], "partner") if "partner" in doc else None
     assignment = tuple((*_parse_tag(key), parse_weight_form(obj, where=f"mu[{key}]"))
                        for key, obj in spec_object(doc.get("mu", {}), "mu").items())
     candidates = []
     for item in spec_array(doc.get("candidates", []), "candidates"):
         if isinstance(item, dict):
-            spec_object(item, "candidates", ("expr", "value"))
-            if "expr" not in item or "value" not in item:
-                raise SpecError("candidates: objects need 'expr' and 'value'")
-            candidates.append((item["expr"], number(item["value"], "candidates")))
+            spec_object(item, "candidates", ("expr", "value"), required=("expr", "value"))
+            candidates.append((spec_string(item["expr"], "candidates.expr"), number(item["value"], "candidates")))
         else:
             candidates.append(("self", number(item, "candidates")))
     eps = tuple(number(e, "eps") for e in spec_array(doc.get("eps", list(DEFAULT_EPS)), "eps"))
     horizon = number(doc.get("horizon", DEFAULT_HORIZON), "horizon", int)
-    fallback = parse_mu_spec(doc["fallback_mu"]) if doc.get("fallback_mu") else crisp()
+    fallback = parse_mu_spec(doc["fallback_mu"], "fallback_mu") if "fallback_mu" in doc else crisp()
     tols = spec_object(doc.get("tolerances", {}), "tolerances", TOLERANCE_KEYS)
     # an omitted tolerance keeps FieldContext's default
     ctx = FieldContext(mu=fallback, **{k: number(v, f"tolerances.{k}") for k, v in tols.items()})
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise SpecError(f"label: expected a string, got {type(label).__name__}")
+    label = spec_string(doc.get("label", ""), "label")
     return ExperimentSpec(sequence=seq, partner=partner, assignment=assignment, candidates=tuple(candidates),
                           eps_schedule=eps, horizon=horizon, ctx=ctx, label=label)
 

@@ -510,7 +510,9 @@ def _sequences(draw, n_max):
         "log_plus": lambda: {"c": draw(_finite)},
         "exp_plus": lambda: {"c": draw(_finite)},
         "sq_ratio": dict,
-        "moebius": lambda: {k: draw(_finite) for k in "abcd"},
+        # the spec refuses a moebius range that holds a pole, an n with c n + d = 0
+        "moebius": lambda: draw(st.fixed_dictionaries({k: _finite for k in "abcd"}).filter(
+            lambda p: all(p["c"] * n + p["d"] != 0.0 for n in range(n_min, n_max + 1)))),
         "constant": lambda: {"value": draw(_finite)},
         "table": lambda: {"points": {k: draw(_finite) for k in range(n_min, n_max + 1)}},
     }[form]()
