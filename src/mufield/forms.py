@@ -28,6 +28,9 @@ WEIGHT_FORM_IDS = tuple(_WEIGHT_FORM_PARAMS)
 
 # exp(n) overflows a double past n ~ 709.78; stay clear of the edge.
 EXP_INDEX_CAP = 700
+# indices evaluated at a time over a long range: 512 KB per float array, so a
+# block and its temporaries stay in a core's cache
+SCAN_BLOCK = 65_536
 
 def check_params(form: str, params, names) -> None:
     """Refuse params whose keys are not exactly names, the parameters of form."""
@@ -101,12 +104,17 @@ class WeightForm:
         return np.exp(-2.0 * n) / (1.0 + e) ** 2
 
     def validate_range(self, n_min: int, n_max: int, where: str = "weight form") -> np.ndarray:
-        """The weights over the index range [n_min, n_max], in one array; a
-        ValidationError names the first n whose weight is outside [0, 1]."""
-        ws = self.weights(np.arange(n_min, n_max + 1, dtype=float))
-        if not (ws.min() >= 0.0 and ws.max() <= 1.0):  # NaN fails both
-            i = int(np.flatnonzero((ws < 0.0) | (ws > 1.0) | ~np.isfinite(ws))[0])
-            raise ValidationError(f"{where}: weight {float(ws[i])!r} out of [0, 1] at n={n_min + i}")
+        """The weights over the index range [n_min, n_max], in one array filled
+        SCAN_BLOCK indices at a time. Each block is checked before the next is
+        weighed; a ValidationError names the first n whose weight is outside [0, 1]."""
+        ws = np.empty(n_max - n_min + 1)
+        for lo in range(n_min, n_max + 1, SCAN_BLOCK):
+            hi = min(lo + SCAN_BLOCK, n_max + 1)
+            block = ws[lo - n_min:hi - n_min]
+            block[:] = self.weights(np.arange(lo, hi, dtype=float))
+            if not (block.min() >= 0.0 and block.max() <= 1.0):  # NaN fails both
+                i = int(np.flatnonzero((block < 0.0) | (block > 1.0) | ~np.isfinite(block))[0])
+                raise ValidationError(f"{where}: weight {float(block[i])!r} out of [0, 1] at n={lo + i}")
         return ws
 
 
@@ -131,8 +139,8 @@ def form_params(params, where: str) -> dict:
 
 
 def parse_weight_form(obj, where: str = "mu") -> WeightForm:
-    """Accept a bare number (constant weight) or {"form": ..., "params": ...}."""
-    if isinstance(obj, (int, float)):
+    """Accept a number or numeric string (constant weight) or {"form": ..., "params": ...}."""
+    if isinstance(obj, (int, float, str)):
         return constant_weight(number(obj, where))
     if isinstance(obj, dict):
         spec_object(obj, where, ("form", "params"), required=("form",))

@@ -433,7 +433,7 @@ def load_mu_spec(text_or_doc) -> MembershipFunction:
 
 
 def _scalar_from_obj(obj, where: str) -> Scalar:
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float, str)):
         return number(obj, where)
     if isinstance(obj, list) and len(obj) == 2:
         return complex(number(obj[0], where), number(obj[1], where))

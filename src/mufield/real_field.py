@@ -7,7 +7,7 @@ Order comparisons use an absolute slack (ctx.eq_tol) because scaled values
 cluster near zero by design.
 
 One bounds report serves finite sets and sequence streams: bounds_report
-builds every BoundsReport from arrays of values, weights and scaled values.
+builds every BoundsReport from blocks of values, weights and scaled values.
 
 The identity registry covers the ordered-field implications O1..O8, the
 modulus laws R1..R5b, and the supremum characterization S1. Each law shape
@@ -121,21 +121,38 @@ class BoundsReport:
     first_exceed_n: int | None = None
 
 
-def bounds_report(values, weights, scaled, eq_tol, probe=None, n0=0, expr=None) -> BoundsReport:
-    """The bounds of arrays with scaled = values * weights; element i is index n0 + i."""
-    i_sup, i_inf = int(np.argmax(scaled)), int(np.argmin(scaled))
-    scaled_abs = float(np.max(np.abs(scaled)))
-    raw_abs = float(np.max(np.abs(values)))
-    over = None if probe is None else np.nonzero(np.abs(scaled) > probe)[0]
+def bounds_report(blocks, eq_tol, probe=None, n0=0, expr=None) -> BoundsReport:
+    """The bounds of a stream given as consecutive blocks of arrays (values,
+    weights, scaled = values * weights); element i of the stream is index n0 + i.
 
-    def at(i):
-        return ScaledValue(float(values[i]), float(weights[i]), float(scaled[i]))
+    Each block is read before the next is asked for, so blocks may share a
+    buffer. As np.argmax and np.max over the whole stream, the first NaN is
+    an extreme and a NaN makes the maxima NaN.
+    """
+    sup = inf = first_exceed = None
+    scaled_abs = raw_abs = -math.inf
+    i = 0
+    for values, weights, scaled in blocks:
+        def at(k):
+            return ScaledValue(float(values[k]), float(weights[k]), float(scaled[k])), n0 + i + k
 
+        hi, lo = at(int(np.argmax(scaled))), at(int(np.argmin(scaled)))
+        if sup is None or not (math.isnan(sup[0].scaled) or hi[0].scaled <= sup[0].scaled):
+            sup = hi
+        if inf is None or not (math.isnan(inf[0].scaled) or lo[0].scaled >= inf[0].scaled):
+            inf = lo
+        mags = np.abs(scaled)
+        scaled_abs = float(np.maximum(scaled_abs, np.max(mags)))
+        raw_abs = float(np.maximum(raw_abs, np.max(np.abs(values))))
+        if probe is not None and first_exceed is None:
+            over = np.flatnonzero(mags > probe)
+            first_exceed = n0 + i + int(over[0]) if over.size else None
+        i += scaled.size
     return BoundsReport(
-        expr, at(i_sup), n0 + i_sup, at(i_inf), n0 + i_inf, scaled_abs, raw_abs,
+        expr, sup[0], sup[1], inf[0], inf[1], scaled_abs, raw_abs,
         scaled_abs <= raw_abs + eq_tol, probe,
-        within_probe=None if over is None else over.size == 0,
-        first_exceed_n=n0 + int(over[0]) if over is not None and over.size else None,
+        within_probe=None if probe is None else first_exceed is None,
+        first_exceed_n=first_exceed,
     )
 
 
@@ -145,7 +162,7 @@ def mu_bounded_report(ctx: FieldContext, values, bound_probe: float | None = Non
     if not vals:
         raise UsageError("mu_bounded_report needs a non-empty set")
     raw, w = np.array(vals), np.array([mu_eval(ctx, v) for v in vals])
-    return bounds_report(raw, w, raw * w, ctx.eq_tol, bound_probe)
+    return bounds_report([(raw, w, raw * w)], ctx.eq_tol, bound_probe)
 
 
 @dataclass(frozen=True)

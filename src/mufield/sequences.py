@@ -20,9 +20,17 @@ weights of each distinct assigned weight form from the pass that checks
 them against [0, 1]: one read-only array over [n_start, horizon], 8 bytes
 per index per form, which every scan slices. run_experiment evaluates the
 terms of each distinct sequence once for every scan (candidates, classical
-cross-checks, limit checks). The classical scans read weight 1 over the
-sequence's own [n_min, horizon] with the default FieldContext tolerances,
-exactly as classical_converges. N(eps) comes from block maxima (_eps_table).
+cross-checks, limit checks), 8 bytes per index. The classical scans read
+weight 1 over the sequence's own [n_min, horizon] with the default
+FieldContext tolerances, exactly as classical_converges.
+
+Every pass over a range, the weight check and the terms included, walks it
+SCAN_BLOCK = 65,536 indices at a time (512 KB per float array, 16 EPS_BLOCKs),
+so its temporaries stay in a core's cache: beyond the kept terms and
+weights, a scan holds only a few block-sized arrays. A scan folds
+each block into per-EPS_BLOCK maxima and counts of zero weights and the last
+rise of the deviation; N(eps) then reads again only the last EPS_BLOCK that
+reaches eps, and the triviality fraction the one the tail starts inside.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import numpy as np
 from .errors import SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object, spec_string
 from .forms import (
     EXP_INDEX_CAP,
+    SCAN_BLOCK,
     ValueForm,
     WeightForm,
     check_params,
@@ -128,6 +137,16 @@ class ConvergenceVerdict:
     verdict: str
 
 
+def _check_eps(eps, what: str) -> None:
+    """Refuse an eps that is not a finite number > 0; a NaN eps would be met at once."""
+    try:
+        ok = math.isfinite(eps) and eps > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{what} must be a finite number > 0, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sequence (optionally a partner), weights, candidates, and a horizon.
@@ -147,8 +166,10 @@ class ExperimentSpec:
     label: str = ""
 
     def __post_init__(self):
-        if not self.eps_schedule or any(e <= 0.0 for e in self.eps_schedule):
-            raise ValidationError("eps schedule must be non-empty and positive")
+        if not self.eps_schedule:
+            raise ValidationError("eps schedule must be non-empty")
+        for e in self.eps_schedule:
+            _check_eps(e, "eps schedule entry")
         for s in [self.sequence] + ([self.partner] if self.partner else []):
             if self.horizon > s.n_max:
                 raise ValidationError(
@@ -203,28 +224,7 @@ class ExperimentSpec:
 
 # the classical scans weigh every term 1 and keep the default tolerances
 _CLASSICAL_CTX = FieldContext()
-
-
-def _eps_table(dev: np.ndarray, n0: int, schedule, eq_tol: float) -> tuple:
-    """((eps, N(eps)), ...) for a deviation stream whose element i is index n0 + i.
-
-    N(eps) is the index after the last deviation >= eps (1 + eq_tol), n0 when
-    there is none, and None when it is the last; a NaN deviation counts as
-    within. One pass takes the maximum of each EPS_BLOCK deviations (fmax
-    skips NaN), and each eps searches only the last block that reaches it.
-    """
-    peaks = np.fmax.reduceat(dev, np.arange(0, dev.size, EPS_BLOCK))
-    table = []
-    for eps in schedule:
-        bound = float(eps) * (1.0 + eq_tol)
-        blocks = np.flatnonzero(peaks >= bound)
-        n = n0
-        if blocks.size:
-            lo = int(blocks[-1]) * EPS_BLOCK
-            last = lo + int(np.flatnonzero(dev[lo:lo + EPS_BLOCK] >= bound)[-1])
-            n = None if last == dev.size - 1 else n0 + last + 1
-        table.append((eps, n))
-    return tuple(table)
+_EPS_STARTS = np.arange(0, SCAN_BLOCK, EPS_BLOCK)  # each EPS_BLOCK's offset in a scan block
 
 
 class _Stream:
@@ -232,14 +232,14 @@ class _Stream:
 
     Scans read indices [lo, hi]. lo defaults to the experiment's n_start; a
     lower lo lets the classical scans read each sequence from its own n_min.
-    The terms of each distinct sequence are evaluated once; the weights of an
-    assigned form are a slice of the array the spec keeps. Expressions,
-    weights and deviations cover the experiment range [n0, hi], n0 =
-    max(n_start, lo). No index array is kept: element i of a range that
-    starts at n is index n + i. Deviations are built in one reused buffer,
-    so a scan finishes with one deviation before it asks for the next.
-    Verdicts are kept per candidate, so a limit check that repeats a
-    declared candidate is free.
+    The terms of each distinct sequence are evaluated once, SCAN_BLOCK
+    indices at a time, into one array; the weights of an assigned form are a
+    slice of the array the spec keeps. Expressions, weights and deviations
+    cover the experiment range [n0, hi], n0 = max(n_start, lo). Every scan
+    reads its range through deviation(), SCAN_BLOCK indices at a time, into
+    two reused block buffers (combined values, deviations), so it finishes
+    with one block before it asks for the next. Verdicts are kept per
+    candidate, so a limit check that repeats a declared candidate is free.
     """
 
     def __init__(self, exp: ExperimentSpec, lo: int | None = None, hi: int | None = None):
@@ -250,65 +250,81 @@ class _Stream:
         self._terms = []  # (SequenceSpec, first index, terms from there to hi)
         self._verdicts = {}  # (expr, candidate) -> ConvergenceVerdict
         self._classical = []  # (SequenceSpec, candidate, ConvergenceVerdict)
-        self._buf = np.empty(0)
+        self._bufs = None
 
-    def _buffer(self, size: int) -> np.ndarray:
-        if self._buf.size < size:
-            self._buf = np.empty(size)
-        return self._buf[:size]
+    def _buffers(self):
+        """The values, deviations and step-test block buffers, allocated at first use,
+        so that the terms are evaluated before."""
+        if self._bufs is None:
+            size = min(SCAN_BLOCK, self.hi - self.lo + 1)
+            self._bufs = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+        return self._bufs
 
-    def terms(self, seq: SequenceSpec, first: int | None = None) -> np.ndarray:
-        """Terms of seq over [first, hi], first defaulting to n0; a view."""
-        first = self.n0 if first is None else first
+    def terms(self, seq: SequenceSpec, first: int, last: int) -> np.ndarray:
+        """Terms of seq over [first, last]; a view of the array kept from first use."""
         for s, start, t in self._terms:
             if s == seq:
-                return t[first - start:]
+                return t[first - start:last - start + 1]
         start = max(seq.n_min, self.lo)
-        t = seq.terms(np.arange(start, self.hi + 1, dtype=float))
+        t = np.empty(self.hi - start + 1)
+        for i in range(0, t.size, SCAN_BLOCK):
+            j = min(i + SCAN_BLOCK, t.size)
+            t[i:j] = seq.terms(np.arange(start + i, start + j, dtype=float))
         self._terms.append((seq, start, t))
-        return t[first - start:]
+        return t[first - start:last - start + 1]
 
-    def weights(self, wf: WeightForm) -> np.ndarray:
-        """The weights of an assigned form over [n0, hi]; a read-only view."""
-        exp = self.exp
-        w = next(w for f, w in exp._weights if f == wf)
-        return w[self.n0 - exp.n_start:self.hi - exp.n_start + 1]
-
-    def values(self, expr: str, out: np.ndarray | None = None) -> np.ndarray:
-        """The stream of expr over [n0, hi]; a sum or product is built into out."""
+    def values(self, expr: str, first: int, last: int) -> np.ndarray:
+        """The stream of expr over [first, last]; a sum or product is built in the values buffer."""
         exp = self.exp
         exp.check_expression(expr)
         if expr == "self":
-            return self.terms(exp.sequence)
+            return self.terms(exp.sequence, first, last)
         if expr == "partner":
-            return self.terms(exp.partner)
+            return self.terms(exp.partner, first, last)
         combine = np.add if expr == "sum" else np.multiply
-        return combine(self.terms(exp.sequence), self.terms(exp.partner), out=out)
+        a, b = self.terms(exp.sequence, first, last), self.terms(exp.partner, first, last)
+        return combine(a, b, out=self._buffers()[0][:a.size])
 
-    def deviation(self, expr: str, candidate: float | None, signed: bool = False):
-        """The deviation |v_n - candidate| w_n over [n0, hi], and the weights w_n.
+    def deviation(self, expr, candidate, first, last, seq=None, signed=False):
+        """(v_n, |v_n - candidate| w_n, w_n) over [first, last], at most SCAN_BLOCK indices.
 
-        Signed, it is (v_n - candidate) w_n. w_n is the weight form assigned
-        to (expr, candidate), else the fallback membership at v_n - candidate.
-        The deviation lives in the shared buffer.
+        Signed, the deviation is (v_n - candidate) w_n. w_n is the weight form
+        assigned to (expr, candidate), a slice of the array the spec keeps,
+        else the fallback membership at v_n - candidate. Given seq, v_n are
+        its terms and w_n is None, weight 1: the classical deviation. The
+        deviation lives in the block buffer, and the values of a sum or a
+        product in the values buffer.
         """
         exp = self.exp
-        buf = self._buffer(self.hi - self.n0 + 1)
+        values = self.values(expr, first, last) if seq is None else self.terms(seq, first, last)
         shift = 0.0 if candidate is None else float(candidate)
-        dev = np.subtract(self.values(expr, out=buf), shift, out=buf)
-        entry = exp.assigned(expr, candidate)
-        w = exp.ctx.mu.weight_many(dev) if entry is None else self.weights(entry[2])
+        dev = np.subtract(values, shift, out=self._buffers()[1][:values.size])
+        w = None
+        if seq is None:
+            entry = exp.assigned(expr, candidate)
+            if entry is None:
+                w = exp.ctx.mu.weight_many(dev)
+            else:
+                kept = next(ws for f, ws in exp._weights if f == entry[2])
+                w = kept[first - exp.n_start:last - exp.n_start + 1]
         if not signed:
             np.abs(dev, out=dev)
-        dev *= w
-        return dev, w
+        if w is not None:
+            dev *= w
+        return values, dev, w
+
+    def blocks(self, expr, candidate, first=None, seq=None, signed=False):
+        """(n, values, deviations, weights) of deviation() over [first, hi], first
+        defaulting to n0, one SCAN_BLOCK after another; n is the block's first index."""
+        first = self.n0 if first is None else first
+        for n in range(first, self.hi + 1, SCAN_BLOCK):
+            yield n, *self.deviation(expr, candidate, n, min(n + SCAN_BLOCK, self.hi + 1) - 1, seq, signed)
 
     def verdict(self, expr: str, candidate: float) -> ConvergenceVerdict:
         """The weighted scan of one candidate over the experiment range."""
         key = (expr, float(candidate))
         if key not in self._verdicts:
-            dev, w = self.deviation(expr, candidate)
-            self._verdicts[key] = self._scan(expr, candidate, dev, w, self.n0, self.exp.ctx)
+            self._verdicts[key] = self._scan(expr, candidate, self.n0)
         return self._verdicts[key]
 
     def classical(self, seq: SequenceSpec, candidate: float) -> ConvergenceVerdict:
@@ -316,31 +332,73 @@ class _Stream:
         for s, c, v in self._classical:
             if c == candidate and s == seq:
                 return v
-        t = self.terms(seq, seq.n_min)
-        dev = np.subtract(t, float(candidate), out=self._buffer(t.size))
-        np.abs(dev, out=dev)
-        v = self._scan("self", candidate, dev, None, seq.n_min, _CLASSICAL_CTX)
+        v = self._scan("self", candidate, seq.n_min, seq)
         self._classical.append((seq, candidate, v))
         return v
 
-    def _scan(self, expr, candidate, dev, weights, n0, ctx) -> ConvergenceVerdict:
-        """Eps table, triviality fraction and tail certificate of dev over [n0, hi].
+    def _scan(self, expr, candidate, n0, seq=None, schedule=None) -> ConvergenceVerdict:
+        """Eps table, triviality fraction and tail certificate of one deviation over [n0, hi].
 
-        weights None stands for weight 1 everywhere.
+        One pass over the blocks keeps, per EPS_BLOCK deviations, the maximum
+        (fmax skips NaN) and the count of weights <= min_mu, and the last index
+        whose deviation is not within eq_tol of the one before (a NaN step
+        counts). N(eps) is the index after the last deviation >= eps (1 +
+        eq_tol), n0 when there is none and None when it is the last: only the
+        last EPS_BLOCK that reaches eps is read again, and the one the tail
+        starts inside, for its weights. seq scans its terms at weight 1 with
+        the default tolerances; schedule defaults to the experiment's.
         """
+        ctx = self.exp.ctx if seq is None else _CLASSICAL_CTX
         eq_tol = ctx.eq_tol
-        table = _eps_table(dev, n0, self.exp.eps_schedule, eq_tol)
+        size = self.hi - n0 + 1
+        peaks = np.empty(-(-size // EPS_BLOCK))
+        low = np.zeros(peaks.size, dtype=np.intp)  # weights <= min_mu per EPS_BLOCK
+        rise = 0  # the last i > 0 with not dev[i] - dev[i - 1] <= eq_tol; 0 for none
+        for n, _, dev, w in self.blocks(expr, candidate, n0, seq):
+            i = n - n0
+            steps_buf, _, within_buf = self._buffers()  # the scan reads no values
+            starts = _EPS_STARTS[:-(-dev.size // EPS_BLOCK)]
+            b = i // EPS_BLOCK
+            peaks[b:b + starts.size] = np.fmax.reduceat(dev, starts)
+            if w is not None:  # an EPS_BLOCK count fits in 16 bits
+                zero = np.less_equal(w, ctx.min_mu, out=within_buf[:w.size])
+                low[b:b + starts.size] = np.add.reduceat(zero.view(np.uint8), starts, dtype=np.uint16)
+            if i and not dev[0] - prev <= eq_tol:
+                rise = i
+            steps = np.subtract(dev[1:], dev[:-1], out=steps_buf[:dev.size - 1])
+            within = np.less_equal(steps, eq_tol, out=within_buf[:steps.size])
+            if not within.all():
+                rise = i + steps.size - int(np.argmin(within[::-1]))
+            prev = dev[-1]
+            del w  # fallback weights are a new array per block: free them before the next
+
+        table, held = [], None
+        for eps in self.exp.eps_schedule if schedule is None else schedule:
+            bound = float(eps) * (1.0 + eq_tol)
+            reach = np.flatnonzero(peaks >= bound)
+            n = n0
+            if reach.size:
+                lo = int(reach[-1]) * EPS_BLOCK
+                if held != lo:
+                    held = lo
+                    _, dev, _ = self.deviation(expr, candidate, n0 + lo, min(n0 + lo + EPS_BLOCK, self.hi + 1) - 1, seq)
+                last = lo + int(np.flatnonzero(dev >= bound)[-1])
+                n = None if last == size - 1 else n0 + last + 1
+            table.append((eps, n))
         found = [n for _, n in table if n is not None]
         all_found = len(found) == len(table)
         tail_from = min(found) if found else n0
         i0 = tail_from - n0
-        frac = 0.0 if weights is None else float(np.mean(weights[i0:] <= ctx.min_mu))
 
-        certificate = None
-        if all_found:
-            tdev = dev[i0:]
-            if tdev.size < 2 or bool(np.all(np.diff(tdev) <= eq_tol)):
-                certificate = CERT_MONOTONE
+        frac = 0.0
+        if seq is None:
+            k, r = divmod(i0, EPS_BLOCK)
+            count = int(low[k + (r > 0):].sum())
+            if r:
+                _, _, w = self.deviation(expr, candidate, tail_from, min(n0 + (k + 1) * EPS_BLOCK, self.hi + 1) - 1)
+                count += int(np.count_nonzero(w <= ctx.min_mu))
+            frac = count / (size - i0)
+        certificate = CERT_MONOTONE if all_found and rise <= i0 else None
 
         if not all_found:
             verdict = REFUTED
@@ -351,7 +409,7 @@ class _Stream:
         return ConvergenceVerdict(
             expr=expr,
             candidate=float(candidate),
-            eps_table=table,
+            eps_table=tuple(table),
             horizon=self.exp.horizon,
             n_start=tail_from,
             trivial_tail_fraction=frac,
@@ -364,17 +422,15 @@ def scaled_deviation(exp: ExperimentSpec, expr: str, candidate: float, n: int) -
     """|v_n - candidate| times the resolved weight at (v_n - candidate)."""
     if not (exp.n_start <= n <= exp.horizon):
         raise UsageError(f"index {n} outside [{exp.n_start}, {exp.horizon}]")
-    dev, _ = _Stream(exp, n, n).deviation(expr, candidate)
+    _, dev, _ = _Stream(exp, n, n).deviation(expr, candidate, n, n)
     return float(dev[0])
 
 
 def min_index_for_epsilon(exp: ExperimentSpec, expr: str, candidate: float, eps: float):
     """Smallest k with deviation < eps (1 + slack) for every n in [k, horizon]."""
-    if eps <= 0.0:
-        raise UsageError("eps must be > 0")
+    _check_eps(eps, "eps")
     stream = _Stream(exp)
-    dev, _ = stream.deviation(expr, candidate)
-    return _eps_table(dev, stream.n0, (eps,), exp.ctx.eq_tol)[0][1]
+    return stream._scan(expr, candidate, stream.n0, schedule=(eps,)).eps_table[0][1]
 
 
 def mu_converges(exp: ExperimentSpec, expr: str, candidate: float) -> ConvergenceVerdict:
@@ -394,8 +450,8 @@ def classical_converges(
 def seq_bounded_report(exp: ExperimentSpec, expr: str = "self", probe: float | None = None) -> BoundsReport:
     """The bounds of one expression stream over the experiment range."""
     stream = _Stream(exp)
-    s, weights = stream.deviation(expr, None, signed=True)
-    return bounds_report(stream.values(expr), weights, s, exp.ctx.eq_tol, probe, stream.n0, expr)
+    return bounds_report(((v, w, s) for _, v, s, w in stream.blocks(expr, None, signed=True)),
+                         exp.ctx.eq_tol, probe, stream.n0, expr)
 
 
 def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityCheckReport:
@@ -409,27 +465,40 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
     if exp.horizon < exp.n_start + 1:
         raise UsageError("check_monotone needs at least two indices")
     stream = _Stream(exp)
-    s, _ = stream.deviation("self", None, signed=True)
     eq_tol = exp.ctx.eq_tol
-    drops = np.nonzero(np.diff(s) < -eq_tol)[0]
-    if drops.size:
-        k = stream.n0 + int(drops[0])
-        return _decided("monotone", (), float(s[drops[0] + 1]), float(s[drops[0]]), False,
-                        (f"scaled stream decreases at n={k}",), first_violation_n=k)
-    sup = float(np.max(s))
-    if probe is not None and float(np.max(np.abs(s))) > probe:
+    sup = top = -math.inf
+    prev = None  # the scaled value before the block
+    for n, _, s, _ in stream.blocks("self", None, signed=True):
+        steps = np.diff(s) if prev is None else np.diff(s, prepend=prev)
+        drops = np.flatnonzero(steps < -eq_tol)
+        if drops.size:
+            j = int(drops[0]) - (prev is not None)  # the index of s before the drop, -1 for prev
+            k = n + j
+            return _decided("monotone", (), float(s[j + 1]), float(prev if j < 0 else s[j]), False,
+                            (f"scaled stream decreases at n={k}",), first_violation_n=k)
+        sup = float(np.maximum(sup, np.max(s)))
+        top = float(np.maximum(top, np.max(np.abs(s))))
+        prev = s[-1]
+    last = float(prev)
+    if probe is not None and top > probe:
         return IdentityCheckReport(
-            "monotone", (), float(s[-1]), sup, math.nan, UNMET,
+            "monotone", (), last, sup, math.nan, UNMET,
             ("scaled stream exceeds the probe; not bounded at this scale",),
             {"probe": probe},
         )
-    gap_final = sup - float(s[-1])
-    gaps = sup - s
-    gap_monotone = bool(np.all(np.diff(gaps) <= eq_tol))
+    gap_final = sup - last
+    gap_monotone, prev = True, None  # a second pass: the gaps sup - s_n need sup
+    for _, _, s, _ in stream.blocks("self", None, signed=True):
+        gaps = np.subtract(sup, s, out=s)
+        steps = np.diff(gaps) if prev is None else np.diff(gaps, prepend=prev)
+        if not np.all(steps <= eq_tol):
+            gap_monotone = False
+            break
+        prev = gaps[-1]
     tol = eq_tol * (1.0 + abs(sup))
     verdict = PASS if gap_final <= tol and gap_monotone else FAIL
     return IdentityCheckReport(
-        "monotone", (), float(s[-1]), sup, gap_final / (1.0 + abs(sup)), verdict,
+        "monotone", (), last, sup, gap_final / (1.0 + abs(sup)), verdict,
         (), {"gap_final": gap_final, "gap_nonincreasing": gap_monotone, "sup": sup},
     )
 
@@ -489,13 +558,11 @@ def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
     grow with the horizon.
     """
     stream = _Stream(exp)
-    values = stream.values(expr)
-    dev, weights = stream.deviation(expr, candidate)
-    n0 = stream.n0
-    for lo in range(0, dev.size, TRACE_CHUNK):
-        hi = min(lo + TRACE_CHUNK, dev.size)
-        yield from zip(range(n0 + lo, n0 + hi), values[lo:hi].tolist(),
-                       weights[lo:hi].tolist(), dev[lo:hi].tolist())
+    for n, values, dev, weights in stream.blocks(expr, candidate):
+        for lo in range(0, dev.size, TRACE_CHUNK):
+            hi = min(lo + TRACE_CHUNK, dev.size)
+            yield from zip(range(n + lo, n + hi), values[lo:hi].tolist(),
+                           weights[lo:hi].tolist(), dev[lo:hi].tolist())
 
 
 # ---------------------------------------------------------------------------

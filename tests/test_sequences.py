@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestMinIndex:
     def test_eps_positive_required(self):
         with pytest.raises(UsageError):
             min_index_for_epsilon(log_drift_experiment(100), "self", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-3, "0.1"])
+def test_eps_that_is_not_finite_and_positive_is_refused(eps):
+    # a NaN eps is met at once: the divergent log drift was "supported" at 0
+    seq = SequenceSpec("log_plus", {"c": 1.0}, 1, 1000)
+    named = f"must be a finite number > 0, got {eps!r}"
+    with pytest.raises(ValidationError, match=re.escape(f"eps schedule entry {named}")):
+        ExperimentSpec(sequence=seq, eps_schedule=(0.1, eps), horizon=1000)
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        classical_converges(seq, 0.0, eps_schedule=(eps,))
+    with pytest.raises(ValidationError, match=re.escape(f"eps {named}")):
+        min_index_for_epsilon(ExperimentSpec(sequence=seq, horizon=1000), "self", 0.0, eps)
 
 
 class TestClassical:

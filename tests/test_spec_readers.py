@@ -90,6 +90,43 @@ class TestBooleansAreNotNumbers:
         refused(run(capsys, "axioms", "--samples", samples), "--samples: expected a number, got True")
 
 
+class TestNumericStrings:
+    """A numeric string is a number in every field, the scalars of point and
+    set rules and a rule or assignment weight included."""
+
+    def eval_mu(self, capsys, tmp_path, rule):
+        return run(capsys, "--json", "eval", "mu", "--a", "0.3",
+                   "--mu", write(tmp_path, "mu.json", {"default": 0.0, "rules": [rule]}))
+
+    @pytest.mark.parametrize("rule, weight", [
+        ({"match": {"kind": "point", "value": "0.3", "tol": 1e-9}, "mu": 0.25}, 0.25),
+        ({"match": {"kind": "set", "values": ["0.3", 1], "tol": 1e-9}, "mu": 0.25}, 0.25),
+        ({"match": {"kind": "point", "value": 0.3, "tol": 1e-9}, "mu": "0.25"}, 0.25),
+        ({"match": {"kind": "point", "value": ["0.3", "0"], "tol": "1e-9"}, "mu": "0.5"}, 0.5),
+    ])
+    def test_mu_spec_scalars_and_weights(self, capsys, tmp_path, rule, weight):
+        code, out, err = self.eval_mu(capsys, tmp_path, rule)
+        assert code == 0 and err == "" and json.loads(out)["body"]["value"] == weight
+
+    @pytest.mark.parametrize("rule, field", [
+        ({"match": {"kind": "point", "value": "abc", "tol": 1e-9}, "mu": 0.25},
+         "rules[0].match.value: expected a number, got 'abc'"),
+        ({"match": {"kind": "set", "values": [0.1, "nan"], "tol": 1e-9}, "mu": 0.25},
+         "rules[0].match.values: expected a finite number, got 'nan'"),
+        ({"match": {"kind": "point", "value": 0.3, "tol": 1e-9}, "mu": "x"}, "rules[0].mu: expected a number, got 'x'"),
+        ({"match": {"kind": "point", "value": 0.3, "tol": 1e-9}, "mu": "inf"},
+         "rules[0].mu: expected a finite number, got 'inf'"),
+    ])
+    def test_non_numeric_strings_are_refused(self, capsys, tmp_path, rule, field):
+        refused(self.eval_mu(capsys, tmp_path, rule), field)
+
+    def test_assignment_weight(self, capsys, tmp_path):
+        code, out, _ = converge(capsys, tmp_path, {"mu": {"self_minus:1.0": "0.5"}})
+        assert code == 0 and "refuted-at-horizon" in out
+        refused(converge(capsys, tmp_path, {"mu": {"self_minus:1.0": "half"}}),
+                "mu[self_minus:1.0]: expected a number, got 'half'")
+
+
 class TestPresentOptionalObjects:
     @pytest.mark.parametrize("key", ["partner", "fallback_mu"])
     @pytest.mark.parametrize("value", [0, [], None, ""])

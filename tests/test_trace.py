@@ -71,8 +71,7 @@ def test_trace_rows_are_builtin_numbers_of_the_per_index_loop(name):
     rows = list(trace_rows(exp, expr, cand))
     assert all(type(n) is int and type(t) is float and type(w) is float and type(d) is float
                for n, t, w, d in rows)
-    stream = _Stream(exp)
-    values = stream.values(expr)
-    dev, weights = stream.deviation(expr, cand)
-    assert rows == [(stream.n0 + i, float(values[i]), float(weights[i]), float(dev[i]))
-                    for i in range(dev.size)]
+    want = []
+    for n, values, dev, weights in _Stream(exp).blocks(expr, cand):
+        want += [(n + i, float(values[i]), float(weights[i]), float(dev[i])) for i in range(dev.size)]
+    assert rows == want
