@@ -17,6 +17,9 @@ never a raw TypeError and never silently dropped. The four reading rules:
 4. An optional field is absent, and takes its default, or present and read:
    0, [], "" or null there is refused, and {} for the keys it lacks.
 
+check_eps is the one reader of an eps, from a document or from the API: a
+finite number > 0.
+
 Value rules stay with the objects built: a moebius sequence, for one, refuses
 a pole in its index range, found from -d/c without evaluating a term.
 """
@@ -60,6 +63,17 @@ def number(value, where: str, convert=float, error=SpecError):
     if convert is float and not math.isfinite(out):
         raise error(f"{where}: expected a finite number, got {value!r}")
     return out
+
+
+def check_eps(eps, what: str) -> None:
+    """Refuse an eps that is not a finite number > 0: a NaN eps would be met at once,
+    an infinite one by everything."""
+    try:
+        ok = math.isfinite(eps) and eps > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{what} must be a finite number > 0, got {eps!r}")
 
 
 def spec_object(value, where: str, keys=None, required=()) -> dict:

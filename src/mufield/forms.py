@@ -103,19 +103,25 @@ class WeightForm:
         e = np.exp(-n)
         return np.exp(-2.0 * n) / (1.0 + e) ** 2
 
-    def validate_range(self, n_min: int, n_max: int, where: str = "weight form") -> np.ndarray:
-        """The weights over the index range [n_min, n_max], in one array filled
-        SCAN_BLOCK indices at a time. Each block is checked before the next is
-        weighed; a ValidationError names the first n whose weight is outside [0, 1]."""
-        ws = np.empty(n_max - n_min + 1)
-        for lo in range(n_min, n_max + 1, SCAN_BLOCK):
-            hi = min(lo + SCAN_BLOCK, n_max + 1)
-            block = ws[lo - n_min:hi - n_min]
-            block[:] = self.weights(np.arange(lo, hi, dtype=float))
-            if not (block.min() >= 0.0 and block.max() <= 1.0):  # NaN fails both
-                i = int(np.flatnonzero((block < 0.0) | (block > 1.0) | ~np.isfinite(block))[0])
-                raise ValidationError(f"{where}: weight {float(block[i])!r} out of [0, 1] at n={lo + i}")
-        return ws
+    def validate_range(self, n_min: int, n_max: int, where: str = "weight form") -> None:
+        """Refuse a weight outside [0, 1] over the index range [n_min, n_max]: a
+        ValidationError names the first such n and its weight. A const or
+        rational_poly form weighs only the windows its exact model leaves
+        undecided (mufield.exact), inv_exp_p1_sq the whole range. Windows are
+        weighed in order, SCAN_BLOCK indices at a time, each block checked
+        before the next is weighed."""
+        windows = [(n_min, n_max)]
+        if self.form != "inv_exp_p1_sq":
+            from .exact import weight_windows  # on first use, so that `import mufield` stays without it
+
+            windows = weight_windows(self, n_min, n_max)
+        for first, last in windows:
+            for lo in range(first, last + 1, SCAN_BLOCK):
+                hi = min(lo + SCAN_BLOCK, last + 1)
+                block = self.weights(np.arange(lo, hi, dtype=float))
+                if not (block.min() >= 0.0 and block.max() <= 1.0):  # NaN fails both
+                    i = int(np.flatnonzero((block < 0.0) | (block > 1.0) | ~np.isfinite(block))[0])
+                    raise ValidationError(f"{where}: weight {float(block[i])!r} out of [0, 1] at n={lo + i}")
 
 
 def constant_weight(value: float) -> WeightForm:

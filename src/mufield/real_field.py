@@ -33,7 +33,7 @@ from operator import add, mul, neg
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_eps
 from .membership import FieldContext, mu_eval
 
 PASS = "pass"
@@ -248,9 +248,10 @@ def check_sup_characterization(
     vals = [float(v) for v in values]
     if not vals:
         raise UsageError("check_sup_characterization needs a non-empty set")
-    eps_list = [float(e) for e in eps_schedule]
-    if any(e <= 0.0 for e in eps_list):
-        raise UsageError("all eps must be > 0")
+    eps_list = list(eps_schedule)
+    for e in eps_list:
+        check_eps(e, "eps")
+    eps_list = [float(e) for e in eps_list]
     m = mu_sup(ctx, vals).scaled if probe is None else float(probe)
     witnesses = []
     failed_eps = []

@@ -15,22 +15,32 @@ then rests entirely on zero weights, so any candidate would be supported.
 The flag keeps statements like "converges to 0, not to 2 nontrivially"
 machine-checkable.
 
-Each stream is computed once per experiment. The ExperimentSpec keeps the
-weights of each distinct assigned weight form from the pass that checks
-them against [0, 1]: one read-only array over [n_start, horizon], 8 bytes
-per index per form, which every scan slices. run_experiment evaluates the
-terms of each distinct sequence once for every scan (candidates, classical
-cross-checks, limit checks), 8 bytes per index. The classical scans read
-weight 1 over the sequence's own [n_min, horizon] with the default
-FieldContext tolerances, exactly as classical_converges.
+Every scan reads a stream through one range function, _Stream.deviation,
+at most SCAN_BLOCK = 65,536 indices at a time (512 KB per float array, 16
+EPS_BLOCKs), into reused block buffers. What it reads depends on the stream:
 
-Every pass over a range, the weight check and the terms included, walks it
-SCAN_BLOCK = 65,536 indices at a time (512 KB per float array, 16 EPS_BLOCKs),
-so its temporaries stay in a core's cache: beyond the kept terms and
-weights, a scan holds only a few block-sized arrays. A scan folds
-each block into per-EPS_BLOCK maxima and counts of zero weights and the last
-rise of the deviation; N(eps) then reads again only the last EPS_BLOCK that
-reaches eps, and the triviality fraction the one the tail starts inside.
+- A rational stream is decided by its exact model (mufield.exact): its
+  terms are sq_ratio, moebius or constant, or a sum or a product of two of
+  these, and its weight is weight 1, a const or rational_poly form, or a
+  fallback with no rules. Its deviation is then a quotient of integer
+  polynomials in n, monotone between breakpoints, and a bound on the
+  rounding of the float kernel proves, for each eps, which indices cannot
+  reach eps (1 + eq_tol) and which surely do. Only the windows in between
+  are read in floats, as are those that the count of weights <= min_mu and
+  the rise test leave undecided, so N(eps) is still the index after the
+  last float deviation that reaches the bound. No array spans the range.
+- Any other stream is read whole, in one pass that folds each block into
+  per-EPS_BLOCK maxima, counts of weights <= min_mu and the last rise of
+  the deviation; N(eps) then reads again only the last EPS_BLOCK that
+  reaches eps, and the triviality fraction the one the tail starts inside.
+  The terms of a log_plus, exp_plus or table sequence are kept from their
+  first read, 8 bytes per index; weights are weighed block by block.
+
+The classical scans read weight 1 over the sequence's own [n_min, horizon]
+with the default FieldContext tolerances, exactly as classical_converges.
+Each distinct assigned weight form is checked against [0, 1] once, when the
+experiment is built; a const or rational_poly form weighs only the indices
+its exact model leaves undecided.
 """
 
 from __future__ import annotations
@@ -40,7 +50,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object, spec_string
+from .errors import (
+    SpecError,
+    UsageError,
+    ValidationError,
+    check_eps,
+    number,
+    spec_array,
+    spec_document,
+    spec_object,
+    spec_string,
+)
 from .forms import (
     EXP_INDEX_CAP,
     SCAN_BLOCK,
@@ -60,6 +80,7 @@ TRACE_CHUNK = 4096  # trace rows converted to Python numbers at a time
 EPS_BLOCK = 4096  # deviations per block maximum in the eps table
 
 SEQUENCE_FORMS = ("log_plus", "exp_plus", "sq_ratio", "moebius", "constant", "table")
+RATIONAL_FORMS = ("sq_ratio", "moebius", "constant")  # terms a quotient of polynomials in n
 EXPRESSIONS = ("self", "partner", "sum", "product")
 
 _FORM_TO_VALUE_FORM = {
@@ -137,16 +158,6 @@ class ConvergenceVerdict:
     verdict: str
 
 
-def _check_eps(eps, what: str) -> None:
-    """Refuse an eps that is not a finite number > 0; a NaN eps would be met at once."""
-    try:
-        ok = math.isfinite(eps) and eps > 0.0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValidationError(f"{what} must be a finite number > 0, got {eps!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sequence (optionally a partner), weights, candidates, and a horizon.
@@ -169,7 +180,7 @@ class ExperimentSpec:
         if not self.eps_schedule:
             raise ValidationError("eps schedule must be non-empty")
         for e in self.eps_schedule:
-            _check_eps(e, "eps schedule entry")
+            check_eps(e, "eps schedule entry")
         for s in [self.sequence] + ([self.partner] if self.partner else []):
             if self.horizon > s.n_max:
                 raise ValidationError(
@@ -190,13 +201,11 @@ class ExperimentSpec:
             if self.assignment.index(first) < i:  # the lookup would silently pick the first of two
                 raise SpecError(f"mu: tags {_tag_to_key(*first[:2])!r} and {_tag_to_key(expr, offset)!r}"
                                 " weigh the same stream")
-        weights = []  # (form, its weights over [n_start, horizon]): every entry shares the range
+        checked = []  # every entry shares the range [n_start, horizon]
         for e_expr, _, wf in self.assignment:
-            if all(f != wf for f, _ in weights):
-                ws = wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
-                ws.flags.writeable = False
-                weights.append((wf, ws))
-        object.__setattr__(self, "_weights", tuple(weights))
+            if wf not in checked:
+                wf.validate_range(self.n_start, self.horizon, where=f"mu[{e_expr}]")
+                checked.append(wf)
 
     @property
     def n_start(self) -> int:
@@ -228,18 +237,17 @@ _EPS_STARTS = np.arange(0, SCAN_BLOCK, EPS_BLOCK)  # each EPS_BLOCK's offset in 
 
 
 class _Stream:
-    """The arrays of one experiment, each evaluated once and read by every scan.
+    """The streams of one experiment, read by every scan.
 
     Scans read indices [lo, hi]. lo defaults to the experiment's n_start; a
     lower lo lets the classical scans read each sequence from its own n_min.
-    The terms of each distinct sequence are evaluated once, SCAN_BLOCK
-    indices at a time, into one array; the weights of an assigned form are a
-    slice of the array the spec keeps. Expressions, weights and deviations
-    cover the experiment range [n0, hi], n0 = max(n_start, lo). Every scan
-    reads its range through deviation(), SCAN_BLOCK indices at a time, into
-    two reused block buffers (combined values, deviations), so it finishes
-    with one block before it asks for the next. Verdicts are kept per
-    candidate, so a limit check that repeats a declared candidate is free.
+    The terms of a log_plus, exp_plus or table sequence are evaluated once,
+    SCAN_BLOCK indices at a time, into one array kept from first use; the
+    rational forms are evaluated on each read, as are assigned weight forms.
+    Every scan reads through deviation(), at most SCAN_BLOCK indices at a
+    time, into two reused block buffers (combined values, deviations), so it
+    finishes with one block before it asks for the next. Verdicts are kept
+    per candidate, so a limit check that repeats a declared candidate is free.
     """
 
     def __init__(self, exp: ExperimentSpec, lo: int | None = None, hi: int | None = None):
@@ -254,14 +262,17 @@ class _Stream:
 
     def _buffers(self):
         """The values, deviations and step-test block buffers, allocated at first use,
-        so that the terms are evaluated before."""
+        so that kept terms are evaluated before."""
         if self._bufs is None:
             size = min(SCAN_BLOCK, self.hi - self.lo + 1)
             self._bufs = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
         return self._bufs
 
     def terms(self, seq: SequenceSpec, first: int, last: int) -> np.ndarray:
-        """Terms of seq over [first, last]; a view of the array kept from first use."""
+        """Terms of seq over [first, last]: evaluated now for a rational form, else a
+        view of the array kept from first use."""
+        if seq.form in RATIONAL_FORMS:
+            return seq.terms(np.arange(first, last + 1, dtype=float))
         for s, start, t in self._terms:
             if s == seq:
                 return t[first - start:last - start + 1]
@@ -289,11 +300,10 @@ class _Stream:
         """(v_n, |v_n - candidate| w_n, w_n) over [first, last], at most SCAN_BLOCK indices.
 
         Signed, the deviation is (v_n - candidate) w_n. w_n is the weight form
-        assigned to (expr, candidate), a slice of the array the spec keeps,
-        else the fallback membership at v_n - candidate. Given seq, v_n are
-        its terms and w_n is None, weight 1: the classical deviation. The
-        deviation lives in the block buffer, and the values of a sum or a
-        product in the values buffer.
+        assigned to (expr, candidate) at n, else the fallback membership at
+        v_n - candidate. Given seq, v_n are its terms and w_n is None, weight
+        1: the classical deviation. The deviation lives in the block buffer,
+        and the values of a sum or a product in the values buffer.
         """
         exp = self.exp
         values = self.values(expr, first, last) if seq is None else self.terms(seq, first, last)
@@ -305,8 +315,7 @@ class _Stream:
             if entry is None:
                 w = exp.ctx.mu.weight_many(dev)
             else:
-                kept = next(ws for f, ws in exp._weights if f == entry[2])
-                w = kept[first - exp.n_start:last - exp.n_start + 1]
+                w = entry[2].weights(np.arange(first, last + 1, dtype=float))
         if not signed:
             np.abs(dev, out=dev)
         if w is not None:
@@ -336,69 +345,65 @@ class _Stream:
         self._classical.append((seq, candidate, v))
         return v
 
+    def _rational(self, expr, candidate, seq):
+        """(sequences, combine, weight) of a stream whose terms and weight are rational
+        in n, None for any other. weight is None for weight 1, a float for a constant,
+        else a rational_poly form; combine is "sum" or "product" for two sequences."""
+        exp = self.exp
+        if seq is not None:
+            seqs, weight = (seq,), None
+        else:
+            seqs = {"self": (exp.sequence,), "partner": (exp.partner,)}.get(expr, (exp.sequence, exp.partner))
+            entry = exp.assigned(expr, candidate)
+            if entry is not None:
+                form = entry[2]
+                if form.form not in ("const", "rational_poly"):
+                    return None
+                weight = float(form.params["value"]) if form.form == "const" else form
+            elif exp.ctx.mu.rules:
+                return None
+            else:
+                weight = exp.ctx.mu.default
+        if any(s.form not in RATIONAL_FORMS for s in seqs):
+            return None
+        return seqs, expr if len(seqs) == 2 else None, weight
+
+    def _probe(self, expr, candidate, n0, seq, ctx):
+        """What a scan asks of one stream over [n0, hi], answered from the exact model of
+        a rational stream (mufield.exact), else from one blocked pass over the range."""
+        parts = self._rational(expr, candidate, seq)
+        if parts is not None:
+            from . import exact  # on the first rational scan, so that `import mufield` stays without it
+
+            def read(first, last):
+                return self.deviation(expr, candidate, first, last, seq)[1:]
+
+            probe = exact.scan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, read)
+            if probe is not None:
+                return probe
+        return _BlockPass(self, expr, candidate, n0, seq, ctx)
+
     def _scan(self, expr, candidate, n0, seq=None, schedule=None) -> ConvergenceVerdict:
         """Eps table, triviality fraction and tail certificate of one deviation over [n0, hi].
 
-        One pass over the blocks keeps, per EPS_BLOCK deviations, the maximum
-        (fmax skips NaN) and the count of weights <= min_mu, and the last index
-        whose deviation is not within eq_tol of the one before (a NaN step
-        counts). N(eps) is the index after the last deviation >= eps (1 +
-        eq_tol), n0 when there is none and None when it is the last: only the
-        last EPS_BLOCK that reaches eps is read again, and the one the tail
-        starts inside, for its weights. seq scans its terms at weight 1 with
-        the default tolerances; schedule defaults to the experiment's.
+        N(eps) is the index after the last deviation >= eps (1 + eq_tol), n0
+        when there is none and None when it is the last. The tail from the
+        least N is trivial when every weight there is <= min_mu, and carries
+        the certificate when no step of its deviation rises by more than
+        eq_tol (a NaN step counts). seq scans its terms at weight 1 with the
+        default tolerances; schedule defaults to the experiment's.
         """
         ctx = self.exp.ctx if seq is None else _CLASSICAL_CTX
-        eq_tol = ctx.eq_tol
-        size = self.hi - n0 + 1
-        peaks = np.empty(-(-size // EPS_BLOCK))
-        low = np.zeros(peaks.size, dtype=np.intp)  # weights <= min_mu per EPS_BLOCK
-        rise = 0  # the last i > 0 with not dev[i] - dev[i - 1] <= eq_tol; 0 for none
-        for n, _, dev, w in self.blocks(expr, candidate, n0, seq):
-            i = n - n0
-            steps_buf, _, within_buf = self._buffers()  # the scan reads no values
-            starts = _EPS_STARTS[:-(-dev.size // EPS_BLOCK)]
-            b = i // EPS_BLOCK
-            peaks[b:b + starts.size] = np.fmax.reduceat(dev, starts)
-            if w is not None:  # an EPS_BLOCK count fits in 16 bits
-                zero = np.less_equal(w, ctx.min_mu, out=within_buf[:w.size])
-                low[b:b + starts.size] = np.add.reduceat(zero.view(np.uint8), starts, dtype=np.uint16)
-            if i and not dev[0] - prev <= eq_tol:
-                rise = i
-            steps = np.subtract(dev[1:], dev[:-1], out=steps_buf[:dev.size - 1])
-            within = np.less_equal(steps, eq_tol, out=within_buf[:steps.size])
-            if not within.all():
-                rise = i + steps.size - int(np.argmin(within[::-1]))
-            prev = dev[-1]
-            del w  # fallback weights are a new array per block: free them before the next
-
-        table, held = [], None
+        probe = self._probe(expr, candidate, n0, seq, ctx)
+        table = []
         for eps in self.exp.eps_schedule if schedule is None else schedule:
-            bound = float(eps) * (1.0 + eq_tol)
-            reach = np.flatnonzero(peaks >= bound)
-            n = n0
-            if reach.size:
-                lo = int(reach[-1]) * EPS_BLOCK
-                if held != lo:
-                    held = lo
-                    _, dev, _ = self.deviation(expr, candidate, n0 + lo, min(n0 + lo + EPS_BLOCK, self.hi + 1) - 1, seq)
-                last = lo + int(np.flatnonzero(dev >= bound)[-1])
-                n = None if last == size - 1 else n0 + last + 1
-            table.append((eps, n))
+            last = probe.last_reaching(float(eps) * (1.0 + ctx.eq_tol))
+            table.append((eps, n0 if last is None else None if last == self.hi else last + 1))
         found = [n for _, n in table if n is not None]
         all_found = len(found) == len(table)
         tail_from = min(found) if found else n0
-        i0 = tail_from - n0
-
-        frac = 0.0
-        if seq is None:
-            k, r = divmod(i0, EPS_BLOCK)
-            count = int(low[k + (r > 0):].sum())
-            if r:
-                _, _, w = self.deviation(expr, candidate, tail_from, min(n0 + (k + 1) * EPS_BLOCK, self.hi + 1) - 1)
-                count += int(np.count_nonzero(w <= ctx.min_mu))
-            frac = count / (size - i0)
-        certificate = CERT_MONOTONE if all_found and rise <= i0 else None
+        frac = 0.0 if seq is not None else probe.low_count(tail_from) / (self.hi - tail_from + 1)
+        certificate = CERT_MONOTONE if all_found and not probe.rises_after(tail_from) else None
 
         if not all_found:
             verdict = REFUTED
@@ -418,6 +423,71 @@ class _Stream:
         )
 
 
+class _BlockPass:
+    """The blocked kernel: one pass over a stream's [n0, hi], for any stream.
+
+    The pass keeps, per EPS_BLOCK deviations, the maximum (fmax skips NaN)
+    and the count of weights <= min_mu, and the last index whose deviation
+    is not within eq_tol of the one before (a NaN step counts). Of the
+    blocks, only the last EPS_BLOCK that reaches a bound is read again, and
+    the one a tail starts inside, for its weights.
+    """
+
+    def __init__(self, stream: _Stream, expr, candidate, n0, seq, ctx):
+        self.stream, self.args, self.seq, self.n0, self.min_mu = stream, (expr, candidate), seq, n0, ctx.min_mu
+        eq_tol = ctx.eq_tol
+        size = stream.hi - n0 + 1
+        self.peaks = np.empty(-(-size // EPS_BLOCK))
+        self.low = np.zeros(self.peaks.size, dtype=np.intp)  # weights <= min_mu per EPS_BLOCK
+        self.rise = n0  # the last n > n0 with not dev[n] - dev[n - 1] <= eq_tol; n0 for none
+        self.held = None  # (first index, deviations) of the EPS_BLOCK read last
+        for n, _, dev, w in stream.blocks(expr, candidate, n0, seq):
+            steps_buf, _, within_buf = stream._buffers()  # the scan reads no values
+            starts = _EPS_STARTS[:-(-dev.size // EPS_BLOCK)]
+            b = (n - n0) // EPS_BLOCK
+            self.peaks[b:b + starts.size] = np.fmax.reduceat(dev, starts)
+            if w is not None:  # an EPS_BLOCK count fits in 16 bits
+                zero = np.less_equal(w, ctx.min_mu, out=within_buf[:w.size])
+                self.low[b:b + starts.size] = np.add.reduceat(zero.view(np.uint8), starts, dtype=np.uint16)
+            if n > n0 and not dev[0] - prev <= eq_tol:
+                self.rise = n
+            steps = np.subtract(dev[1:], dev[:-1], out=steps_buf[:dev.size - 1])
+            within = np.less_equal(steps, eq_tol, out=within_buf[:steps.size])
+            if not within.all():
+                self.rise = n + steps.size - int(np.argmin(within[::-1]))
+            prev = dev[-1]
+            del w  # fallback weights are a new array per block: free them before the next
+
+    def _read(self, first: int):
+        """deviation() over the EPS_BLOCK that starts at first."""
+        return self.stream.deviation(*self.args, first, min(first + EPS_BLOCK, self.stream.hi + 1) - 1,
+                                     self.seq)
+
+    def last_reaching(self, bound: float):
+        """The last index whose deviation is >= bound, or None."""
+        reach = np.flatnonzero(self.peaks >= bound)
+        if not reach.size:
+            return None
+        first = self.n0 + int(reach[-1]) * EPS_BLOCK
+        if self.held is None or self.held[0] != first:
+            self.held = first, self._read(first)[1]
+        return first + int(np.flatnonzero(self.held[1] >= bound)[-1])
+
+    def low_count(self, first: int) -> int:
+        """The count of weights <= min_mu over [first, hi]."""
+        k, r = divmod(first - self.n0, EPS_BLOCK)
+        count = int(self.low[k + (r > 0):].sum())
+        if r:
+            self.held = None  # the read below reuses the deviation buffer
+            w = self.stream.deviation(*self.args, first, min(self.n0 + (k + 1) * EPS_BLOCK, self.stream.hi + 1) - 1)[2]
+            count += int(np.count_nonzero(w <= self.min_mu))
+        return count
+
+    def rises_after(self, first: int) -> bool:
+        """Whether some step dev(n) - dev(n - 1), first < n <= hi, is not <= eq_tol."""
+        return self.rise > first
+
+
 def scaled_deviation(exp: ExperimentSpec, expr: str, candidate: float, n: int) -> float:
     """|v_n - candidate| times the resolved weight at (v_n - candidate)."""
     if not (exp.n_start <= n <= exp.horizon):
@@ -428,7 +498,7 @@ def scaled_deviation(exp: ExperimentSpec, expr: str, candidate: float, n: int) -
 
 def min_index_for_epsilon(exp: ExperimentSpec, expr: str, candidate: float, eps: float):
     """Smallest k with deviation < eps (1 + slack) for every n in [k, horizon]."""
-    _check_eps(eps, "eps")
+    check_eps(eps, "eps")
     stream = _Stream(exp)
     return stream._scan(expr, candidate, stream.n0, schedule=(eps,)).eps_table[0][1]
 

@@ -5,8 +5,8 @@ scans before they shared one stream per experiment; every float is compared
 exactly. The scan reads its range SCAN_BLOCK indices at a time; its eps
 table, triviality fraction, certificate and tail start are held to a
 whole-array scan kept here, and the eps table to the per-eps scan it
-replaced. Each assigned weight form weighs each index once, and no array
-but the kept terms and weights spans the range.
+replaced. The demos' rational streams read only a few EPS_BLOCKs per scan,
+and no array spans their range.
 """
 
 import json
@@ -25,6 +25,7 @@ from mufield import (
     PointMatcher,
     SequenceSpec,
     ValidationError,
+    ValueForm,
     WeightForm,
     check_monotone,
     classical_converges,
@@ -32,14 +33,13 @@ from mufield import (
     demo_catalog,
     mu_converges,
     run_experiment,
-    scaled_deviation,
     seq_bounded_report,
 )
 from mufield.cli import _to_jsonable
 from mufield.demos import DEMO_NAMES, run_demo
 from mufield.forms import _horner
 from mufield.real_field import FAIL, PASS, bounds_report
-from mufield.sequences import CERT_MONOTONE, DEFAULT_EPS, EPS_BLOCK, SCAN_BLOCK, _Stream, trace_rows
+from mufield.sequences import CERT_MONOTONE, DEFAULT_EPS, EPS_BLOCK, SCAN_BLOCK, _BlockPass, _Stream, trace_rows
 from test_membership import BAD_WEIGHTS, weight_bad_at
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "demo_golden.json").read_text())
@@ -165,6 +165,9 @@ class ArrayStream(_Stream):
             eps_schedule=tuple(schedule), horizon=last, ctx=FieldContext(eq_tol=eq_tol, min_mu=min_mu)))
         self.arrays = dev, weights
         self.reads = []
+
+    def _probe(self, *args):  # the given arrays are read by the blocked kernel
+        return _BlockPass(self, *args)
 
     def deviation(self, expr, candidate, first, last, seq=None, signed=False):
         assert 0 < last - first + 1 <= SCAN_BLOCK
@@ -335,63 +338,45 @@ def test_blocked_validate_range_names_the_first_bad_weight(monkeypatch, kind, sh
     assert seen[-1] >= k and (len(seen) == 1 or seen[-2] < k)  # no block past the bad one was weighed
 
 
-def test_validate_range_fills_the_whole_array_bit_for_bit():
+def test_weights_read_in_blocks_are_the_whole_range_bit_for_bit():
+    # a log_plus stream is read whole, its assigned form weighed one block at a time
     wf = WeightForm("rational_poly", {"p": [0, 0, 1], "q": [1, 6, 12, 8]})
-    ws = wf.validate_range(1, 2 * SCAN_BLOCK + 4097)
-    assert ws.tobytes() == wf.weights(np.arange(1, 2 * SCAN_BLOCK + 4098, dtype=float)).tobytes()
+    n_max = 2 * SCAN_BLOCK + 4097
+    exp = ExperimentSpec(sequence=SequenceSpec("log_plus", {"c": 1.0}, 1, n_max), horizon=n_max,
+                         assignment=(("self", None, wf),))
+    got = np.concatenate([w for _, _, _, w in _Stream(exp).blocks("self", None)])
+    assert got.tobytes() == wf.weights(np.arange(1, n_max + 1, dtype=float)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["sum_failure", "product_failure"])
-def test_each_assigned_form_is_weighed_once(monkeypatch, name):
-    calls = []
-    weights = WeightForm.weights
+def test_each_scan_reads_a_few_eps_blocks(monkeypatch, name):
+    # the streams are rational: building weighs no index, and each scan reads
+    # in floats only the windows its exact model leaves undecided
+    read = {"weights": 0, "terms": 0, "scans": 0}
 
-    def counted(self, n):
-        assert np.array_equal(n, np.arange(n[0], n[-1] + 1))  # consecutive indices
-        calls.append((self, int(n[0]), int(n[-1])))
-        return weights(self, n)
+    def counted(method, key):
+        def wrapped(self, *args):
+            read[key] += 1 if key == "scans" else args[0].size
+            return method(self, *args)
+        return wrapped
 
-    monkeypatch.setattr(WeightForm, "weights", counted)
-    exp = run_demo(name).experiment
-    forms = []
-    for _, _, wf in exp.assignment:
-        if wf not in forms:
-            forms.append(wf)
-    # each form weighs [n_start, horizon] once, in blocks that cover it in order,
-    # before the next form; nothing is weighed again
-    covered = []
-    for wf in forms:
-        ranges = [(a, b) for f, a, b in calls if f == wf]
-        assert ranges[0][0] == exp.n_start and ranges[-1][1] == exp.horizon
-        assert all(a == b0 + 1 for (_, b0), (a, _) in zip(ranges, ranges[1:]))
-        covered += [(wf, a, b) for a, b in ranges]
-    assert calls == covered
-    assert all(not w.flags.writeable for _, w in exp._weights)
-
-    calls.clear()
-    expr = exp.assignment[-1][0]  # the combined stream, weighed by its own form at offset 0
-    scaled_deviation(exp, expr, 0.0, exp.n_start + 7)
-    mu_converges(exp, expr, 0.0)
-    next(trace_rows(exp, "self", 1.0))
-    seq_bounded_report(exp, "partner")
-    assert calls == []
+    monkeypatch.setattr(WeightForm, "weights", counted(WeightForm.weights, "weights"))
+    monkeypatch.setattr(ValueForm, "terms", counted(ValueForm.terms, "terms"))
+    exp = demo_catalog(name)
+    assert read == {"weights": 0, "terms": 0, "scans": 0}
+    monkeypatch.setattr(_Stream, "_probe", counted(_Stream._probe, "scans"))
+    assert run_demo(name).ok
+    assert read["scans"] >= len(exp.candidates)
+    assert read["weights"] + read["terms"] <= 2 * EPS_BLOCK * read["scans"]
 
 
-def test_sum_failure_memory_stays_within_its_kept_arrays():
-    # building keeps the weights of two forms; the run keeps one terms array
-    # (sequence and partner are the same), and every other array is a block
-    slack = 2 * 2**20
+def test_sum_failure_build_and_run_stay_under_2_mb():
+    # no array spans the range: 1.2 M indices would be 9.6 MB each
     tracemalloc.start()
     try:
         exp = demo_catalog("sum_failure")
-        _, build_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        base, _ = tracemalloc.get_traced_memory()
         run_experiment(exp)
-        _, run_peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(w.nbytes for _, w in exp._weights)
-    assert kept == 2 * 8 * exp.horizon
-    assert build_peak <= kept + slack
-    assert run_peak - base <= 8 * exp.horizon + slack
+    assert peak < 2 * 2**20

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from mufield import (
     Ordering,
     PointMatcher,
     UsageError,
+    ValidationError,
     check_real_identity,
     check_sup_characterization,
     mu_abs,
@@ -199,6 +201,12 @@ class TestSupCharacterization:
     def test_eps_must_be_positive(self):
         with pytest.raises(UsageError):
             check_sup_characterization(FieldContext(), [1.0], [0.0])
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf])
+    def test_eps_that_is_not_finite_is_refused(self, eps):
+        # an infinite eps passed every probe and a NaN one failed with no note
+        with pytest.raises(ValidationError, match=re.escape(f"eps must be a finite number > 0, got {eps!r}")):
+            check_sup_characterization(FieldContext(), [1.0, 2.0], [0.5, eps])
 
 
 class TestRegistry:
