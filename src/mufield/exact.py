@@ -108,6 +108,16 @@ def _int_poly(coeffs):
     return [a * (scale // b) for a, b in ratios], scale
 
 
+def _reduce(top, bottom):
+    """top / bottom with the common power of n and the common integer factor taken out."""
+    if not _trim(top):
+        return [], bottom
+    k = min(next(i for i, c in enumerate(p) if c) for p in (top, bottom))
+    top, bottom = top[k:], bottom[k:]
+    g = math.gcd(*top, *bottom)
+    return [c // g for c in top], [c // g for c in bottom]
+
+
 def breakpoints(p, lo: int, hi: int) -> list:
     """Sorted integers of [lo, hi], lo and hi among them, holding floor(x) and ceil(x)
     of every real root x in [lo, hi] of the integer polynomial p; the zero polynomial
@@ -324,13 +334,11 @@ def _merge(ranges) -> list:
 def weight_windows(form, n_min: int, n_max: int) -> list:
     """Sorted, disjoint (a, b) ranges of [n_min, n_max] outside which every float weight
     of a const or rational_poly form is surely in [0, 1]."""
-    params = [form.params["value"]] if form.form == "const" else [*form.params["p"], *form.params["q"]]
-    if not _finite(params):
+    if form.form == "const":
+        return [] if 0.0 <= float(form.params["value"]) <= 1.0 else [(n_min, n_min)]
+    if not _finite([*form.params["p"], *form.params["q"]]):
         return [(n_min, n_max)]
-    w = _Weight(float(form.params["value"]) if form.form == "const" else form)
-    if w.value is not None:
-        return [] if 0.0 <= w.value <= 1.0 else [(n_min, n_min)]
-    pieces = w.pieces(n_min, n_max)
+    pieces = _Weight(form).pieces(n_min, n_max)
     out = []
     for row in pieces.rows:
         l, r, rising, bottom, top, err = row
@@ -487,16 +495,6 @@ class RationalScan:
                     return True
                 prev = dev[-1]
         return False
-
-
-def _reduce(top, bottom):
-    """top / bottom with the common power of n and the common integer factor taken out."""
-    if not _trim(top):
-        return [], bottom
-    k = min(next(i for i, c in enumerate(p) if c) for p in (top, bottom))
-    top, bottom = top[k:], bottom[k:]
-    g = math.gcd(*top, *bottom)
-    return [c // g for c in top], [c // g for c in bottom]
 
 
 def scan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, read):

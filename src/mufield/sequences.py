@@ -458,11 +458,6 @@ class _BlockPass:
             prev = dev[-1]
             del w  # fallback weights are a new array per block: free them before the next
 
-    def _read(self, first: int):
-        """deviation() over the EPS_BLOCK that starts at first."""
-        return self.stream.deviation(*self.args, first, min(first + EPS_BLOCK, self.stream.hi + 1) - 1,
-                                     self.seq)
-
     def last_reaching(self, bound: float):
         """The last index whose deviation is >= bound, or None."""
         reach = np.flatnonzero(self.peaks >= bound)
@@ -470,7 +465,8 @@ class _BlockPass:
             return None
         first = self.n0 + int(reach[-1]) * EPS_BLOCK
         if self.held is None or self.held[0] != first:
-            self.held = first, self._read(first)[1]
+            last = min(first + EPS_BLOCK, self.stream.hi + 1) - 1
+            self.held = first, self.stream.deviation(*self.args, first, last, self.seq)[1]
         return first + int(np.flatnonzero(self.held[1] >= bound)[-1])
 
     def low_count(self, first: int) -> int:
