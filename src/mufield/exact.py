@@ -334,6 +334,8 @@ def _merge(ranges) -> list:
 def weight_windows(form, n_min: int, n_max: int) -> list:
     """Sorted, disjoint (a, b) ranges of [n_min, n_max] outside which every float weight
     of a const or rational_poly form is surely in [0, 1]."""
+    if n_min > n_max:
+        return []
     if form.form == "const":
         return [] if 0.0 <= float(form.params["value"]) <= 1.0 else [(n_min, n_min)]
     if not _finite([*form.params["p"], *form.params["q"]]):
