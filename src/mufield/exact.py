@@ -491,10 +491,11 @@ class RationalScan:
             prev = None
             for s in range(max(l, first), r + 1, SCAN_BLOCK):
                 dev = self.read(s, min(s + SCAN_BLOCK, r + 1) - 1)[0]
-                if prev is not None and not dev[0] - prev <= self.eq_tol:
-                    return True
-                if not np.all(np.diff(dev) <= self.eq_tol):
-                    return True
+                with np.errstate(invalid="ignore"):  # inf - inf is a NaN step, which counts
+                    if prev is not None and not dev[0] - prev <= self.eq_tol:
+                        return True
+                    if not np.all(np.diff(dev) <= self.eq_tol):
+                        return True
                 prev = dev[-1]
         return False
 

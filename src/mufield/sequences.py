@@ -138,7 +138,8 @@ class SequenceSpec:
         if self.form == "table":
             pts = self.params["points"]
             return np.array([float(pts[int(k)]) for k in ns])
-        return self._value_form().terms(ns.astype(float, copy=False))
+        with np.errstate(over="ignore"):  # a term past the float range is +-inf, as in a member table
+            return self._value_form().terms(ns.astype(float, copy=False))
 
     def term_at(self, n: int) -> float:
         if not (self.n_min <= n <= self.n_max):
@@ -449,9 +450,10 @@ class _BlockPass:
             if w is not None:  # an EPS_BLOCK count fits in 16 bits
                 zero = np.less_equal(w, ctx.min_mu, out=within_buf[:w.size])
                 self.low[b:b + starts.size] = np.add.reduceat(zero.view(np.uint8), starts, dtype=np.uint16)
-            if n > n0 and not dev[0] - prev <= eq_tol:
-                self.rise = n
-            steps = np.subtract(dev[1:], dev[:-1], out=steps_buf[:dev.size - 1])
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN step, which counts
+                if n > n0 and not dev[0] - prev <= eq_tol:
+                    self.rise = n
+                steps = np.subtract(dev[1:], dev[:-1], out=steps_buf[:dev.size - 1])
             within = np.less_equal(steps, eq_tol, out=within_buf[:steps.size])
             if not within.all():
                 self.rise = n + steps.size - int(np.argmin(within[::-1]))
