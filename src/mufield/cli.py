@@ -8,6 +8,15 @@ apart from the timestamp field.
 
 Exit codes: 0 all checks passed, 1 a check failed or a valid request met a
 domain error or did not fit in memory, 2 invalid input or usage.
+
+`converge --trace` writes its CSV on two cores when it can: where os.fork
+exists, the process may run on two CPUs or more, it runs no other thread and
+the trace is longer than one chunk of TRACE_CHUNK rows, a forked helper
+formats every odd chunk and sends it back through a pipe. Both processes
+walk the same trace_rows generator. The parent writes the helper's lines
+only after checking them against its own rows, and formats every chunk left
+itself once the helper fails, so the bytes never depend on the helper. The
+helper is always reaped before the command returns.
 """
 
 from __future__ import annotations
@@ -15,9 +24,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import os
+import signal
+import struct
 import sys
+import threading
 import time
 
 from . import __version__
@@ -34,7 +48,7 @@ from .membership import (
 from .real_field import ScaledValue, mu_abs, mu_compare, mu_inf, mu_sup
 from .complex_field import mu_abs_c, mu_arg, mu_conj, mu_exp, mu_log, mu_pow
 from .registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY, run_identity_sweep
-from .sequences import load_experiment, run_experiment, trace_rows
+from .sequences import TRACE_CHUNK, load_experiment, run_experiment, trace_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,6 +56,8 @@ EXIT_USAGE = 2
 # axioms audits every pair of samples, O(n^2) weighings, so a larger request
 # would run for minutes and is refused before any sample is built
 MAX_AXIOM_SAMPLES = 2_000
+_FRAME = struct.Struct("<Q")  # the byte length that heads each of the trace helper's frames
+_PIECE = 1 << 14  # bytes of a helper frame read from the pipe at a time
 
 
 def _sha256(path: str) -> str:
@@ -260,6 +276,111 @@ def _trace_target(exp, text: str | None):
     return expr, _flag_number(cand, "--trace-target candidate")
 
 
+def _lines(rows):
+    """The CSV lines of rows, as csv.writer writes them: CRLF, and floats as their shortest round-trip repr."""
+    return (f"{n},{t!r},{w!r},{d!r}\r\n" for n, t, w, d in rows)
+
+
+def _two_workers(count: int) -> bool:
+    """Whether a trace of count rows is split with a forked helper: it spans more than
+    one chunk, two CPUs are allowed, and no other thread runs, as one could hold a
+    lock forever in the child."""
+    if count <= TRACE_CHUNK or not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _send_odd_chunks(rows, fd: int) -> None:
+    """Skip every even chunk of rows and send each odd one's lines to fd as one frame."""
+    with open(fd, "wb") as pipe:
+        while True:
+            for _ in itertools.islice(rows, TRACE_CHUNK):  # the parent's chunk
+                pass
+            data = "".join(_lines(itertools.islice(rows, TRACE_CHUNK))).encode()
+            if not data:
+                return
+            pipe.write(_FRAME.pack(len(data)))
+            pipe.write(data)
+
+
+def _start_helper(rows):
+    """(pid, pipe) of a forked process sending the odd chunks of rows; None when no
+    descriptor or process is to be had, and the caller formats every chunk."""
+    fds = ()
+    try:
+        fds = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:  # the helper: it never returns, so it neither flushes the parent's files nor runs its exit code
+        code = 1
+        try:
+            os.close(fds[0])
+            _send_odd_chunks(rows, fds[1])
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(fds[1])
+    return pid, open(fds[0], "rb")
+
+
+def _copy_frame(f, rows, pipe):
+    """Copy the helper's frame of the chunk at the head of rows into f, drawing the
+    rows it stands for; None when the frame was read whole, else the rows left
+    for the caller to format, the helper being gone or wrong.
+
+    The frame is read a piece at a time and written in whole lines, each piece
+    once its rows are drawn and its first and last lines are seen to start with
+    their rows' n. So f always holds the lines of exactly the rows drawn: when
+    the helper has ended or died (no frame, or a short one), or a piece does not
+    match, the rows not written are handed back. A frame that does not end a
+    line leaves its last row undrawn, for the next chunk of the caller.
+    """
+    head = pipe.read(_FRAME.size)
+    if len(head) < _FRAME.size:
+        return rows
+    left, carry = _FRAME.unpack(head)[0], b""
+    f.flush()  # the lines before go first: the frame is written below the text layer
+    while left:
+        piece = pipe.read(min(left, _PIECE))
+        if not piece:
+            return rows
+        left -= len(piece)
+        done, crlf, carry = (carry + piece).rpartition(b"\r\n")
+        lines = done + crlf
+        count = lines.count(b"\r\n")
+        drawn = list(itertools.islice(rows, count))
+        last = lines.rfind(b"\n", 0, len(lines) - 1) + 1  # where the last line starts
+        if count and not (len(drawn) == count and lines.startswith(b"%d," % drawn[0][0])
+                          and lines.startswith(b"%d," % drawn[-1][0], last)):
+            return itertools.chain(drawn, rows)
+        f.buffer.write(lines)
+    return None
+
+
+def _write_trace(f, rows, count: int) -> None:
+    """Write the CSV lines of count rows to f, half of the chunks formatted by a
+    forked helper when _two_workers allows; rows must not have been started."""
+    helper = _start_helper(rows) if _two_workers(count) else None
+    if helper is not None:
+        pid, pipe = helper
+        try:
+            with pipe:
+                left = None
+                while left is None:
+                    f.writelines(_lines(itertools.islice(rows, TRACE_CHUNK)))
+                    left = _copy_frame(f, rows, pipe)
+                rows = left
+        finally:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    f.writelines(_lines(rows))
+
+
 def cmd_converge(args) -> int:
     _refuse_unread(args, "the experiment spec's 'tolerances' block")
     if args.trace_target is not None and not args.trace:
@@ -270,9 +391,8 @@ def cmd_converge(args) -> int:
     report = run_experiment(exp)
     if target is not None:
         with open(args.trace, "w", newline="", encoding="utf-8") as f:
-            # the bytes csv.writer writes: CRLF, and floats as their shortest round-trip repr
             f.write("n,term,membership,scaled_deviation\r\n")
-            f.writelines(f"{n},{t!r},{w!r},{d!r}\r\n" for n, t, w, d in trace_rows(exp, *target))
+            _write_trace(f, trace_rows(exp, *target), exp.horizon - exp.n_start + 1)
     body = {
         "label": exp.label,
         "horizon": exp.horizon,

@@ -191,7 +191,7 @@ class ExperimentSpec:
             raise ValidationError("horizon below the first valid index")
         for expr, value in self.candidates:
             self.check_expression(expr)
-            float(value)
+            number(value, "candidate", error=ValidationError)
         for i, (expr, offset, wf) in enumerate(self.assignment):
             self.check_expression(expr)
             if not isinstance(wf, WeightForm):
@@ -496,6 +496,7 @@ def scaled_deviation(exp: ExperimentSpec, expr: str, candidate: float, n: int) -
 
 def min_index_for_epsilon(exp: ExperimentSpec, expr: str, candidate: float, eps: float):
     """Smallest k with deviation < eps (1 + slack) for every n in [k, horizon]."""
+    candidate = number(candidate, "candidate", error=ValidationError)
     check_eps(eps, "eps")
     stream = _Stream(exp)
     return stream._scan(expr, candidate, stream.n0, schedule=(eps,)).eps_table[0][1]
@@ -503,13 +504,14 @@ def min_index_for_epsilon(exp: ExperimentSpec, expr: str, candidate: float, eps:
 
 def mu_converges(exp: ExperimentSpec, expr: str, candidate: float) -> ConvergenceVerdict:
     """Full eps table, triviality fraction, and tail certificate for one candidate."""
-    return _Stream(exp).verdict(expr, candidate)
+    return _Stream(exp).verdict(expr, number(candidate, "candidate", error=ValidationError))
 
 
 def classical_converges(
     seq: SequenceSpec, candidate: float, eps_schedule=DEFAULT_EPS, horizon: int | None = None
 ) -> ConvergenceVerdict:
     """The same scan with the identity weighting (weight 1 everywhere)."""
+    candidate = number(candidate, "candidate", error=ValidationError)
     h = min(seq.n_max, DEFAULT_HORIZON) if horizon is None else horizon
     exp = ExperimentSpec(sequence=seq, eps_schedule=tuple(eps_schedule), horizon=h)
     return _Stream(exp).classical(seq, candidate)
@@ -619,18 +621,22 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
 
 
 def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
-    """(n, term, membership, scaled_deviation) rows for plotting.
+    """(n, term, membership, scaled_deviation) rows for plotting, from a generator.
 
     Every field is a built-in int or float. The columns become Python
     numbers TRACE_CHUNK rows at a time, so the objects alive at once do not
-    grow with the horizon.
+    grow with the horizon. A candidate that is not a finite number is
+    refused here, before any row is drawn.
     """
-    stream = _Stream(exp)
-    for n, values, dev, weights in stream.blocks(expr, candidate):
-        for lo in range(0, dev.size, TRACE_CHUNK):
-            hi = min(lo + TRACE_CHUNK, dev.size)
-            yield from zip(range(n + lo, n + hi), values[lo:hi].tolist(),
-                           weights[lo:hi].tolist(), dev[lo:hi].tolist())
+    candidate = number(candidate, "candidate", error=ValidationError)
+
+    def rows():
+        for n, values, dev, weights in _Stream(exp).blocks(expr, candidate):
+            for lo in range(0, dev.size, TRACE_CHUNK):
+                hi = min(lo + TRACE_CHUNK, dev.size)
+                yield from zip(range(n + lo, n + hi), values[lo:hi].tolist(),
+                               weights[lo:hi].tolist(), dev[lo:hi].tolist())
+    return rows()
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,15 @@ def test_a_weight_far_from_0_and_1_weighs_no_index(monkeypatch):
     assert calls == []
 
 
-def test_import_leaves_out_exact_arithmetic():
-    # exact arithmetic is loaded by the first rational scan or weight check, not by the import
+@pytest.mark.parametrize("modules", [
+    # exact arithmetic is loaded by the first rational scan or weight check
+    ("fractions", "decimal", "mufield.exact"),
+    # the trace helper is a bare os.fork and os.pipe, with no process pool or event loop behind it
+    ("multiprocessing", "concurrent", "subprocess", "selectors"),
+], ids=["exact_arithmetic", "process_pools"])
+def test_import_leaves_out(modules):
     code = ("import sys, mufield, mufield.cli; "
-            "print(sorted(m for m in ('fractions', 'decimal', 'mufield.exact') if m in sys.modules))")
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(mufield.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"

@@ -163,6 +163,23 @@ def test_eps_that_is_not_finite_and_positive_is_refused(eps):
         min_index_for_epsilon(ExperimentSpec(sequence=seq, horizon=1000), "self", 0.0, eps)
 
 
+@pytest.mark.parametrize("candidate", [math.nan, math.inf, -math.inf])
+def test_candidate_that_is_not_a_finite_number_is_refused(candidate):
+    # a NaN deviation never reaches a bound: the divergent log drift was "supported" at NaN
+    seq = SequenceSpec("log_plus", {"c": 1.0}, 1, 1000)
+    exp = ExperimentSpec(sequence=seq, horizon=1000)
+    calls = [
+        lambda: ExperimentSpec(sequence=seq, candidates=(("self", candidate),), horizon=1000),
+        lambda: mu_converges(exp, "self", candidate),
+        lambda: classical_converges(seq, candidate),
+        lambda: min_index_for_epsilon(exp, "self", candidate, 0.1),
+        lambda: trace_rows(exp, "self", candidate),  # refused at the call, before any row is drawn
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=re.escape(f"candidate: expected a finite number, got {candidate!r}")):
+            call()
+
+
 class TestClassical:
     def test_sq_ratio_to_one(self):
         seq = SequenceSpec("sq_ratio", {}, 1, 100_000)
