@@ -19,10 +19,16 @@ Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 2-3), computed
 with every float operation rounded upward, bounds |fl_dev(n) - D(n)| at each
 of its indices. Where D + E < bound, the float deviation cannot reach the
 bound; where D - E >= bound, it surely does. Two integer bisections per
-piece find both stretches, and only the indices between them are read. A
-piece whose bound cannot be had (a possible overflow, a pole at an index) is
-read whole. The pieces of w itself decide a weight check against [0, 1] and
-the count of weights at or below min_mu the same way.
+piece find both stretches. A piece whose bound cannot be had (a possible
+overflow, a pole at an index) is left undecided whole. The pieces of w
+itself decide a weight check against [0, 1] and the count of weights at or
+below min_mu the same way.
+
+This module reads no float deviation or weight. The window between the two
+stretches, and each window the weight count and the rise test leave
+undecided, is read by the blocked kernel (sequences._BlockPass): one pass
+over the window answers the question the model asks of the whole range.
+The weight check's windows are weighed by WeightForm.validate_range.
 
 Imported on the first rational scan or weight check, never by `import mufield`.
 """
@@ -30,10 +36,6 @@ Imported on the first rational scan or weight check, never by `import mufield`.
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-from .forms import SCAN_BLOCK
 
 U = 2.0 ** -53  # unit roundoff of a double
 ETA = math.ulp(0.0)  # bounds the underflow of one product or quotient
@@ -361,16 +363,16 @@ def weight_windows(form, n_min: int, n_max: int) -> list:
 
 class RationalScan:
     """The three questions a convergence scan asks of one rational stream over
-    [n0, hi], answered from its exact model. read(first, last) gives the
-    kernel's float deviations and weights over at most SCAN_BLOCK indices;
-    it is called only for the windows the model leaves undecided."""
+    [n0, hi], answered from its exact model. window(first, last) gives the
+    blocked kernel's pass over [first, last], which answers the same three
+    questions in floats; it is asked only of the windows the model leaves
+    undecided."""
 
-    def __init__(self, seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, read):
+    def __init__(self, seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window):
         self.terms = [_Terms(s) for s in seqs]
         self.combine, self.c = combine, abs(candidate)
         self.weight = None if weight is None else _Weight(weight)
-        self.n0, self.hi, self.eq_tol, self.min_mu, self.read = n0, hi, eq_tol, min_mu, read
-        self._peaks = {}  # (first, last) of a read -> its largest float deviation
+        self.n0, self.hi, self.eq_tol, self.min_mu, self.window = n0, hi, eq_tol, min_mu, window
         num, den = self.terms[0].num, self.terms[0].den
         if len(self.terms) == 2:
             num2, den2 = self.terms[1].num, self.terms[1].den
@@ -426,27 +428,11 @@ class RationalScan:
                     sure = surely[1]
                 maybe = pieces.at_least(row, _dn(bound - err))
                 l, r = (maybe[0], surely[0] - 1) if rising else (surely[1] + 1, maybe[1])
-            hit = self._last_hit(l, r, bound)
+            hit = self.window(l, r).last_reaching(bound) if l <= r else None
             if hit is not None:
                 return hit
             if sure is not None:
                 return sure
-        return None
-
-    def _last_hit(self, first: int, last: int, bound: float):
-        """The last index of [first, last] whose float deviation is >= bound, read from
-        the right SCAN_BLOCK indices at a time; a read whose largest deviation is below
-        bound is not read again."""
-        for e in range(last, first - 1, -SCAN_BLOCK):
-            s = max(first, e - SCAN_BLOCK + 1)
-            peak = self._peaks.get((s, e))
-            if peak is not None and not peak >= bound:
-                continue
-            dev = self.read(s, e)[0]
-            self._peaks[(s, e)] = float(np.fmax.reduce(dev))
-            hit = np.flatnonzero(dev >= bound)
-            if hit.size:
-                return s + int(hit[-1])
         return None
 
     def low_count(self, first: int) -> int:
@@ -472,9 +458,8 @@ class RationalScan:
                     ((maybe[1] + 1, r), (high[1] + 1, maybe[1]))
                 count += max(0, min(b, low[1]) - max(a, low[0]) + 1)
                 window = (max(a, window[0]), min(b, window[1]))
-            for s in range(window[0], window[1] + 1, SCAN_BLOCK):
-                weights = self.read(s, min(s + SCAN_BLOCK, window[1] + 1) - 1)[1]
-                count += int(np.count_nonzero(weights <= mu))
+            if window[0] <= window[1]:  # first may lie past the window
+                count += self.window(*window).low_count(window[0])
         return count
 
     def rises_after(self, first: int) -> bool:
@@ -488,19 +473,13 @@ class RationalScan:
                 climb = max(0.0, _up(_quotient(nb * da - na * db, da * db)))
                 if _up(climb + _up(2.0 * err)) <= self.eq_tol:
                     continue
-            prev = None
-            for s in range(max(l, first), r + 1, SCAN_BLOCK):
-                dev = self.read(s, min(s + SCAN_BLOCK, r + 1) - 1)[0]
-                with np.errstate(invalid="ignore"):  # inf - inf is a NaN step, which counts
-                    if prev is not None and not dev[0] - prev <= self.eq_tol:
-                        return True
-                    if not np.all(np.diff(dev) <= self.eq_tol):
-                        return True
-                prev = dev[-1]
+            a = max(l, first)
+            if self.window(a, r).rises_after(a):
+                return True
         return False
 
 
-def scan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, read):
+def scan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window):
     """The RationalScan of a stream whose forms are rational, or None when a parameter
     is not finite or an index is not exact in a double."""
     params = [candidate] + [v for s in seqs for v in s.params.values()]
@@ -508,4 +487,4 @@ def scan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, read):
         params += [*weight.params["p"], *weight.params["q"]]
     if hi > 2 ** 53 or not _finite(params):
         return None
-    return RationalScan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, read)
+    return RationalScan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window)

@@ -69,11 +69,12 @@ class PointMatcher:
     tol: float = 1e-9
 
     def hit(self, v: Scalar) -> bool:
-        return abs(v - self.value) <= self.tol
+        return bool(self.hits(np.array([v]))[0])
 
     def hits(self, values: np.ndarray) -> np.ndarray:
         """Per-element hit of an array of real or complex values."""
-        return np.abs(values - self.value) <= self.tol
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which matches nothing
+            return np.abs(values - self.value) <= self.tol
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class SetMatcher:
     tol: float = 1e-9
 
     def hit(self, v: Scalar) -> bool:
-        return any(abs(v - s) <= self.tol for s in self.values)
+        return bool(self.hits(np.array([v]))[0])
 
     def _members(self) -> tuple:
         """The finite real members ascending, and those off the real axis; built on first use and kept."""
@@ -110,8 +111,9 @@ class SetMatcher:
             k = np.searchsorted(members, values.real)
             for j in (np.maximum(k - 1, 0), np.minimum(k, members.size - 1)):
                 hit |= np.abs(values - members.take(j)) <= self.tol
-        for p in off_axis:
-            hit |= np.abs(values - p) <= self.tol
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which matches nothing
+            for p in off_axis:
+                hit |= np.abs(values - p) <= self.tol
         return hit
 
 

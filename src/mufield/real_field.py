@@ -33,7 +33,7 @@ from operator import add, mul, neg
 
 import numpy as np
 
-from .errors import DomainError, UsageError, check_eps
+from .errors import DomainError, UsageError, ValidationError, check_eps, number
 from .membership import FieldContext, mu_eval
 
 PASS = "pass"
@@ -129,6 +129,7 @@ def bounds_report(blocks, eq_tol, probe=None, n0=0, expr=None) -> BoundsReport:
     buffer. As np.argmax and np.max over the whole stream, the first NaN is
     an extreme and a NaN makes the maxima NaN.
     """
+    probe = None if probe is None else number(probe, "probe", error=ValidationError)
     sup = inf = first_exceed = None
     scaled_abs = raw_abs = -math.inf
     i = 0
@@ -245,6 +246,7 @@ def check_sup_characterization(
     M defaults to the scaled supremum of the set; pass probe to test a
     non-supremum candidate, which must fail for small enough eps.
     """
+    probe = None if probe is None else number(probe, "probe", error=ValidationError)
     vals = [float(v) for v in values]
     if not vals:
         raise UsageError("check_sup_characterization needs a non-empty set")
@@ -252,7 +254,7 @@ def check_sup_characterization(
     for e in eps_list:
         check_eps(e, "eps")
     eps_list = [float(e) for e in eps_list]
-    m = mu_sup(ctx, vals).scaled if probe is None else float(probe)
+    m = mu_sup(ctx, vals).scaled if probe is None else probe
     witnesses = []
     failed_eps = []
     for eps in eps_list:

@@ -27,8 +27,9 @@ EPS_BLOCKs), into reused block buffers. What it reads depends on the stream:
   rounding of the float kernel proves, for each eps, which indices cannot
   reach eps (1 + eq_tol) and which surely do. Only the windows in between
   are read in floats, as are those that the count of weights <= min_mu and
-  the rise test leave undecided, so N(eps) is still the index after the
-  last float deviation that reaches the bound. No array spans the range.
+  the rise test leave undecided, each by one pass of the blocked kernel
+  below over the window, so N(eps) is still the index after the last float
+  deviation that reaches the bound. No array spans the range.
 - Any other stream is read whole, in one pass that folds each block into
   per-EPS_BLOCK maxima, counts of weights <= min_mu and the last rise of
   the deviation; N(eps) then reads again only the last EPS_BLOCK that
@@ -323,12 +324,14 @@ class _Stream:
             dev *= w
         return values, dev, w
 
-    def blocks(self, expr, candidate, first=None, seq=None, signed=False):
-        """(n, values, deviations, weights) of deviation() over [first, hi], first
-        defaulting to n0, one SCAN_BLOCK after another; n is the block's first index."""
+    def blocks(self, expr, candidate, first=None, seq=None, signed=False, last=None):
+        """(n, values, deviations, weights) of deviation() over [first, last], first
+        defaulting to n0 and last to hi, one SCAN_BLOCK after another; n is the
+        block's first index."""
         first = self.n0 if first is None else first
-        for n in range(first, self.hi + 1, SCAN_BLOCK):
-            yield n, *self.deviation(expr, candidate, n, min(n + SCAN_BLOCK, self.hi + 1) - 1, seq, signed)
+        last = self.hi if last is None else last
+        for n in range(first, last + 1, SCAN_BLOCK):
+            yield n, *self.deviation(expr, candidate, n, min(n + SCAN_BLOCK, last + 1) - 1, seq, signed)
 
     def verdict(self, expr: str, candidate: float) -> ConvergenceVerdict:
         """The weighted scan of one candidate over the experiment range."""
@@ -376,10 +379,10 @@ class _Stream:
         if parts is not None:
             from . import exact  # on the first rational scan, so that `import mufield` stays without it
 
-            def read(first, last):
-                return self.deviation(expr, candidate, first, last, seq)[1:]
+            def window(first, last):  # a new pass each time: a pass holds a view of the shared buffer
+                return _BlockPass(self, expr, candidate, first, seq, ctx, last)
 
-            probe = exact.scan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, read)
+            probe = exact.scan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, window)
             if probe is not None:
                 return probe
         return _BlockPass(self, expr, candidate, n0, seq, ctx)
@@ -425,7 +428,8 @@ class _Stream:
 
 
 class _BlockPass:
-    """The blocked kernel: one pass over a stream's [n0, hi], for any stream.
+    """The blocked kernel: one pass over [n0, hi] of any stream, hi defaulting
+    to the stream's; an exact model asks one over each window it leaves undecided.
 
     The pass keeps, per EPS_BLOCK deviations, the maximum (fmax skips NaN)
     and the count of weights <= min_mu, and the last index whose deviation
@@ -434,15 +438,16 @@ class _BlockPass:
     the one a tail starts inside, for its weights.
     """
 
-    def __init__(self, stream: _Stream, expr, candidate, n0, seq, ctx):
+    def __init__(self, stream: _Stream, expr, candidate, n0, seq, ctx, hi=None):
         self.stream, self.args, self.seq, self.n0, self.min_mu = stream, (expr, candidate), seq, n0, ctx.min_mu
+        self.hi = stream.hi if hi is None else hi
         eq_tol = ctx.eq_tol
-        size = stream.hi - n0 + 1
+        size = self.hi - n0 + 1
         self.peaks = np.empty(-(-size // EPS_BLOCK))
         self.low = np.zeros(self.peaks.size, dtype=np.intp)  # weights <= min_mu per EPS_BLOCK
         self.rise = n0  # the last n > n0 with not dev[n] - dev[n - 1] <= eq_tol; n0 for none
         self.held = None  # (first index, deviations) of the EPS_BLOCK read last
-        for n, _, dev, w in stream.blocks(expr, candidate, n0, seq):
+        for n, _, dev, w in stream.blocks(expr, candidate, n0, seq, last=self.hi):
             steps_buf, _, within_buf = stream._buffers()  # the scan reads no values
             starts = _EPS_STARTS[:-(-dev.size // EPS_BLOCK)]
             b = (n - n0) // EPS_BLOCK
@@ -467,7 +472,7 @@ class _BlockPass:
             return None
         first = self.n0 + int(reach[-1]) * EPS_BLOCK
         if self.held is None or self.held[0] != first:
-            last = min(first + EPS_BLOCK, self.stream.hi + 1) - 1
+            last = min(first + EPS_BLOCK, self.hi + 1) - 1
             self.held = first, self.stream.deviation(*self.args, first, last, self.seq)[1]
         return first + int(np.flatnonzero(self.held[1] >= bound)[-1])
 
@@ -477,7 +482,7 @@ class _BlockPass:
         count = int(self.low[k + (r > 0):].sum())
         if r:
             self.held = None  # the read below reuses the deviation buffer
-            w = self.stream.deviation(*self.args, first, min(self.n0 + (k + 1) * EPS_BLOCK, self.stream.hi + 1) - 1)[2]
+            w = self.stream.deviation(*self.args, first, min(self.n0 + (k + 1) * EPS_BLOCK, self.hi + 1) - 1)[2]
             count += int(np.count_nonzero(w <= self.min_mu))
         return count
 
@@ -488,6 +493,7 @@ class _BlockPass:
 
 def scaled_deviation(exp: ExperimentSpec, expr: str, candidate: float, n: int) -> float:
     """|v_n - candidate| times the resolved weight at (v_n - candidate)."""
+    candidate = number(candidate, "candidate", error=ValidationError)
     if not (exp.n_start <= n <= exp.horizon):
         raise UsageError(f"index {n} outside [{exp.n_start}, {exp.horizon}]")
     _, dev, _ = _Stream(exp, n, n).deviation(expr, candidate, n, n)
@@ -532,6 +538,7 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
     reported as precondition-unmet (the stream is not bounded within the
     probe, so the monotone-convergence statement has no content at horizon).
     """
+    probe = None if probe is None else number(probe, "probe", error=ValidationError)
     if exp.horizon < exp.n_start + 1:
         raise UsageError("check_monotone needs at least two indices")
     stream = _Stream(exp)
@@ -626,8 +633,10 @@ def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
     Every field is a built-in int or float. The columns become Python
     numbers TRACE_CHUNK rows at a time, so the objects alive at once do not
     grow with the horizon. A candidate that is not a finite number is
-    refused here, before any row is drawn.
+    refused here, before any row is drawn, as is an expression the experiment
+    has no stream for.
     """
+    exp.check_expression(expr)
     candidate = number(candidate, "candidate", error=ValidationError)
 
     def rows():

@@ -29,9 +29,10 @@ from mufield import (
     ValidationError,
     WeightForm,
     constant_weight,
+    scaled_deviation,
 )
 from mufield.exact import RationalScan, breakpoints, weight_windows
-from mufield.sequences import _BlockPass, _Stream
+from mufield.sequences import EPS_BLOCK, REFUTED, SCAN_BLOCK, SUPPORTED_TRIVIALLY, _BlockPass, _Stream
 
 HORIZON = 5_000
 SMALL = [0.0, 1.0, -1.0, 2.0, 3.0, -2.5, 0.5, 1.0 / 3.0, 7.25, 1e-3, -0.1]
@@ -137,6 +138,47 @@ def test_an_overflowing_stream_is_read_whole_and_equals_the_blocked_kernel():
     exp = ExperimentSpec(sequence=seq, candidates=(("self", 1e307),), horizon=200)
     exact, block = _Stream(exp), BlockStream(exp)
     assert exact._scan("self", 1e307, 1) == block._scan("self", 1e307, 1)
+
+
+def test_windows_wider_than_a_scan_block_equal_the_blocked_kernel(monkeypatch):
+    # a constant stream's deviation is constant, so with eps on its float value, or an
+    # ulp off, the model decides no index: each piece between powers of 2 is a window,
+    # the widest [131072, 262144]. The weight 1 / 2 sits on min_mu, so the weight count
+    # reads such windows too, and eq_tol is too small for the rise test to skip one
+    seq = SequenceSpec("constant", {"value": 0.1}, 1_000, 300_000)
+    half = WeightForm("rational_poly", {"p": [1.0], "q": [2.0]})
+    ctx = FieldContext(eq_tol=1e-300, min_mu=0.5)  # eps (1 + eq_tol) is eps
+    exp = ExperimentSpec(sequence=seq, assignment=(("self", 0.3, half),), candidates=(("self", 0.3),),
+                         horizon=300_000, ctx=ctx)
+    dev = scaled_deviation(exp, "self", 0.3, 5_000)
+    asked = {}
+    for name in ("last_reaching", "low_count", "rises_after"):
+        def recorded(self, *args, method=getattr(_BlockPass, name), name=name):
+            asked.setdefault(name, []).append(self.hi - self.n0 + 1)
+            return method(self, *args)
+        monkeypatch.setattr(_BlockPass, name, recorded)
+    schedules = [(math.nextafter(dev, 0.0),), (dev,), (math.nextafter(dev, 1.0),)]
+    exact, block = _Stream(exp, lo=1), BlockStream(exp, lo=1)
+    assert isinstance(exact._probe("self", 0.3, 1_000, None, ctx), RationalScan)
+    got = [(exact._scan("self", 0.3, 1_000, schedule=e), exact._scan("self", 0.3, 1_000, seq, e)) for e in schedules]
+    assert sorted(asked) == ["last_reaching", "low_count", "rises_after"]
+    assert all(max(spans) > SCAN_BLOCK > EPS_BLOCK for spans in asked.values())
+    assert got == [(block._scan("self", 0.3, 1_000, schedule=e), block._scan("self", 0.3, 1_000, seq, e))
+                   for e in schedules]
+    assert [v.verdict for v, _ in got] == [REFUTED, REFUTED, SUPPORTED_TRIVIALLY]
+
+
+def test_a_weight_count_from_past_an_undecided_window_equals_the_blocked_kernel():
+    # n / (n + 70,000) crosses min_mu at n = 66,000, in the piece [65536, 131072]: a count
+    # from 131,000 starts 65,000 indices past the window the model leaves undecided
+    seq = SequenceSpec("constant", {"value": 1.0}, 1, 140_000)
+    weight = WeightForm("rational_poly", {"p": [0, 1], "q": [70_000, 1]})
+    ctx = FieldContext(min_mu=66_000 / 136_000)
+    stream = _Stream(ExperimentSpec(sequence=seq, assignment=(("self", 0.0, weight),), horizon=140_000, ctx=ctx))
+    probe, whole = stream._probe("self", 0.0, 1, None, ctx), _BlockPass(stream, "self", 0.0, 1, None, ctx)
+    assert isinstance(probe, RationalScan)
+    for first in (1, 65_999, 66_000, 66_001, 100_000, 131_000, 140_000):
+        assert probe.low_count(first) == whole.low_count(first)
 
 
 def real_root_brackets(coeffs, lo, hi):

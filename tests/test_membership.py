@@ -438,6 +438,22 @@ def test_set_lookup_agrees_with_every_member(values, tol, data):
     assert m.hits(real.reshape(1, -1, 1)).ravel().tolist() == m.hits(real).tolist()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(members, min_size=1, max_size=8), st.sampled_from([0.0, 1e-9, 0.25, 3.0]), st.data())
+def test_scalar_hit_is_the_array_hit_of_one_value(values, tol, data):
+    # hit(v) is hits on a one-element array, for a point and for a set, and each is
+    # the test of every member; an infinite member meets an infinite value without a warning
+    near = [v + d for v in values if cmath.isfinite(v) for d in (tol, -tol, complex(0.0, tol), complex(tol, tol))]
+    probes = near + data.draw(st.lists(st.one_of(finite_floats, st.builds(complex, finite_floats, finite_floats))))
+    probes += [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)]
+    matchers = [(SetMatcher(tuple(values), tol), values)] + [(PointMatcher(v, tol), [v]) for v in values]
+    for m, points in matchers:
+        for v in probes:
+            got = m.hit(v)
+            assert isinstance(got, bool) and got == m.hits(np.array([v]))[0], (m, v)
+            assert got == any(abs(v - s) <= tol for s in points), (m, v)
+
+
 def test_set_rule_audit_is_fast_and_matches_member_by_member(monkeypatch):
     # 500 samples under a set rule of those 500 points weigh 250,000 sums and
     # as many products; tested one member at a time that is 2.5e8 distances

@@ -21,6 +21,7 @@ from mufield import (
     ValueForm,
     WeightForm,
     check_monotone,
+    check_sup_characterization,
     classical_converges,
     constant_weight,
     crisp,
@@ -174,10 +175,40 @@ def test_candidate_that_is_not_a_finite_number_is_refused(candidate):
         lambda: classical_converges(seq, candidate),
         lambda: min_index_for_epsilon(exp, "self", candidate, 0.1),
         lambda: trace_rows(exp, "self", candidate),  # refused at the call, before any row is drawn
+        lambda: scaled_deviation(exp, "self", candidate, 5),  # was a NaN or infinite deviation
     ]
     for call in calls:
         with pytest.raises(ValidationError, match=re.escape(f"candidate: expected a finite number, got {candidate!r}")):
             call()
+
+
+@pytest.mark.parametrize("probe", [math.nan, math.inf, -math.inf])
+def test_probe_that_is_not_a_finite_number_is_refused(probe):
+    # a NaN probe was never exceeded: the stream was "within" it and monotone "pass"
+    # held, while the supremum check failed at every eps against a NaN bound
+    exp = log_drift_experiment(100)
+    rising = ExperimentSpec(sequence=SequenceSpec("moebius", {"a": 1, "b": 0, "c": 1, "d": 1}, 1, 100), horizon=100)
+    ctx, values = FieldContext(), [1.0, 2.0, 3.0]
+    calls = [
+        lambda p: seq_bounded_report(exp, "self", p),
+        lambda p: mu_bounded_report(ctx, values, p),
+        lambda p: check_monotone(rising, p),
+        lambda p: check_sup_characterization(ctx, values, [0.5], p),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=re.escape(f"probe: expected a finite number, got {probe!r}")):
+            call(probe)
+    # None is no probe
+    assert seq_bounded_report(exp, "self", None).within_probe is None
+    assert mu_bounded_report(ctx, values, None).within_probe is None
+    assert check_monotone(rising, None).verdict == PASS
+    assert check_sup_characterization(ctx, values, [0.5], None).verdict == PASS
+
+
+@pytest.mark.parametrize("expr, needle", [("bogus", "unknown expression 'bogus'"), ("sum", "needs a partner")])
+def test_trace_rows_refuses_an_expression_at_the_call(expr, needle):
+    with pytest.raises(UsageError, match=needle):
+        trace_rows(log_drift_experiment(100), expr, 0.0)  # no row is drawn
 
 
 class TestClassical:
