@@ -26,7 +26,6 @@ from .errors import DomainError, RangeGuardError
 from .membership import FieldContext, mu_eval
 from .real_field import (
     IdentityCheckReport,
-    _all_le,
     _decided,
     _dispatch,
     _eq_report,
@@ -66,10 +65,18 @@ def mu_conj(ctx: FieldContext, z: complex) -> complex:
     return z.conjugate() * mu_eval(ctx, z)
 
 
+def _modulus(z: complex) -> float:
+    """|z|; a DomainError naming z when a finite z has a modulus past the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise DomainError(f"the modulus of {z!r} is past the float range") from None
+
+
 def mu_abs_c(ctx: FieldContext, z: complex) -> float:
     """Modulus scaled by the weight of z."""
     z = complex(z)
-    return abs(z) * mu_eval(ctx, z)
+    return _modulus(z) * mu_eval(ctx, z)
 
 
 def mu_arg(ctx: FieldContext, z: complex) -> float:
@@ -100,7 +107,7 @@ def principal_log(z: complex) -> complex:
     z = _norm(complex(z))
     if z == 0:
         raise DomainError("logarithm undefined at 0")
-    return complex(math.log(abs(z)), principal_arg(z))
+    return complex(math.log(_modulus(z)), principal_arg(z))
 
 
 def mu_log(ctx: FieldContext, z: complex) -> complex:
@@ -110,7 +117,11 @@ def mu_log(ctx: FieldContext, z: complex) -> complex:
 
 
 def _pow_value(a: complex, z: complex, branch: int) -> complex:
-    w = z * (principal_log(a) + complex(0.0, TWO_PI * branch))
+    try:
+        shift = TWO_PI * branch
+    except OverflowError:  # an int past the float range
+        raise DomainError("the branch is past the float range") from None
+    w = z * (principal_log(a) + complex(0.0, shift))
     if abs(w.real) > EXP_RE_CAP:
         raise RangeGuardError(f"|Re(z log a)| = {abs(w.real)} exceeds the overflow guard {EXP_RE_CAP}")
     return cmath.exp(w)
@@ -243,7 +254,7 @@ def _check_m6(ctx, ops):
     w = mu_eval(ctx, z)
     m = mu_abs_c(ctx, z)
     x, y = z.real * w, z.imag * w
-    return _all_le(ctx, "M6", ops, ((x, m), (y, m)), m, max(x, y))
+    return _le_report(ctx, "M6", ops, m, max(x, y), pairs=((x, m), (y, m)))
 
 
 def _check_m7(ctx, ops):

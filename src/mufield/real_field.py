@@ -17,10 +17,10 @@ referenced membership is at or below ctx.min_mu the verdict is
 "precondition-unmet" rather than a failure.
 
 Every verdict, here, in complex_field and in sequences, comes from one of
-five constructors: _eq_report (an equality), _le_report (an inequality),
-_all_le (several inequalities, scored by the worst), _decided (a verdict
-decided by a search or a scan) and _unmet. check_monotone alone builds two
-reports of its own, whose residuals are measures of their own.
+three constructors: _judged, the one rule (pass exactly when the residual
+reported is within ctx.eq_tol), which _eq_report, _le_report and
+check_monotone go through; _decided (a verdict decided by a search or a
+scan, residual 0 or inf) and _unmet.
 """
 
 from __future__ import annotations
@@ -173,7 +173,8 @@ class IdentityCheckReport:
     residual is relative with an absolute floor: |lhs - rhs| scaled by
     max(1, |lhs|, |rhs|). Inequality checks use the one-sided excess instead.
     verdict is "pass", "fail", or "precondition-unmet"; the last mirrors the
-    guarded "provided w(...) != 0" clauses and is not a failure.
+    guarded "provided w(...) != 0" clauses and is not a failure. Pass is
+    exactly residual <= eq_tol, so a NaN residual fails.
     """
 
     identity_id: str
@@ -195,27 +196,26 @@ def rel_residual(lhs, rhs) -> float:
 
 
 def one_sided_excess(lhs, rhs) -> float:
-    """How far lhs sits above rhs, scaled; zero when lhs <= rhs."""
-    return max(0.0, (lhs - rhs) / _scale(lhs, rhs))
+    """How far lhs sits above rhs, scaled; zero when lhs <= rhs, NaN when lhs - rhs is."""
+    d = lhs - rhs
+    return 0.0 if d <= 0.0 else d / _scale(lhs, rhs)
+
+
+def _judged(ctx, ident, operands, lhs, rhs, residual, notes, details):
+    """The one verdict rule: pass exactly when the residual reported is <= eq_tol (NaN fails)."""
+    verdict = PASS if residual <= ctx.eq_tol else FAIL
+    return IdentityCheckReport(ident, tuple(operands), lhs, rhs, residual, verdict, tuple(notes), details)
 
 
 def _eq_report(ctx, ident, operands, lhs, rhs, notes=(), **details):
-    res = rel_residual(lhs, rhs)
-    verdict = PASS if res <= ctx.eq_tol else FAIL
-    return IdentityCheckReport(ident, tuple(operands), lhs, rhs, res, verdict, tuple(notes), details)
+    return _judged(ctx, ident, operands, lhs, rhs, rel_residual(lhs, rhs), notes, details)
 
 
-def _le_report(ctx, ident, operands, lhs, rhs, notes=(), **details):
-    excess = one_sided_excess(lhs, rhs)
-    verdict = PASS if (lhs - rhs) <= ctx.eq_tol else FAIL
-    return IdentityCheckReport(ident, tuple(operands), lhs, rhs, excess, verdict, tuple(notes), details)
-
-
-def _all_le(ctx, ident, operands, pairs, lhs, rhs, **details):
-    """Every (x, bound) of pairs has x <= bound, eq_tol apart; scored by the worst excess."""
-    res = max(one_sided_excess(x, bound) for x, bound in pairs)
-    verdict = PASS if all((x - bound) <= ctx.eq_tol for x, bound in pairs) else FAIL
-    return IdentityCheckReport(ident, tuple(operands), lhs, rhs, res, verdict, (), details)
+def _le_report(ctx, ident, operands, lhs, rhs, notes=(), pairs=None, **details):
+    """lhs <= rhs, or every x <= bound of pairs; scored by the worst excess, a NaN the worst of all."""
+    excess = max((one_sided_excess(x, bound) for x, bound in pairs or ((lhs, rhs),)),
+                 key=lambda e: (math.isnan(e), e))
+    return _judged(ctx, ident, operands, lhs, rhs, excess, notes, details)
 
 
 def _decided(ident, operands, lhs, rhs, ok, notes=(), **details):
@@ -359,7 +359,7 @@ def _check_r5a(ctx, ops):
     if not (mu_abs(ctx, a) < c + ctx.eq_tol):
         return _unmet("R5a", ops, "hypothesis |a|_w < c not satisfied")
     bound = c / mu_eval(ctx, a)  # -bound <= a <= bound
-    return _all_le(ctx, "R5a", ops, ((-bound, a), (a, bound)), a, bound, bound=bound)
+    return _le_report(ctx, "R5a", ops, a, bound, pairs=((-bound, a), (a, bound)), bound=bound)
 
 
 def _check_r5b(ctx, ops):
@@ -375,7 +375,7 @@ def _check_r5b(ctx, ops):
     if mu_compare(ctx, abs(a), c) is Ordering.GREATER:
         return _unmet("R5b", ops, "hypothesis |a| <_w c not satisfied")
     bound = c * mu_eval(ctx, c) / wa  # -bound <= a <= bound
-    return _all_le(ctx, "R5b", ops, ((-bound, a), (a, bound)), a, bound, bound=bound)
+    return _le_report(ctx, "R5b", ops, a, bound, pairs=((-bound, a), (a, bound)), bound=bound)
 
 
 def _check_s1(ctx, ops):

@@ -73,7 +73,7 @@ from .forms import (
     weight_form_to_obj,
 )
 from .membership import FieldContext, crisp, parse_mu_spec, serialize_mu_spec
-from .real_field import FAIL, PASS, UNMET, BoundsReport, IdentityCheckReport, _decided, _unmet, bounds_report
+from .real_field import BoundsReport, IdentityCheckReport, _decided, _judged, _unmet, bounds_report
 
 DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_HORIZON = 100_000
@@ -533,21 +533,20 @@ def seq_bounded_report(exp: ExperimentSpec, expr: str = "self", probe: float | N
 def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityCheckReport:
     """Certify that the scaled stream is nondecreasing and closes on its supremum.
 
-    Monotonicity is checked termwise with eq_tol slack. When a probe is given
-    and the scaled stream exceeds it, the supremum-convergence conclusion is
-    reported as precondition-unmet (the stream is not bounded within the
-    probe, so the monotone-convergence statement has no content at horizon).
+    Monotonicity is checked termwise with eq_tol slack, in one pass. When a
+    probe is given and the scaled stream exceeds it, the supremum-convergence
+    conclusion is reported as precondition-unmet (the stream is not bounded
+    within the probe, so the monotone-convergence statement has no content at
+    horizon). Otherwise the residual is the final gap (sup - last) / (1 + |sup|).
     """
     probe = None if probe is None else number(probe, "probe", error=ValidationError)
     if exp.horizon < exp.n_start + 1:
         raise UsageError("check_monotone needs at least two indices")
-    stream = _Stream(exp)
-    eq_tol = exp.ctx.eq_tol
     sup = top = -math.inf
     prev = None  # the scaled value before the block
-    for n, _, s, _ in stream.blocks("self", None, signed=True):
+    for n, _, s, _ in _Stream(exp).blocks("self", None, signed=True):
         steps = np.diff(s) if prev is None else np.diff(s, prepend=prev)
-        drops = np.flatnonzero(steps < -eq_tol)
+        drops = np.flatnonzero(steps < -exp.ctx.eq_tol)
         if drops.size:
             j = int(drops[0]) - (prev is not None)  # the index of s before the drop, -1 for prev
             k = n + j
@@ -558,26 +557,11 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
         prev = s[-1]
     last = float(prev)
     if probe is not None and top > probe:
-        return IdentityCheckReport(
-            "monotone", (), last, sup, math.nan, UNMET,
-            ("scaled stream exceeds the probe; not bounded at this scale",),
-            {"probe": probe},
-        )
+        return _unmet("monotone", (), "scaled stream exceeds the probe; not bounded at this scale",
+                      probe=probe, last=last, sup=sup)
     gap_final = sup - last
-    gap_monotone, prev = True, None  # a second pass: the gaps sup - s_n need sup
-    for _, _, s, _ in stream.blocks("self", None, signed=True):
-        gaps = np.subtract(sup, s, out=s)
-        steps = np.diff(gaps) if prev is None else np.diff(gaps, prepend=prev)
-        if not np.all(steps <= eq_tol):
-            gap_monotone = False
-            break
-        prev = gaps[-1]
-    tol = eq_tol * (1.0 + abs(sup))
-    verdict = PASS if gap_final <= tol and gap_monotone else FAIL
-    return IdentityCheckReport(
-        "monotone", (), last, sup, gap_final / (1.0 + abs(sup)), verdict,
-        (), {"gap_final": gap_final, "gap_nonincreasing": gap_monotone, "sup": sup},
-    )
+    return _judged(exp.ctx, "monotone", (), last, sup, gap_final / (1.0 + abs(sup)), (),
+                   {"gap_final": gap_final, "sup": sup})
 
 
 @dataclass(frozen=True)

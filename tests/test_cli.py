@@ -1,11 +1,25 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mufield import FieldContext, UsageError, load_mu_spec, mu_eval
 from mufield.cli import MAX_AXIOM_SAMPLES, _parse_grid, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# finite operands whose modulus, or a branch whose 2 pi shift, is past the float range
+OVERFLOWING_EVALS = [
+    ("mu_abs_c", "--z", "1.5e308,1.5e308"),
+    ("mu_log", "--z", "1.5e308,1.5e308"),
+    ("mu_pow", "--base", "1.5e308,1.5e308", "--z", "1,0"),
+    ("mu_pow", "--base", "2,0", "--z", "1,0", "--branch", str(10**400)),
+]
 
 
 def run(capsys, *argv):
@@ -128,6 +142,20 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "mu_log", "--z", "0,0")
         assert code == 1
         assert "undefined" in out
+
+    @pytest.mark.parametrize("argv", OVERFLOWING_EVALS, ids=["mu_abs_c", "mu_log", "mu_pow-base", "mu_pow-branch"])
+    def test_an_operand_past_the_float_range_is_exit_1(self, capsys, argv):
+        code, out, _ = run(capsys, "eval", *argv)
+        assert code == 1
+        assert out.startswith(f"eval {argv[0]}: ")
+
+    def test_the_entry_point_exits_1_without_a_traceback(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for argv in OVERFLOWING_EVALS:
+            done = subprocess.run([sys.executable, "-m", "mufield", "eval", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 1, (argv, done.stderr)
+            assert "Traceback" not in done.stdout + done.stderr
 
     def test_unknown_op_is_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "definitely_not_an_op", "--a", "1")

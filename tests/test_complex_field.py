@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,8 @@ from mufield import (
     principal_arg,
 )
 from mufield.real_field import FAIL, PASS, UNMET
+
+BIG = complex(1.5e308, 1.5e308)
 
 
 def point_mu(table, default=1.0):
@@ -110,6 +113,22 @@ class TestOperations:
         assert forms.residual > 0.1
         crisp_forms = mu_pow_forms(FieldContext(), complex(math.e**2), 2 + 0j)
         assert crisp_forms.residual == 0.0
+
+    # a finite operand whose modulus is past the float range, as the CLI reads --z 1.5e308,1.5e308
+    @pytest.mark.parametrize("evaluate", [
+        lambda ctx: mu_abs_c(ctx, BIG),
+        lambda ctx: mu_log(ctx, BIG),
+        lambda ctx: mu_pow(ctx, BIG, 1 + 0j),
+        lambda ctx: mu_pow_forms(ctx, BIG, 1 + 0j),
+    ], ids=["mu_abs_c", "mu_log", "mu_pow", "mu_pow_forms"])
+    def test_a_modulus_past_the_float_range_is_a_domain_error(self, evaluate):
+        with pytest.raises(DomainError, match=re.escape(repr(BIG))):
+            evaluate(FieldContext())
+
+    @pytest.mark.parametrize("evaluate", [mu_pow, mu_pow_forms], ids=["mu_pow", "mu_pow_forms"])
+    def test_a_branch_past_the_float_range_is_a_domain_error(self, evaluate):
+        with pytest.raises(DomainError, match="branch"):
+            evaluate(FieldContext(), 2 + 0j, 1 + 0j, branch=10**400)
 
 
 class TestArgK:

@@ -181,6 +181,21 @@ def test_a_weight_count_from_past_an_undecided_window_equals_the_blocked_kernel(
         assert probe.low_count(first) == whole.low_count(first)
 
 
+def test_a_rise_before_the_tail_in_its_piece_is_not_counted():
+    # (0.3 n + 0.1) / (3 n + 1) rounds one ulp up somewhere in the piece the tail of
+    # eps 2**-56 starts in, before N = 4964, and never after it: a rise count from the
+    # piece's start instead of the tail's would refuse the decreasing envelope
+    seq = SequenceSpec("moebius", {"a": 0.3, "b": 0.1, "c": 3.0, "d": 1.0}, 1, 5_000)
+    ctx = FieldContext(mu=MembershipFunction((), 1.0), eq_tol=2.0**-57)
+    exp = ExperimentSpec(sequence=seq, eps_schedule=(2.0**-56,), horizon=5_000, ctx=ctx)
+    exact, block = _Stream(exp), BlockStream(exp)
+    assert isinstance(exact._probe("self", 0.3 / 3.0, 1, None, ctx), RationalScan)
+    got = exact._scan("self", 0.3 / 3.0, 1)
+    assert got == block._scan("self", 0.3 / 3.0, 1)
+    assert got.eps_table == ((2.0**-56, 4964),)
+    assert got.tail_certificate == "monotone-decreasing-envelope"
+
+
 def real_root_brackets(coeffs, lo, hi):
     """{floor(x), ceil(x)} of every real root x of the polynomial in [lo, hi], by sympy."""
     x = sympy.Symbol("x")

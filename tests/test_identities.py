@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from mufield import UsageError, crisp, run_identity_sweep
-from mufield.registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY
+from mufield import FieldContext, UsageError, crisp, run_identity_sweep
+from mufield.real_field import PASS, UNMET
+from mufield.registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY, check_identity, table_membership
 
 
 def test_registry_covers_both_domains():
@@ -62,3 +65,24 @@ def test_fixed_mu_mode_uses_the_given_weighting():
 def test_unknown_identity_rejected():
     with pytest.raises(UsageError):
         run_identity_sweep(["NOPE"], trials=1)
+
+
+def test_an_inequality_off_by_an_ulp_passes_a_tight_tol():
+    # R4's sums land one ulp apart at magnitudes near 465: an absolute gap of 5.7e-14,
+    # a relative excess of 1.2e-16, which is what the report shows and what decides
+    (out,) = run_identity_sweep(["R4"], trials=400, seed=7, eq_tol=1e-14)
+    assert out.failed == 0, out.first_failure
+    assert out.passed == 309 and out.unmet == 91
+
+
+@pytest.mark.parametrize("eq_tol", [1e-9, 1e-12, 1e-14, 1e-16])
+def test_a_verdict_is_its_residual_within_eq_tol(eq_tol):
+    """Drawn as the sweep draws at seed 7: every registry id, a point table for each trial."""
+    for ident, entry in REGISTRY.items():
+        rng = random.Random(f"7:{ident}")
+        for _ in range(400):
+            operands = entry.sample(rng)
+            ctx = FieldContext(table_membership(entry.point_groups(operands), rng, 0.08), eq_tol)
+            rep = check_identity(ctx, ident, operands)
+            if rep.verdict != UNMET:
+                assert (rep.verdict == PASS) == (rep.residual <= eq_tol), rep

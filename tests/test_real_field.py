@@ -23,7 +23,7 @@ from mufield import (
     mu_sup,
     two_level,
 )
-from mufield.real_field import FAIL, PASS, UNMET, ScaledValue
+from mufield.real_field import FAIL, PASS, UNMET, ScaledValue, _le_report
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -227,6 +227,11 @@ class TestRegistry:
         rep = check_real_identity(ctx, "R4", [1.0, -2.0])
         assert rep.verdict == PASS
         assert rep.residual <= 1e-12
+
+    def test_a_nan_excess_is_the_worst_of_several(self):
+        pairs = ((0.0, 1.0), (math.nan, 1.0), (2.0, 1.0))
+        rep = _le_report(FieldContext(), "X", (), 0.0, 1.0, pairs=pairs)
+        assert rep.verdict == FAIL and math.isnan(rep.residual)
 
     def test_o8_square(self):
         ctx = FieldContext(mu=point_mu({9.0: 0.7}))

@@ -1,11 +1,11 @@
 """Each report type is built in the functions named for it, and nowhere else.
 
-Every identity verdict comes from one of the shared constructors in
-`real_field` (`check_monotone` keeps two of its own, whose residuals are
-measures of their own), and every bounds report, of a finite set or of a
-sequence stream, comes from `bounds_report`. A report copied with new fields
-by `dataclasses.replace` would be built by none of them, so that call is
-refused everywhere. This walks each module's syntax tree with the standard
+Every identity verdict comes from one of three constructors in `real_field`:
+`_judged`, the one rule that passes a report exactly when its residual is
+within eq_tol, `_decided` and `_unmet`. Every bounds report, of a finite set
+or of a sequence stream, comes from `bounds_report`. A report copied with
+new fields by `dataclasses.replace` would be built by none of them, so that
+call is refused everywhere. This walks each module's syntax tree with the standard
 library and names every such call made outside those functions.
 """
 
@@ -18,7 +18,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mufield"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 CONSTRUCTORS = {
-    "IdentityCheckReport": {"_eq_report", "_le_report", "_all_le", "_decided", "_unmet", "check_monotone"},
+    "IdentityCheckReport": {"_judged", "_decided", "_unmet"},
     "BoundsReport": {"bounds_report"},
     "replace": set(),
 }
@@ -52,17 +52,19 @@ def test_reports_come_from_their_constructors(path):
 
 def test_guard_sees_a_stray_construction():
     source = (
-        "def _eq_report():\n    return IdentityCheckReport()\n"
+        "def _judged():\n    return IdentityCheckReport()\n"
         "def _check_x():\n    def check():\n        return IdentityCheckReport()\n    return check\n"
         "def bounds_report():\n    return real_field.BoundsReport()\n"
         "def seq_bounds():\n    return BoundsReport()\n"
         "REPORT = IdentityCheckReport()\n"
-        "def _eq_report():\n    return replace(REPORT), dataclasses.replace(REPORT), 'a'.replace('a', 'b')\n"
+        "def _judged():\n    return replace(REPORT), dataclasses.replace(REPORT), 'a'.replace('a', 'b')\n"
+        "def check_monotone():\n    return IdentityCheckReport()\n"
     )
     assert stray_constructions(source) == [
         (5, "IdentityCheckReport", "check"),
         (10, "BoundsReport", "seq_bounds"),
         (11, "IdentityCheckReport", None),
-        (13, "replace", "_eq_report"),
-        (13, "replace", "_eq_report"),
+        (13, "replace", "_judged"),
+        (13, "replace", "_judged"),
+        (15, "IdentityCheckReport", "check_monotone"),
     ]
