@@ -60,14 +60,6 @@ _FRAME = struct.Struct("<Q")  # the byte length that heads each of the trace hel
 _PIECE = 1 << 14  # bytes of a helper frame read from the pipe at a time
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _to_jsonable(obj):
     """obj as JSON data; the dataclass test comes last, as nearly every leaf is a built-in type."""
     if isinstance(obj, float):  # np.float64 included
@@ -89,11 +81,12 @@ def _to_jsonable(obj):
 
 
 def _envelope(command: str, body, inputs=(), seed=None, status: int = 0) -> dict:
+    """inputs maps each file read to the sha256 of the bytes _read_text parsed."""
     return {
         "tool": "mufield",
         "version": __version__,
         "command": command,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": dict(inputs),
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "body": _to_jsonable(body),
@@ -110,17 +103,21 @@ def _emit(env: dict, args, human_lines) -> int:
     return env["status"]
 
 
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 input file; a SpecError naming the file otherwise."""
+def _read_text(path: str, inputs: dict) -> str:
+    """The text of a UTF-8 input file, read once; inputs[path] becomes the
+    sha256 of the bytes read. A SpecError naming the file if they are not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    inputs[path] = hashlib.sha256(data).hexdigest()
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines, as a text-mode read
 
 
-def _load_mu(path: str | None):
-    return crisp() if path is None else load_mu_spec(_read_text(path))
+def _load_mu(path: str | None, inputs: dict):
+    return crisp() if path is None else load_mu_spec(_read_text(path, inputs))
 
 
 def _flag_number(text: str, flag: str) -> float:
@@ -172,14 +169,13 @@ def _refuse_unread(args, tol_source: str | None = None) -> None:
 
 def cmd_axioms(args) -> int:
     _refuse_unread(args)
-    mu = _load_mu(args.mu)
-    inputs = [args.mu] if args.mu else []
+    inputs = {}
+    mu = _load_mu(args.mu, inputs)
     if args.samples:
-        doc = spec_array(spec_document(_read_text(args.samples), "--samples"), "--samples")
+        doc = spec_array(spec_document(_read_text(args.samples, inputs), "--samples"), "--samples")
         if len(doc) > MAX_AXIOM_SAMPLES:
             raise UsageError(f"--samples: {len(doc)} samples, more than the cap of {MAX_AXIOM_SAMPLES}")
         samples = [number(v, "--samples") for v in doc]
-        inputs.append(args.samples)
     else:
         samples = _parse_grid(args.grid)
     ctx = _ctx(args, mu)
@@ -231,7 +227,8 @@ def cmd_eval(args) -> int:
     _refuse_unread(args)
     if args.op not in _EVAL_OPS:
         raise UsageError(f"unknown op {args.op!r}; known: {', '.join(sorted(_EVAL_OPS))}")
-    mu = _load_mu(args.mu)
+    inputs = {}
+    mu = _load_mu(args.mu, inputs)
     needs, fn = _EVAL_OPS[args.op]
     raw = [getattr(args, "set_values" if flag == "set" else flag) for flag in needs]
     for flag, text in zip(needs, raw):
@@ -246,14 +243,13 @@ def cmd_eval(args) -> int:
             memberships = {str(value.raw): value.weight}
             value = {"value": value.scaled, "witness": value.raw, "weight": value.weight}
     except DomainError as e:
-        env = _envelope("eval", {"op": args.op, "error": str(e)},
-                        [args.mu] if args.mu else [], status=EXIT_CHECK_FAILED)
+        env = _envelope("eval", {"op": args.op, "error": str(e)}, inputs, status=EXIT_CHECK_FAILED)
         return _emit(env, args, [f"eval {args.op}: {e}"])
     body = {"op": args.op, "value": _to_jsonable(value), "memberships": memberships}
     lines = [f"{args.op} = {value}"]
     for k, w in memberships.items():
         lines.append(f"  weight({k}) = {w:.9g}")
-    return _emit(_envelope("eval", body, [args.mu] if args.mu else []), args, lines)
+    return _emit(_envelope("eval", body, inputs), args, lines)
 
 
 def _verdict_lines(v) -> list:
@@ -385,7 +381,8 @@ def cmd_converge(args) -> int:
     _refuse_unread(args, "the experiment spec's 'tolerances' block")
     if args.trace_target is not None and not args.trace:
         raise UsageError("--trace-target needs --trace: nothing is traced without it")
-    exp = load_experiment(_read_text(args.experiment))
+    inputs = {}
+    exp = load_experiment(_read_text(args.experiment, inputs))
     # checked before any work, so a refused target writes no file
     target = _trace_target(exp, args.trace_target) if args.trace else None
     report = run_experiment(exp)
@@ -407,7 +404,7 @@ def cmd_converge(args) -> int:
         lines.extend(_verdict_lines(v))
     for c in report.theorem_checks:
         lines.append(f"  {c.identity_id}: {c.verdict} {'; '.join(c.notes)}")
-    return _emit(_envelope("converge", body, [args.experiment]), args, lines)
+    return _emit(_envelope("converge", body, inputs), args, lines)
 
 
 def cmd_demo(args) -> int:
@@ -445,7 +442,8 @@ def cmd_identities(args) -> int:
         raise UsageError(f"unknown identities: {', '.join(unknown)}")
     if args.trials < 1:
         raise UsageError(f"--trials must be positive, got {args.trials}: a sweep of no trials checks nothing")
-    mu = _load_mu(args.mu) if args.mu else None
+    inputs = {}
+    mu = _load_mu(args.mu, inputs) if args.mu else None
     seed = 0 if args.seed is None else args.seed
     tol = FieldContext.eq_tol if args.tol is None else args.tol
     outcomes = run_identity_sweep(ids, trials=args.trials, seed=seed, mu=mu, eq_tol=tol)
@@ -474,7 +472,7 @@ def cmd_identities(args) -> int:
             lines.append(f"    first failure: operands {o.first_failure.operands}")
     status = EXIT_CHECK_FAILED if any_failed else EXIT_OK
     return _emit(
-        _envelope("identities", body, [args.mu] if args.mu else [], seed=seed, status=status),
+        _envelope("identities", body, inputs, seed=seed, status=status),
         args,
         lines,
     )

@@ -26,10 +26,11 @@ from .errors import DomainError, RangeGuardError
 from .membership import FieldContext, mu_eval
 from .real_field import (
     IdentityCheckReport,
-    _decided,
     _dispatch,
     _eq_report,
+    _judged,
     _le_report,
+    _modulus,
     _ratio_law,
     _unmet,
     _weights_ok,
@@ -63,14 +64,6 @@ def mu_conj(ctx: FieldContext, z: complex) -> complex:
     """Conjugate scaled by the weight of z."""
     z = complex(z)
     return z.conjugate() * mu_eval(ctx, z)
-
-
-def _modulus(z: complex) -> float:
-    """|z|; a DomainError naming z when a finite z has a modulus past the float range."""
-    try:
-        return abs(z)
-    except OverflowError:
-        raise DomainError(f"the modulus of {z!r} is past the float range") from None
 
 
 def mu_abs_c(ctx: FieldContext, z: complex) -> float:
@@ -195,7 +188,7 @@ def _quotient_law(ident, f, derive, zero_note):
         ok, why = _weights_ok(ctx, (z1, z2, d))
         if not ok:
             return _unmet(ident, ops, why)
-        if abs(f(ctx, z2)) == 0.0:
+        if _modulus(f(ctx, z2)) == 0.0:
             return _unmet(ident, ops, zero_note)
         lhs = f(ctx, d) / mu_eval(ctx, d)
         rhs = (f(ctx, z1) / f(ctx, z2)) * (mu_eval(ctx, z2) / mu_eval(ctx, z1))
@@ -237,7 +230,7 @@ def _mod_ratio(ctx, z):
 
 def _check_m4(ctx, ops):
     (z,) = ops
-    return _eq_report(ctx, "M4", ops, abs(mu_conj(ctx, z)), abs(z) * mu_eval(ctx, z))
+    return _eq_report(ctx, "M4", ops, _modulus(mu_conj(ctx, z)), _modulus(z) * mu_eval(ctx, z))
 
 
 def _check_m5(ctx, ops):
@@ -260,7 +253,7 @@ def _check_m6(ctx, ops):
 def _check_m7(ctx, ops):
     (z,) = ops
     lhs = z * mu_conj(ctx, z)
-    rhs = (abs(z) ** 2) * mu_eval(ctx, z)
+    rhs = _modulus(z, squared=True) * mu_eval(ctx, z)
     return _eq_report(ctx, "M7", ops, lhs, rhs)
 
 
@@ -316,7 +309,8 @@ def _log_law(ident, derive, combine):
         k_log = _log_correction(lhs, base)
         rhs = base + complex(0.0, TWO_PI * k_log)
         if abs(k_log) > 1:
-            return _decided(ident, ops, lhs, rhs, False, ("branch correction outside {-1, 0, 1}",), k_log=k_log)
+            return _judged(ctx, ident, ops, lhs, rhs, math.inf, ("branch correction outside {-1, 0, 1}",),
+                           k_log=k_log)
         return _eq_report(ctx, ident, ops, lhs, rhs, k_log=k_log)
 
     return check

@@ -292,9 +292,12 @@ class MembershipFunction:
         The point and set rules ahead of the first family rule are tested as
         flat rows; from the first family rule on, weight_many walks the rules.
         """
-        for p, tol, w in self._rows:
-            if abs(v - p) <= tol:
-                return w
+        try:
+            for p, tol, w in self._rows:
+                if abs(v - p) <= tol:
+                    return w
+        except OverflowError:  # a finite |v - p| past the float range, which weight_many reads as inf
+            return float(self.weight_many(np.array([v]))[0])
         if self._family:
             return float(self.weight_many(np.array([v]))[0])
         return self.default

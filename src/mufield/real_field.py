@@ -7,7 +7,9 @@ Order comparisons use an absolute slack (ctx.eq_tol) because scaled values
 cluster near zero by design.
 
 One bounds report serves finite sets and sequence streams: bounds_report
-builds every BoundsReport from blocks of values, weights and scaled values.
+builds every BoundsReport from blocks of values, weights and scaled values,
+and is the only code that picks a scaled extreme and its witness; mu_sup and
+mu_inf are a finite set's bounds report's sup and inf.
 
 The identity registry covers the ordered-field implications O1..O8, the
 modulus laws R1..R5b, and the supremum characterization S1. Each law shape
@@ -17,10 +19,10 @@ referenced membership is at or below ctx.min_mu the verdict is
 "precondition-unmet" rather than a failure.
 
 Every verdict, here, in complex_field and in sequences, comes from one of
-three constructors: _judged, the one rule (pass exactly when the residual
-reported is within ctx.eq_tol), which _eq_report, _le_report and
-check_monotone go through; _decided (a verdict decided by a search or a
-scan, residual 0 or inf) and _unmet.
+two constructors: _judged, the one rule (pass exactly when the residual
+reported is within ctx.eq_tol), and _unmet. A verdict decided by a search or
+a scan is judged on residual 0 or inf. Every modulus a check takes goes
+through _modulus, which refuses one past the float range as a DomainError.
 """
 
 from __future__ import annotations
@@ -79,22 +81,6 @@ def mu_abs(ctx: FieldContext, a: float) -> float:
     if a == 0.0:
         return 0.0
     return abs(a) * mu_eval(ctx, a)
-
-
-def mu_sup(ctx: FieldContext, values) -> ScaledValue:
-    """Maximum scaled value over a finite non-empty set, with its witness."""
-    vals = list(values)
-    if not vals:
-        raise UsageError("mu_sup needs a non-empty set")
-    return max((ScaledValue.of(ctx, v) for v in vals), key=lambda s: s.scaled)
-
-
-def mu_inf(ctx: FieldContext, values) -> ScaledValue:
-    """Minimum scaled value over a finite non-empty set, with its witness."""
-    vals = list(values)
-    if not vals:
-        raise UsageError("mu_inf needs a non-empty set")
-    return min((ScaledValue.of(ctx, v) for v in vals), key=lambda s: s.scaled)
 
 
 @dataclass(frozen=True)
@@ -161,9 +147,19 @@ def mu_bounded_report(ctx: FieldContext, values, bound_probe: float | None = Non
     """The bounds of a finite non-empty set, each value weighed by mu_eval."""
     vals = [float(v) for v in values]
     if not vals:
-        raise UsageError("mu_bounded_report needs a non-empty set")
+        raise UsageError("an empty set has no scaled bounds")
     raw, w = np.array(vals), np.array([mu_eval(ctx, v) for v in vals])
     return bounds_report([(raw, w, raw * w)], ctx.eq_tol, bound_probe)
+
+
+def mu_sup(ctx: FieldContext, values) -> ScaledValue:
+    """Maximum scaled value over a finite non-empty set, with its (first) witness."""
+    return mu_bounded_report(ctx, values).sup
+
+
+def mu_inf(ctx: FieldContext, values) -> ScaledValue:
+    """Minimum scaled value over a finite non-empty set, with its (first) witness."""
+    return mu_bounded_report(ctx, values).inf
 
 
 @dataclass(frozen=True)
@@ -187,12 +183,20 @@ class IdentityCheckReport:
     details: dict = field(default_factory=dict)
 
 
+def _modulus(z, squared: bool = False) -> float:
+    """|z|, or |z| ** 2; a DomainError naming z when that is past the float range."""
+    try:
+        return abs(z) ** 2 if squared else abs(z)
+    except OverflowError:
+        raise DomainError(f"the {'squared ' if squared else ''}modulus of {z!r} is past the float range") from None
+
+
 def _scale(lhs, rhs) -> float:
-    return max(1.0, abs(lhs), abs(rhs))
+    return max(1.0, _modulus(lhs), _modulus(rhs))
 
 
 def rel_residual(lhs, rhs) -> float:
-    return abs(lhs - rhs) / _scale(lhs, rhs)
+    return _modulus(lhs - rhs) / _scale(lhs, rhs)
 
 
 def one_sided_excess(lhs, rhs) -> float:
@@ -201,28 +205,21 @@ def one_sided_excess(lhs, rhs) -> float:
     return 0.0 if d <= 0.0 else d / _scale(lhs, rhs)
 
 
-def _judged(ctx, ident, operands, lhs, rhs, residual, notes, details):
+def _judged(ctx, ident, operands, lhs, rhs, residual, notes=(), **details):
     """The one verdict rule: pass exactly when the residual reported is <= eq_tol (NaN fails)."""
     verdict = PASS if residual <= ctx.eq_tol else FAIL
     return IdentityCheckReport(ident, tuple(operands), lhs, rhs, residual, verdict, tuple(notes), details)
 
 
 def _eq_report(ctx, ident, operands, lhs, rhs, notes=(), **details):
-    return _judged(ctx, ident, operands, lhs, rhs, rel_residual(lhs, rhs), notes, details)
+    return _judged(ctx, ident, operands, lhs, rhs, rel_residual(lhs, rhs), notes, **details)
 
 
 def _le_report(ctx, ident, operands, lhs, rhs, notes=(), pairs=None, **details):
     """lhs <= rhs, or every x <= bound of pairs; scored by the worst excess, a NaN the worst of all."""
     excess = max((one_sided_excess(x, bound) for x, bound in pairs or ((lhs, rhs),)),
                  key=lambda e: (math.isnan(e), e))
-    return _judged(ctx, ident, operands, lhs, rhs, excess, notes, details)
-
-
-def _decided(ident, operands, lhs, rhs, ok, notes=(), **details):
-    """A verdict decided elsewhere: residual 0 when ok holds, inf when it does not."""
-    return IdentityCheckReport(
-        ident, tuple(operands), lhs, rhs, 0.0 if ok else math.inf, PASS if ok else FAIL, tuple(notes), details
-    )
+    return _judged(ctx, ident, operands, lhs, rhs, excess, notes, **details)
 
 
 def _unmet(ident, operands, why, **details):
@@ -243,8 +240,10 @@ def check_sup_characterization(
 ) -> IdentityCheckReport:
     """For each eps > 0 find a witness x1 with M - eps < x1 w(x1) <= M.
 
-    M defaults to the scaled supremum of the set; pass probe to test a
-    non-supremum candidate, which must fail for small enough eps.
+    Each member is weighed once, before the eps loop. M defaults to the
+    largest of those scaled values; pass probe to test a non-supremum
+    candidate, which must fail for small enough eps. The verdict is judged on
+    residual 0 when every eps has a witness, inf otherwise.
     """
     probe = None if probe is None else number(probe, "probe", error=ValidationError)
     vals = [float(v) for v in values]
@@ -254,21 +253,18 @@ def check_sup_characterization(
     for e in eps_list:
         check_eps(e, "eps")
     eps_list = [float(e) for e in eps_list]
-    m = mu_sup(ctx, vals).scaled if probe is None else probe
+    table = [(v, scaled(ctx, v)) for v in vals]
+    m = max(s for _, s in table) if probe is None else probe
     witnesses = []
     failed_eps = []
     for eps in eps_list:
-        found = None
-        for v in vals:
-            s = scaled(ctx, v)
-            if m - eps - ctx.eq_tol < s <= m + ctx.eq_tol:
-                found = (eps, v, s)
-                break
+        found = next(((eps, v, s) for v, s in table if m - eps - ctx.eq_tol < s <= m + ctx.eq_tol), None)
         if found is None:
             failed_eps.append(eps)
         else:
             witnesses.append(found)
-    return _decided("S1", vals, m, m, not failed_eps, witnesses=witnesses, failed_eps=failed_eps, bound=m)
+    return _judged(ctx, "S1", vals, m, m, math.inf if failed_eps else 0.0,
+                   witnesses=witnesses, failed_eps=failed_eps, bound=m)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,8 @@ def check_identity(ctx: FieldContext, ident: str, operands) -> IdentityCheckRepo
 
 @dataclass(frozen=True)
 class SweepOutcome:
+    """One id's sweep counts; max_residual is the largest finite residual of a passed or failed trial."""
+
     ident: str
     trials: int
     passed: int
@@ -248,16 +250,17 @@ def run_identity_sweep(
                 table_membership(entry.point_groups(operands), rng, zero_rate), eq_tol
             )
             rep = check_identity(trial_ctx, ident, operands)
+            if rep.verdict == UNMET:  # its residual is NaN
+                unmet += 1
+                continue
             if rep.verdict == PASS:
                 passed += 1
-                if math.isfinite(rep.residual):
-                    max_res = max(max_res, rep.residual)
-            elif rep.verdict == UNMET:
-                unmet += 1
             else:
                 failed += 1
                 if first_failure is None:
                     first_failure = rep
+            if math.isfinite(rep.residual):
+                max_res = max(max_res, rep.residual)
         outcomes.append(
             SweepOutcome(ident, trials, passed, failed, unmet, max_res, first_failure)
         )

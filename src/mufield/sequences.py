@@ -73,7 +73,7 @@ from .forms import (
     weight_form_to_obj,
 )
 from .membership import FieldContext, crisp, parse_mu_spec, serialize_mu_spec
-from .real_field import BoundsReport, IdentityCheckReport, _decided, _judged, _unmet, bounds_report
+from .real_field import BoundsReport, IdentityCheckReport, _judged, _unmet, bounds_report
 
 DEFAULT_EPS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DEFAULT_HORIZON = 100_000
@@ -550,8 +550,8 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
         if drops.size:
             j = int(drops[0]) - (prev is not None)  # the index of s before the drop, -1 for prev
             k = n + j
-            return _decided("monotone", (), float(s[j + 1]), float(prev if j < 0 else s[j]), False,
-                            (f"scaled stream decreases at n={k}",), first_violation_n=k)
+            return _judged(exp.ctx, "monotone", (), float(s[j + 1]), float(prev if j < 0 else s[j]), math.inf,
+                           (f"scaled stream decreases at n={k}",), first_violation_n=k)
         sup = float(np.maximum(sup, np.max(s)))
         top = float(np.maximum(top, np.max(np.abs(s))))
         prev = s[-1]
@@ -560,8 +560,8 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
         return _unmet("monotone", (), "scaled stream exceeds the probe; not bounded at this scale",
                       probe=probe, last=last, sup=sup)
     gap_final = sup - last
-    return _judged(exp.ctx, "monotone", (), last, sup, gap_final / (1.0 + abs(sup)), (),
-                   {"gap_final": gap_final, "sup": sup})
+    return _judged(exp.ctx, "monotone", (), last, sup, gap_final / (1.0 + abs(sup)),
+                   gap_final=gap_final, sup=sup)
 
 
 @dataclass(frozen=True)
@@ -606,8 +606,8 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
                 continue
             v = stream.verdict(expr, target)
             ok = v.verdict in (SUPPORTED, SUPPORTED_TRIVIALLY)
-            checks.append(_decided(f"limit-{expr}", (l, m), target, target, ok,
-                                   (f"{expr} verdict: {v.verdict}",), verdict=v.verdict))
+            checks.append(_judged(exp.ctx, f"limit-{expr}", (l, m), target, target, 0.0 if ok else math.inf,
+                                  (f"{expr} verdict: {v.verdict}",), verdict=v.verdict))
     return ExperimentReport(exp.label, verdicts, tuple(classical), tuple(checks))
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from mufield import FieldContext, UsageError, load_mu_spec, mu_eval
 from mufield.cli import MAX_AXIOM_SAMPLES, _parse_grid, main
+from mufield.sequences import run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -215,6 +217,29 @@ class TestConverge:
         code, out, err = run(capsys, "converge", experiment_path)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    # the experiment file is read once: the run and its digest are of the bytes parsed
+    def test_a_file_removed_after_it_was_read_does_not_fail_the_run(self, capsys, monkeypatch, experiment_path):
+        def remove_then_run(exp):
+            os.remove(experiment_path)
+            return run_experiment(exp)
+
+        monkeypatch.setattr("mufield.cli.run_experiment", remove_then_run)
+        code, out, err = run(capsys, "converge", experiment_path)
+        assert (code, err) == (0, "")
+        assert "N=72" in out
+
+    def test_the_digest_is_of_the_bytes_parsed(self, capsys, monkeypatch, experiment_path):
+        parsed = Path(experiment_path).read_bytes()
+
+        def rewrite_then_run(exp):
+            Path(experiment_path).write_text("{}")
+            return run_experiment(exp)
+
+        monkeypatch.setattr("mufield.cli.run_experiment", rewrite_then_run)
+        code, out, _ = run(capsys, "--json", "converge", experiment_path)
+        assert code == 0
+        assert json.loads(out)["inputs"] == {experiment_path: hashlib.sha256(parsed).hexdigest()}
 
     def test_horizon_over_family_cap_is_exit_2(self, capsys, tmp_path):
         doc = {
@@ -535,6 +560,13 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "C7", "--literal", "--trials", "10", "--seed", "1")
         assert code == 1
         assert "C7_literal" in out
+
+    def test_max_residual_covers_failing_trials(self, capsys):
+        code, out, _ = run(capsys, "identities", "C7", "--literal", "--trials", "50")
+        row = next(line.split() for line in out.splitlines() if line.split()[:1] == ["C7_literal"])
+        failed, max_residual = int(row[2]), float(row[4])
+        assert code == 1 and failed == 45
+        assert max_residual > FieldContext.eq_tol
 
     def test_random_flag_is_gone(self, capsys):
         code, _, err = run(capsys, "identities", "O1", "--random", "--trials", "5")

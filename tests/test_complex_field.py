@@ -125,6 +125,12 @@ class TestOperations:
         with pytest.raises(DomainError, match=re.escape(repr(BIG))):
             evaluate(FieldContext())
 
+    # a check whose modulus or squared modulus of a finite value is past the float range
+    @pytest.mark.parametrize("ident, z", [("M7", 1e200), ("M4", BIG), ("C1", BIG)])
+    def test_a_check_past_the_float_range_is_a_domain_error(self, ident, z):
+        with pytest.raises(DomainError, match="past the float range"):
+            check_complex_identity(FieldContext(), ident, [z])
+
     @pytest.mark.parametrize("evaluate", [mu_pow, mu_pow_forms], ids=["mu_pow", "mu_pow_forms"])
     def test_a_branch_past_the_float_range_is_a_domain_error(self, evaluate):
         with pytest.raises(DomainError, match="branch"):

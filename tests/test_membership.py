@@ -406,6 +406,14 @@ def test_point_table_weighs_like_its_point_rules(rows, default, extra):
         assert list(table.weight_many(np.array(probes))) == [table.weight(v) for v in probes]
 
 
+def test_a_distance_past_the_float_range_is_no_match():
+    # |v - p| of a finite complex v may be past the float range; weight_many reads it as inf
+    big = complex(1.5e308, 1.5e308)
+    table = MembershipFunction.from_points([(0.0, 1e-12, 1.0), (big, 0.0, 0.25)], 0.5)
+    probes = [big, 1e-13]
+    assert [table.weight(v) for v in probes] == list(table.weight_many(np.array(probes))) == [0.25, 1.0]
+
+
 def test_point_table_refuses_a_weight_out_of_range():
     with pytest.raises(ValidationError, match="1.5"):
         MembershipFunction.from_points([(0.0, 1e-12, 1.0), (2.0, 1e-12, 1.5)], 0.5)

@@ -192,6 +192,17 @@ class TestSupCharacterization:
         rep = check_sup_characterization(ctx, [1.0, 2.0], [1.5], probe=m + 1.0)
         assert rep.verdict == PASS
 
+    def test_weighs_each_member_once(self, monkeypatch):
+        values = [0.1, 0.5, 0.9, 0.3]
+        rows = [(v, 1e-12, 0.4 + 0.1 * i) for i, v in enumerate(values)]
+        ctx = FieldContext(mu=MembershipFunction.from_points(rows, 1.0))
+        weighed = []
+        weight = MembershipFunction.weight
+        monkeypatch.setattr(MembershipFunction, "weight", lambda self, v: weighed.append(v) or weight(self, v))
+        rep = check_sup_characterization(ctx, values, (0.5, 1e-1, 1e-3))
+        assert rep.verdict == PASS
+        assert sorted(weighed) == sorted(values)
+
     @settings(max_examples=60)
     @given(st.lists(finite, min_size=1, max_size=9), st.floats(1e-6, 10.0))
     def test_every_finite_set_passes(self, values, eps):

@@ -1,8 +1,9 @@
 """Each report type is built in the functions named for it, and nowhere else.
 
-Every identity verdict comes from one of three constructors in `real_field`:
+Every identity verdict comes from one of two constructors in `real_field`:
 `_judged`, the one rule that passes a report exactly when its residual is
-within eq_tol, `_decided` and `_unmet`. Every bounds report, of a finite set
+within eq_tol (a verdict decided by a search or a scan is judged on residual
+0 or inf), and `_unmet`. Every bounds report, of a finite set
 or of a sequence stream, comes from `bounds_report`. A report copied with
 new fields by `dataclasses.replace` would be built by none of them, so that
 call is refused everywhere. This walks each module's syntax tree with the standard
@@ -18,7 +19,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mufield"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 CONSTRUCTORS = {
-    "IdentityCheckReport": {"_judged", "_decided", "_unmet"},
+    "IdentityCheckReport": {"_judged", "_unmet"},
     "BoundsReport": {"bounds_report"},
     "replace": set(),
 }
