@@ -11,23 +11,27 @@ domain error or did not fit in memory, 2 invalid input or usage.
 
 `converge --trace` writes its CSV on two cores when it can: where os.fork
 exists, the process may run on two CPUs or more, it runs no other thread and
-the trace is longer than one chunk of TRACE_CHUNK rows, a forked helper
-formats every odd chunk and sends it back through a pipe. Both processes
-walk the same trace_rows generator. The parent writes the helper's lines
-only after checking them against its own rows, and formats every chunk left
-itself once the helper fails, so the bytes never depend on the helper. The
-helper is always reaped before the command returns.
+the trace is longer than one chunk of TRACE_CHUNK rows, a helper is forked
+before the scans run. The two processes claim chunks from one queue, each
+taking the next unclaimed chunk when it is free; the helper formats the
+chunks it claims and sends each back through a pipe as one frame. The parent
+draws every row through trace_rows, writes a frame only after checking it
+against the rows it stands for, and formats every chunk left itself once the
+helper ends, stalls or sends a wrong frame, so the bytes never depend on the
+helper. The helper is always reaped before the command returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import os
+import select
 import signal
 import struct
 import sys
@@ -48,7 +52,7 @@ from .membership import (
 from .real_field import ScaledValue, mu_abs, mu_compare, mu_inf, mu_sup
 from .complex_field import mu_abs_c, mu_arg, mu_conj, mu_exp, mu_log, mu_pow
 from .registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY, run_identity_sweep
-from .sequences import TRACE_CHUNK, load_experiment, run_experiment, trace_rows
+from .sequences import TRACE_CHUNK, TraceChunks, load_experiment, run_experiment, trace_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -56,8 +60,11 @@ EXIT_USAGE = 2
 # axioms audits every pair of samples, O(n^2) weighings, so a larger request
 # would run for minutes and is refused before any sample is built
 MAX_AXIOM_SAMPLES = 2_000
-_FRAME = struct.Struct("<Q")  # the byte length that heads each of the trace helper's frames
-_PIECE = 1 << 14  # bytes of a helper frame read from the pipe at a time
+_CLAIM = struct.Struct("<Q")  # a chunk index in the trace helper's claim queue
+_FRAME = struct.Struct("<QQ")  # the chunk index and byte length that head each of the helper's frames
+_QUEUED = 16  # chunks queued past the next chunk to write, at most
+_STALL = 2.0  # seconds the parent waits for a helper's frame before it takes the helper as stalled
+_FRAME_MAX = TRACE_CHUNK * 256  # bytes of a frame at most: its lines are far shorter
 
 
 def _to_jsonable(obj):
@@ -287,25 +294,141 @@ def _two_workers(count: int) -> bool:
     return cpus >= 2
 
 
-def _send_odd_chunks(rows, fd: int) -> None:
-    """Skip every even chunk of rows and send each odd one's lines to fd as one frame."""
-    with open(fd, "wb") as pipe:
+class _Helper:
+    """A forked process that formats the trace chunks it claims, seen from the parent.
+
+    Both processes claim chunks from one queue: a pipe of chunk indices in
+    ascending order that only the parent writes, at most _QUEUED past the next
+    chunk to write, and that either process reads without blocking, one index
+    a claim. The helper sends each chunk it claims through a second pipe as
+    one frame, the chunk index and byte length and then the lines, so its
+    frames come in the order the parent writes the chunks. Once closed, the
+    helper claims and sends nothing, and chunks, the parent's own reader of
+    the trace, formats what it held.
+    """
+
+    def __init__(self, pid: int, chunks, queue: int, queue_end: int, frames: int):
+        self.pid, self.chunks, self.queue, self.queue_end, self.frames = pid, chunks, queue, queue_end, frames
+        self.queued = 0  # chunks below it are queued
+        self._poll = select.poll()
+        self._poll.register(frames, select.POLLIN)
+
+    def enqueue(self, k: int) -> None:
+        """Queue the chunks up to k + _QUEUED; once all are, close the queue, so that
+        the helper reads its end when it is empty."""
+        stop = min(self.chunks.count, k + _QUEUED)
+        if stop > self.queued:  # at most _QUEUED indices, so the write is whole and never waits
+            os.write(self.queue_end, b"".join(map(_CLAIM.pack, range(self.queued, stop))))
+            self.queued = stop
+        if stop == self.chunks.count:
+            os.close(self.queue_end)
+            self.queue_end = None
+
+    def claim(self, k: int):
+        """The next unclaimed chunk, now the parent's, k being the next chunk to write
+        (k itself once the helper is closed); None when the helper has claimed every
+        chunk queued."""
+        if self.queue is None:
+            return k
+        if self.queue_end is not None:
+            self.enqueue(k)
+        try:
+            claim = os.read(self.queue, _CLAIM.size)
+        except BlockingIOError:
+            return None
+        return _CLAIM.unpack(claim)[0] if claim else None
+
+    def frame(self, k: int):
+        """The lines of the helper's next frame, which must be chunk k's; None when the
+        helper is closed, has ended, sends another chunk, or stalls: no whole frame
+        within _STALL seconds."""
+        if self.frames is None:
+            return None
+        deadline = time.monotonic() + _STALL
+        head = self._read(_FRAME.size, deadline)
+        if head is None:
+            return None
+        index, size = _FRAME.unpack(head)
+        return self._read(size, deadline) if index == k and size <= _FRAME_MAX else None
+
+    def _read(self, size: int, deadline: float):
+        data = bytearray(size)
+        view, got = memoryview(data), 0
+        while got < size:
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not self._poll.poll(math.ceil(wait * 1e3)):
+                return None
+            read = os.readv(self.frames, [view[got:]])
+            if not read:
+                return None
+            got += read
+        return data
+
+    def write(self, f, k: int, mark) -> None:
+        """Write chunk k, whose rows were drawn into mark, to f: the helper's frame if it
+        matches mark, else, closing the helper, the chunk as the parent's reader formats it."""
+        if not _copy_frame(f, mark, self.frame(k)):
+            self.close()
+            f.write("".join(_lines(self.chunks.rows(k))))
+
+    def close(self) -> None:
+        """Close the pipes, kill the helper if it still runs and reap it; a second call does nothing."""
+        for fd in (self.queue, self.queue_end, self.frames):
+            if fd is not None:
+                os.close(fd)
+        self.queue = self.queue_end = self.frames = None
+        if self.pid is not None:
+            if os.waitpid(self.pid, os.WNOHANG)[0] == 0:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _serve(chunks, queue: int, frames: int) -> None:
+    """The helper's work: until the queue ends, claim its next chunk and send that chunk to frames."""
+    poll = select.poll()
+    poll.register(queue, select.POLLIN)
+    with open(frames, "wb") as pipe:
         while True:
-            for _ in itertools.islice(rows, TRACE_CHUNK):  # the parent's chunk
-                pass
-            data = "".join(_lines(itertools.islice(rows, TRACE_CHUNK))).encode()
-            if not data:
+            poll.poll()
+            try:
+                claim = os.read(queue, _CLAIM.size)
+            except BlockingIOError:  # the parent claimed it first
+                continue
+            if not claim:
                 return
-            pipe.write(_FRAME.pack(len(data)))
-            pipe.write(data)
+            _send(pipe, chunks, _CLAIM.unpack(claim)[0])
 
 
-def _start_helper(rows):
-    """(pid, pipe) of a forked process sending the odd chunks of rows; None when no
-    descriptor or process is to be had, and the caller formats every chunk."""
-    fds = ()
+def _send(pipe, chunks, k: int) -> None:
+    """Send the lines of chunk k of chunks to pipe as one frame."""
+    data = "".join(_lines(chunks.rows(k))).encode()
+    pipe.write(_FRAME.pack(k, len(data)))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _grow(fd: int) -> None:
+    """Let the pipe of fd hold up to the system's largest pipe size, so the helper can
+    bank frames; the pipe keeps its size where that fails."""
+    import fcntl  # POSIX only, as is os.fork
     try:
-        fds = os.pipe()
+        with open("/proc/sys/fs/pipe-max-size", "rb") as f:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, int(f.read()))
+    except (OSError, ValueError):
+        pass
+
+
+def _fork_helper(chunks):
+    """A _Helper formatting the chunks of chunks it claims, the first _QUEUED queued;
+    None when no pipe or process is to be had, and the parent formats every chunk."""
+    fds = []
+    try:
+        for _ in range(2):
+            fds += os.pipe()
+        queue, queue_end, frames, frames_end = fds
+        os.set_blocking(queue, False)
+        _grow(frames_end)
         pid = os.fork()
     except OSError:
         for fd in fds:
@@ -314,67 +437,66 @@ def _start_helper(rows):
     if pid == 0:  # the helper: it never returns, so it neither flushes the parent's files nor runs its exit code
         code = 1
         try:
-            os.close(fds[0])
-            _send_odd_chunks(rows, fds[1])
+            os.close(queue_end)
+            os.close(frames)
+            _serve(chunks, queue, frames_end)
             code = 0
         finally:
             os._exit(code)
-    os.close(fds[1])
-    return pid, open(fds[0], "rb")
+    os.close(frames_end)
+    helper = _Helper(pid, chunks, queue, queue_end, frames)
+    helper.enqueue(0)
+    return helper
 
 
-def _copy_frame(f, rows, pipe):
-    """Copy the helper's frame of the chunk at the head of rows into f, drawing the
-    rows it stands for; None when the frame was read whole, else the rows left
-    for the caller to format, the helper being gone or wrong.
+def _mark(rows) -> tuple:
+    """(count, first n, last n) of the next chunk of rows, drawn and let go."""
+    first = next(rows)
+    tail = collections.deque(enumerate(itertools.islice(rows, TRACE_CHUNK - 1), 2), maxlen=1)
+    count, last = tail.pop() if tail else (1, first)
+    return count, first[0], last[0]
 
-    The frame is read a piece at a time and written in whole lines, each piece
-    once its rows are drawn and its first and last lines are seen to start with
-    their rows' n. So f always holds the lines of exactly the rows drawn: when
-    the helper has ended or died (no frame, or a short one), or a piece does not
-    match, the rows not written are handed back. A frame that does not end a
-    line leaves its last row undrawn, for the next chunk of the caller.
-    """
-    head = pipe.read(_FRAME.size)
-    if len(head) < _FRAME.size:
-        return rows
-    left, carry = _FRAME.unpack(head)[0], b""
+
+def _copy_frame(f, mark, frame) -> bool:
+    """Write frame, the helper's lines of a chunk, to f if it matches the chunk's mark:
+    one line a row, the first and the last starting with the n of its first and last
+    rows. False, writing nothing, if not or if frame is None."""
+    if frame is None:
+        return False
+    count, first, last = mark
+    start = frame.rfind(b"\n", 0, len(frame) - 1) + 1  # where the last line starts
+    if not (frame.endswith(b"\r\n") and frame.count(b"\r\n") == count
+            and frame.startswith(b"%d," % first) and frame.startswith(b"%d," % last, start)):
+        return False
     f.flush()  # the lines before go first: the frame is written below the text layer
-    while left:
-        piece = pipe.read(min(left, _PIECE))
-        if not piece:
-            return rows
-        left -= len(piece)
-        done, crlf, carry = (carry + piece).rpartition(b"\r\n")
-        lines = done + crlf
-        count = lines.count(b"\r\n")
-        drawn = list(itertools.islice(rows, count))
-        last = lines.rfind(b"\n", 0, len(lines) - 1) + 1  # where the last line starts
-        if count and not (len(drawn) == count and lines.startswith(b"%d," % drawn[0][0])
-                          and lines.startswith(b"%d," % drawn[-1][0], last)):
-            return itertools.chain(drawn, rows)
-        f.buffer.write(lines)
-    return None
+    f.buffer.write(frame)
+    return True
 
 
-def _write_trace(f, rows, count: int) -> None:
-    """Write the CSV lines of count rows to f, half of the chunks formatted by a
-    forked helper when _two_workers allows; rows must not have been started."""
-    helper = _start_helper(rows) if _two_workers(count) else None
-    if helper is not None:
-        pid, pipe = helper
-        try:
-            with pipe:
-                left = None
-                while left is None:
-                    f.writelines(_lines(itertools.islice(rows, TRACE_CHUNK)))
-                    left = _copy_frame(f, rows, pipe)
-                rows = left
-        finally:
-            if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    f.writelines(_lines(rows))
+def _write_trace(f, rows, count: int, helper=None) -> None:
+    """Write the CSV lines of the count rows of rows to f, chunk by chunk.
+
+    Each chunk is claimed by whichever process is free first, and the parent
+    draws the rows of every chunk, in order. Once it has claimed one, it draws
+    the rows of the helper's chunks before it, keeping only their marks, and
+    formats its own while the helper finishes those; it then writes their
+    frames, each once it matches its mark, and its own lines after them. A
+    helper that has ended, stalls or sends a wrong frame is closed, and the
+    parent formats every chunk not yet written. Without a helper, the parent
+    claims every chunk.
+    """
+    k, end = 0, -(-count // TRACE_CHUNK)
+    while k < end:
+        own = k if helper is None else helper.claim(k)
+        stop = helper.queued if own is None else own  # the helper holds the chunks from k to stop
+        marks = [_mark(rows) for _ in range(k, stop)]
+        text = "" if own is None else "".join(_lines(itertools.islice(rows, TRACE_CHUNK)))
+        for mark in marks:
+            helper.write(f, k, mark)
+            k += 1
+        if own is not None:
+            f.write(text)
+            k += 1
 
 
 def cmd_converge(args) -> int:
@@ -385,11 +507,18 @@ def cmd_converge(args) -> int:
     exp = load_experiment(_read_text(args.experiment, inputs))
     # checked before any work, so a refused target writes no file
     target = _trace_target(exp, args.trace_target) if args.trace else None
-    report = run_experiment(exp)
-    if target is not None:
-        with open(args.trace, "w", newline="", encoding="utf-8") as f:
-            f.write("n,term,membership,scaled_deviation\r\n")
-            _write_trace(f, trace_rows(exp, *target), exp.horizon - exp.n_start + 1)
+    count = exp.horizon - exp.n_start + 1
+    # forked before the scans, so that the helper formats while they run
+    helper = _fork_helper(TraceChunks(exp, *target)) if target is not None and _two_workers(count) else None
+    try:
+        report = run_experiment(exp)
+        if target is not None:
+            with open(args.trace, "w", newline="", encoding="utf-8") as f:
+                f.write("n,term,membership,scaled_deviation\r\n")
+                _write_trace(f, trace_rows(exp, *target), count, helper)
+    finally:
+        if helper is not None:
+            helper.close()
     body = {
         "label": exp.label,
         "horizon": exp.horizon,
@@ -478,8 +607,15 @@ def cmd_identities(args) -> int:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are UsageErrors, printed by main as one error: line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mufield",
         description="Verification tooling for membership-weighted real and complex arithmetic.",
     )
@@ -532,13 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as e:  # --help, after printing the usage
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except (DomainError, MemoryError) as e:  # a valid request, undefined or too big for this machine
         print(f"error: {str(e) or 'not enough memory for this request'}", file=sys.stderr)
         return EXIT_CHECK_FAILED

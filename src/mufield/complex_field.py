@@ -197,11 +197,18 @@ def _quotient_law(ident, f, derive, zero_note):
     return check
 
 
+def _in_range(ident, z, *sides):
+    """The sides of ident at z; a DomainError naming z when one is past the float range,
+    as z w(z) +- conj_w(z) may be for a finite z."""
+    if not all(map(cmath.isfinite, sides)):
+        raise DomainError(f"{ident} at {z!r}: a side is past the float range")
+    return sides
+
+
 def _check_c6(ctx, ops):
     (z,) = ops
     w = mu_eval(ctx, z)
-    lhs = z * w + mu_conj(ctx, z)
-    rhs = 2.0 * z.real * w
+    lhs, rhs = _in_range("C6", z, z * w + mu_conj(ctx, z), 2.0 * z.real * w)
     return _eq_report(ctx, "C6", ops, lhs, rhs)
 
 
@@ -211,8 +218,7 @@ def _conj_difference(ident):
     def check(ctx, ops):
         (z,) = ops
         w = mu_eval(ctx, z)
-        lhs = z * w - mu_conj(ctx, z)
-        literal_rhs = 2.0 * z.imag * w
+        lhs, literal_rhs = _in_range(ident, z, z * w - mu_conj(ctx, z), 2.0 * z.imag * w)
         if ident == "C7_literal":
             return _eq_report(ctx, ident, ops, lhs, literal_rhs, notes=("literal form, no imaginary unit",))
         return _eq_report(

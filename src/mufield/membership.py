@@ -73,7 +73,7 @@ class PointMatcher:
 
     def hits(self, values: np.ndarray) -> np.ndarray:
         """Per-element hit of an array of real or complex values."""
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which matches nothing
+        with np.errstate(over="ignore", invalid="ignore"):  # a distance past the float range, or NaN, matches nothing
             return np.abs(values - self.value) <= self.tol
 
 
@@ -107,11 +107,11 @@ class SetMatcher:
         """Per-element hit of an array of real or complex values."""
         members, off_axis = self._members()
         hit = np.zeros(values.shape, dtype=bool)
-        if members.size:
-            k = np.searchsorted(members, values.real)
-            for j in (np.maximum(k - 1, 0), np.minimum(k, members.size - 1)):
-                hit |= np.abs(values - members.take(j)) <= self.tol
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which matches nothing
+        with np.errstate(over="ignore", invalid="ignore"):  # a distance past the float range, or NaN, matches nothing
+            if members.size:
+                k = np.searchsorted(members, values.real)
+                for j in (np.maximum(k - 1, 0), np.minimum(k, members.size - 1)):
+                    hit |= np.abs(values - members.take(j)) <= self.tol
             for p in off_axis:
                 hit |= np.abs(values - p) <= self.tol
         return hit

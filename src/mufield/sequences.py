@@ -46,6 +46,7 @@ its exact model leaves undecided.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -611,25 +612,47 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
     return ExperimentReport(exp.label, verdicts, tuple(classical), tuple(checks))
 
 
-def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
-    """(n, term, membership, scaled_deviation) rows for plotting, from a generator.
+class TraceChunks:
+    """The rows of one trace, chunk k holding those from n0 + k TRACE_CHUNK on.
 
-    Every field is a built-in int or float. The columns become Python
-    numbers TRACE_CHUNK rows at a time, so the objects alive at once do not
-    grow with the horizon. A candidate that is not a finite number is
-    refused here, before any row is drawn, as is an expression the experiment
-    has no stream for.
+    A row is (n, term, membership, scaled_deviation), every field a built-in
+    int or float. A chunk's columns become Python numbers when it is asked
+    for, so the objects alive at once do not grow with the horizon. Each scan
+    block is read through the stream when a chunk in it is first asked for,
+    and kept until a chunk of another block is; as SCAN_BLOCK is a multiple
+    of TRACE_CHUNK, no chunk spans two blocks. A candidate that is not a
+    finite number is refused here, before any row is read, as is an
+    expression the experiment has no stream for.
     """
-    exp.check_expression(expr)
-    candidate = number(candidate, "candidate", error=ValidationError)
 
-    def rows():
-        for n, values, dev, weights in _Stream(exp).blocks(expr, candidate):
-            for lo in range(0, dev.size, TRACE_CHUNK):
-                hi = min(lo + TRACE_CHUNK, dev.size)
-                yield from zip(range(n + lo, n + hi), values[lo:hi].tolist(),
-                               weights[lo:hi].tolist(), dev[lo:hi].tolist())
-    return rows()
+    def __init__(self, exp: ExperimentSpec, expr: str, candidate: float):
+        exp.check_expression(expr)
+        self.expr = expr
+        self.candidate = number(candidate, "candidate", error=ValidationError)
+        self._stream = _Stream(exp)
+        self.count = -(-(self._stream.hi - self._stream.n0 + 1) // TRACE_CHUNK)  # chunks in the trace
+        self._block = None  # (first index, values, deviations, weights) of the block read last
+
+    def rows(self, k: int):
+        """The rows of chunk k, from an iterator."""
+        stream = self._stream
+        first = stream.n0 + k * TRACE_CHUNK
+        start = first - (first - stream.n0) % SCAN_BLOCK
+        if self._block is None or self._block[0] != start:
+            last = min(start + SCAN_BLOCK, stream.hi + 1) - 1
+            self._block = start, *stream.deviation(self.expr, self.candidate, start, last)
+        _, values, dev, weights = self._block
+        lo = first - start
+        hi = min(lo + TRACE_CHUNK, dev.size)
+        return zip(range(first, start + hi), values[lo:hi].tolist(), weights[lo:hi].tolist(), dev[lo:hi].tolist())
+
+
+def trace_rows(exp: ExperimentSpec, expr: str, candidate: float):
+    """(n, term, membership, scaled_deviation) rows for plotting, from an
+    iterator over the chunks of TraceChunks, which refuses a bad expression
+    or candidate at the call."""
+    chunks = TraceChunks(exp, expr, candidate)
+    return itertools.chain.from_iterable(map(chunks.rows, range(chunks.count)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,23 @@ class TestEval:
         assert code == 2
 
 
+    # a distance past the float range from a point or a set member weighs as no match, with no warning
+    @pytest.mark.parametrize("rules, z, tol", [
+        ([{"match": {"kind": "point", "value": [1.5e308, 1.5e308], "tol": 1e-9}, "mu": 0.5},
+          {"match": {"kind": "family", "form": "sq_ratio", "params": {}, "n_min": 1, "n_max": 10}, "mu": 0.5}],
+         "-1.5e308,-1.5e308", None),
+        ([{"match": {"kind": "point", "value": -1e200, "tol": 1e-9}, "mu": 0.5},
+          {"match": {"kind": "set", "values": [[-1.5e308, 1.5e308]], "tol": 1e-9}, "mu": 0.5}],
+         "1.5e308,1.5e308", "1"),
+    ], ids=["point_ahead_of_family", "off_axis_set_member"])
+    def test_a_distance_past_the_float_range_is_no_match(self, capsys, tmp_path, rules, z, tol):
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps({"default": 0.0, "rules": rules}))
+        argv = ["--json", "eval", "mu_conj", "--mu", str(p), f"--z={z}"] + (["--tol", tol] if tol else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert list(json.loads(out)["body"]["memberships"].values()) == [0.0]
+
     def test_mu_abs(self, capsys, tmp_path):
         p = tmp_path / "half.json"
         p.write_text(json.dumps({
@@ -602,6 +619,25 @@ def test_unknown_name_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+# a refusal of the parser is one error: line too, not a usage block
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "mu", "--a", "1", "--tol", "-1e+200"], "argument --tol: expected one argument"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["identities", "O1", "--trials", "ten"], "argument --trials: invalid int value: 'ten'"),
+    (["eval", "mu_pow", "--base", "2", "--z", "1", "--branch", "1.5"], "argument --branch: invalid int value: '1.5'"),
+], ids=["missing_value", "unknown_command", "bad_trials", "bad_branch"])
+def test_a_parser_refusal_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_help_is_usage_on_stdout(capsys):
+    code, out, err = run(capsys, "eval", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: mufield eval")
 
 
 class TestEnvelope:

@@ -131,6 +131,14 @@ class TestOperations:
         with pytest.raises(DomainError, match="past the float range"):
             check_complex_identity(FieldContext(), ident, [z])
 
+    # z w(z) +- conj_w(z) overflows in complex arithmetic before any modulus is taken
+    @pytest.mark.parametrize("ident", ["C6", "C7", "C7_literal"])
+    @pytest.mark.parametrize("mu", [None, {BIG: 1.0, BIG.conjugate(): 1.0}], ids=["crisp", "point_table"])
+    def test_a_conjugate_sum_past_the_float_range_is_a_domain_error(self, ident, mu):
+        ctx = FieldContext() if mu is None else FieldContext(mu=point_mu(mu, default=0.5))
+        with pytest.raises(DomainError, match=re.escape(f"{ident} at {BIG!r}") + ".*past the float range"):
+            check_complex_identity(ctx, ident, [BIG])
+
     @pytest.mark.parametrize("evaluate", [mu_pow, mu_pow_forms], ids=["mu_pow", "mu_pow_forms"])
     def test_a_branch_past_the_float_range_is_a_domain_error(self, evaluate):
         with pytest.raises(DomainError, match="branch"):

@@ -414,6 +414,17 @@ def test_a_distance_past_the_float_range_is_no_match():
     assert [table.weight(v) for v in probes] == list(table.weight_many(np.array(probes))) == [0.25, 1.0]
 
 
+# distances past the float range: a point rule, a set's real members, a set's off-axis members
+@pytest.mark.parametrize("matcher, value", [
+    (PointMatcher(complex(1.5e308, 1.5e308)), complex(-1.5e308, -1.5e308)),
+    (SetMatcher((-1.5e308,), 1.0), 1.5e308),
+    (SetMatcher((complex(-1.5e308, 1.5e308),), 1.0), complex(1.5e308, 1.5e308)),
+], ids=["point", "set_real", "set_off_axis"])
+def test_a_distance_past_the_float_range_matches_nothing_without_a_warning(matcher, value):
+    assert not matcher.hits(np.array([value, value]))[0]
+    assert not matcher.hit(value)
+
+
 def test_point_table_refuses_a_weight_out_of_range():
     with pytest.raises(ValidationError, match="1.5"):
         MembershipFunction.from_points([(0.0, 1e-12, 1.0), (2.0, 1e-12, 1.5)], 0.5)
