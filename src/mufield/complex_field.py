@@ -53,11 +53,13 @@ def _norm(z: complex) -> complex:
 
 
 def principal_arg(z: complex) -> float:
-    """Argument in (-pi, pi]; exactly pi on the negative real axis."""
+    """Argument in (-pi, pi]; exactly pi on the negative real axis. Just below the
+    axis atan2 rounds the argument to -pi, which is read as pi."""
     z = _norm(complex(z))
     if z == 0:
         raise DomainError("argument undefined at 0")
-    return math.atan2(z.imag, z.real)
+    arg = math.atan2(z.imag, z.real)
+    return math.pi if arg == -math.pi else arg
 
 
 def mu_conj(ctx: FieldContext, z: complex) -> complex:

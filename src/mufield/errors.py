@@ -12,7 +12,8 @@ never a raw TypeError and never silently dropped. The four reading rules:
 1. spec_object: an object, with no key its reader does not read and no
    required key missing ("where: missing 'k'").
 2. number: a finite number or a numeric string; true, false, NaN and the
-   infinities are refused.
+   infinities are refused, and so is a fractional number where an integer
+   is read.
 3. spec_string and spec_array: a string, an array.
 4. An optional field is absent, and takes its default, or present and read:
    0, [], "" or null there is refused, and {} for the keys it lacks.
@@ -52,11 +53,14 @@ class RangeGuardError(DomainError):
 
 
 def number(value, where: str, convert=float, error=SpecError):
-    """convert(value), or an error naming where when that fails or is not finite."""
+    """convert(value), or an error naming where when that fails, is not finite, or
+    (convert int) would drop a fractional part: 1e5 reads as 100000, 1.5 is refused."""
     try:
         if isinstance(value, bool):  # JSON true or false, which convert reads as 1 or 0
             raise TypeError
         out = convert(value)
+        if convert is int and out != value and not isinstance(value, str):  # int(1.5) is 1
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if convert is int else "a number"
         raise error(f"{where}: expected {what}, got {value!r}") from None
@@ -76,18 +80,18 @@ def check_eps(eps, what: str) -> None:
         raise ValidationError(f"{what} must be a finite number > 0, got {eps!r}")
 
 
-def spec_object(value, where: str, keys=None, required=()) -> dict:
+def spec_object(value, where: str, keys=None, required=(), error=SpecError) -> dict:
     """value when it is an object (a dict) with no key outside keys and each in required;
-    a SpecError naming where otherwise. keys None is a map whose keys are data, not names."""
+    an error naming where otherwise. keys None is a map whose keys are data, not names."""
     if not isinstance(value, dict):
-        raise SpecError(f"{where}: expected an object, got {type(value).__name__}")
+        raise error(f"{where}: expected an object, got {type(value).__name__}")
     unknown = [] if keys is None else sorted(str(k) for k in value.keys() - set(keys))
     if unknown:
-        raise SpecError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))};"
-                        f" known: {', '.join(sorted(keys)) or 'none'}")
+        raise error(f"{where}: unknown key(s) {', '.join(map(repr, unknown))};"
+                    f" known: {', '.join(sorted(keys)) or 'none'}")
     for k in required:
         if k not in value:
-            raise SpecError(f"{where}: missing {k!r}")
+            raise error(f"{where}: missing {k!r}")
     return value
 
 
@@ -98,12 +102,12 @@ def spec_string(value, where: str) -> str:
     return value
 
 
-def spec_array(value, where: str, nonempty=False) -> list:
-    """value when it is an array (a list), a non-empty one if nonempty; a SpecError naming where otherwise."""
+def spec_array(value, where: str, nonempty=False, error=SpecError) -> list:
+    """value when it is an array (a list), a non-empty one if nonempty; an error naming where otherwise."""
     if not isinstance(value, list):
-        raise SpecError(f"{where}: expected an array, got {type(value).__name__}")
+        raise error(f"{where}: expected an array, got {type(value).__name__}")
     if nonempty and not value:
-        raise SpecError(f"{where}: expected a non-empty array")
+        raise error(f"{where}: expected a non-empty array")
     return value
 
 

@@ -35,11 +35,12 @@ Imported on the first rational scan or weight check, never by `import mufield`.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 U = 2.0 ** -53  # unit roundoff of a double
 ETA = math.ulp(0.0)  # bounds the underflow of one product or quotient
-_BIG = 2.0 ** 1000  # a stream bound at or past this may overflow: its piece is read whole
+_BIG = 2.0 ** 1000  # a bound at or past this may overflow: its piece is read whole
 _INF = (math.inf, math.inf)
 
 
@@ -71,9 +72,7 @@ def _ev(p, n: int) -> int:
 
 
 def _add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    return [a + b for a, b in zip(p, q)] + p[len(q):]
+    return [a + b for a, b in itertools.zip_longest(p, q, fillvalue=0)]
 
 
 def _mul(p, q):
@@ -99,13 +98,20 @@ def _trim(p):
     return p
 
 
+def _fraction(num: int, den: int):
+    """num / den as (num, den > 0), or None where den is 0."""
+    if den < 0:
+        return -num, -den
+    return (num, den) if den else None
+
+
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
 def _int_poly(coeffs):
     """(P, L): integer coefficients P and a power of 2 L with the float coefficients = P / L."""
-    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    ratios = [c.as_integer_ratio() for c in coeffs]
     scale = max(b for _, b in ratios)
     return [a * (scale // b) for a, b in ratios], scale
 
@@ -190,10 +196,6 @@ def _horner_bound(coeffs, n: float):
     return m, _up(_up(gamma * m) + _up(steps * ETA * scale))
 
 
-def _finite(values) -> bool:
-    return all(math.isfinite(float(v)) for v in values)
-
-
 # ---------------------------------------------------------------------------
 # Terms and weights
 # ---------------------------------------------------------------------------
@@ -204,13 +206,13 @@ class _Terms:
     def __init__(self, seq):
         self.form, p = seq.form, seq.params
         if self.form == "constant":
-            self.value = float(p["value"])
+            self.value = p["value"]
             a, b = self.value.as_integer_ratio()
             self.num, self.den = [a], [b]
         elif self.form == "sq_ratio":  # (1 + 1/n)^2 = (n + 1)^2 / n^2
             self.num, self.den = [1, 2, 1], [0, 0, 1]
         else:  # moebius: (a n + b) / (c n + d)
-            self.abcd = [abs(float(p[k])) for k in "abcd"]
+            self.abcd = [abs(p[k]) for k in "abcd"]
             top, lt = _int_poly([p["b"], p["a"]])
             self.bottom, self.lb = _int_poly([p["d"], p["c"]])
             self.num, self.den = _scale(top, self.lb), _scale(self.bottom, lt)
@@ -239,17 +241,14 @@ class _Weight:
             a, b = self.value.as_integer_ratio()
             self.num, self.den = [a], [b]
             return
-        self.p, self.q = [float(c) for c in weight.params["p"]], [float(c) for c in weight.params["q"]]
+        self.p, self.q = weight.params["p"], weight.params["q"]
         top, lp = _int_poly(self.p)
         self.bottom, self.lq = _int_poly(self.q)
         self.num, self.den = _scale(top, self.lq), _scale(self.bottom, lp)
         self.poles, self.den_crit = [self.bottom], [_deriv(self.bottom)]
 
     def at(self, n: int):
-        num, den = _ev(self.num, n), _ev(self.den, n)
-        if den < 0:
-            return -num, -den
-        return (num, den) if den else None
+        return _fraction(_ev(self.num, n), _ev(self.den, n))
 
     def bound(self, l: int, r: int):
         if self.value is not None:
@@ -295,7 +294,7 @@ class _Pieces:
         for l, r in zip(points, points[1:]) if len(points) > 1 else ((lo, hi),):
             a, b = at[l], at[r]
             err = bound(l, r) if a and b else math.inf
-            if not err < math.inf:
+            if not err < _BIG:  # so every threshold the bisections meet is finite
                 self.rows.append((l, r, False, -math.inf, math.inf, math.inf))
                 continue
             rising = b[0] * a[1] > a[0] * b[1]
@@ -306,10 +305,6 @@ class _Pieces:
         """(a, b): the indices of row's piece where f >= t exactly, a stretch at one
         end of the piece (a > b when there is none)."""
         l, r, rising = row[:3]
-        if t == math.inf:
-            return (r + 1, r) if rising else (l, l - 1)
-        if t == -math.inf:
-            return l, r
         tn, td = t.as_integer_ratio()
         f = self.f
         lo, hi = l, r + 1  # the first index where f >= t turns (rising) or stops (falling)
@@ -339,9 +334,7 @@ def weight_windows(form, n_min: int, n_max: int) -> list:
     if n_min > n_max:
         return []
     if form.form == "const":
-        return [] if 0.0 <= float(form.params["value"]) <= 1.0 else [(n_min, n_min)]
-    if not _finite([*form.params["p"], *form.params["q"]]):
-        return [(n_min, n_max)]
+        return [] if 0.0 <= form.params["value"] <= 1.0 else [(n_min, n_min)]
     pieces = _Weight(form).pieces(n_min, n_max)
     out = []
     for row in pieces.rows:
@@ -393,11 +386,7 @@ class RationalScan:
 
     def _dev(self, n: int):
         """D(n) = |t(n) - c| w(n) exactly, as (num, den > 0); None at a pole."""
-        num = abs(_ev(self.tn, n)) * _ev(self.wn, n)
-        den = abs(_ev(self.td, n)) * _ev(self.wd, n)
-        if den < 0:
-            return -num, -den
-        return (num, den) if den else None
+        return _fraction(abs(_ev(self.tn, n)) * _ev(self.wn, n), abs(_ev(self.td, n)) * _ev(self.wd, n))
 
     def _err(self, l: int, r: int) -> float:
         """The bound of |float deviation - D| over [l, r]: inf where it may overflow."""
@@ -477,14 +466,3 @@ class RationalScan:
             if self.window(a, r).rises_after(a):
                 return True
         return False
-
-
-def scan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window):
-    """The RationalScan of a stream whose forms are rational, or None when a parameter
-    is not finite or an index is not exact in a double."""
-    params = [candidate] + [v for s in seqs for v in s.params.values()]
-    if weight is not None and not isinstance(weight, float):
-        params += [*weight.params["p"], *weight.params["q"]]
-    if hi > 2 ** 53 or not _finite(params):
-        return None
-    return RationalScan(seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window)

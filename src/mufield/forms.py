@@ -32,9 +32,30 @@ EXP_INDEX_CAP = 700
 # block and its temporaries stay in a core's cache
 SCAN_BLOCK = 65_536
 
-def check_params(form: str, params, names) -> None:
-    """Refuse params whose keys are not exactly names, the parameters of form."""
-    spec_object(params, f"form {form!r} params", names, required=names)
+
+def form_params(params, where: str, names=None, error=SpecError) -> dict:
+    """The params object at where with every field read: p and q non-empty lists of
+    finite floats, points a map of integer index to finite float, anything else a
+    finite float; with names, its keys are exactly those. error, naming the field,
+    is raised for anything else: a SpecError for a document, a ValidationError for
+    a form built in code."""
+    out = {}
+    for k, v in spec_object(params, where, names, names or (), error).items():
+        at = f"{where}.{k}"
+        if k in ("p", "q"):
+            out[k] = [number(c, f"{at}[{i}]", error=error)
+                      for i, c in enumerate(spec_array(v, at, nonempty=True, error=error))]
+        elif k == "points":
+            out[k] = {number(n, at, int, error): number(t, f"{at}[{n}]", error=error)
+                      for n, t in spec_object(v, at, error=error).items()}
+        else:
+            out[k] = number(v, at, error=error)
+    return out
+
+
+def read_params(form: str, params, names) -> dict:
+    """The params of a form built in code, read by form_params: keys exactly names."""
+    return form_params(params, f"form {form!r} params", names, ValidationError)
 
 
 def _horner(coeffs, n):
@@ -53,7 +74,7 @@ def _horner(coeffs, n):
 
 @dataclass(frozen=True)
 class ValueForm:
-    """A registered closed form of the index n, e.g. log(n) + c."""
+    """A registered closed form of the index n, e.g. log(n) + c; its params are read as finite floats."""
 
     form: str
     params: dict = field(default_factory=dict)
@@ -61,7 +82,7 @@ class ValueForm:
     def __post_init__(self):
         if self.form not in VALUE_FORM_IDS:
             raise SpecError(f"unknown value form {self.form!r}; known: {VALUE_FORM_IDS}")
-        check_params(self.form, self.params, _VALUE_FORM_PARAMS[self.form])
+        object.__setattr__(self, "params", read_params(self.form, self.params, _VALUE_FORM_PARAMS[self.form]))
 
     def terms(self, n):
         """Evaluate the form at n (scalar or array of indices)."""
@@ -81,7 +102,8 @@ class ValueForm:
 
 @dataclass(frozen=True)
 class WeightForm:
-    """A registered weight form of the index n with range [0, 1]."""
+    """A registered weight form of the index n with range [0, 1]; its params are read
+    as finite floats (p and q non-empty lists of them)."""
 
     form: str
     params: dict = field(default_factory=dict)
@@ -89,12 +111,12 @@ class WeightForm:
     def __post_init__(self):
         if self.form not in WEIGHT_FORM_IDS:
             raise SpecError(f"unknown weight form {self.form!r}; known: {WEIGHT_FORM_IDS}")
-        check_params(self.form, self.params, _WEIGHT_FORM_PARAMS[self.form])
+        object.__setattr__(self, "params", read_params(self.form, self.params, _WEIGHT_FORM_PARAMS[self.form]))
 
     def weights(self, n: np.ndarray) -> np.ndarray:
         """Evaluate the weight at an array of indices."""
         if self.form == "const":
-            return np.full_like(n, float(self.params["value"]), dtype=float)
+            return np.full_like(n, self.params["value"], dtype=float)
         if self.form == "rational_poly":  # a pole or 0/0 gives inf or NaN, which validate_range refuses
             with np.errstate(all="ignore"):
                 p, q = _horner(self.params["p"], n), _horner(self.params["q"], n)
@@ -125,23 +147,7 @@ class WeightForm:
 
 
 def constant_weight(value: float) -> WeightForm:
-    return WeightForm("const", {"value": float(value)})
-
-
-def form_params(params, where: str) -> dict:
-    """The params of a value, weight or sequence form with every field converted:
-    p and q non-empty lists of numbers, points a map of integer index to number,
-    anything else a number. A SpecError names the field that does not convert."""
-    out = {}
-    for k, v in spec_object(params, f"{where}.params").items():
-        at = f"{where}.params.{k}"
-        if k in ("p", "q"):
-            out[k] = [number(c, f"{at}[{i}]") for i, c in enumerate(spec_array(v, at, nonempty=True))]
-        elif k == "points":
-            out[k] = {number(n, at, int): number(t, f"{at}[{n}]") for n, t in spec_object(v, at).items()}
-        else:
-            out[k] = number(v, at)
-    return out
+    return WeightForm("const", {"value": value})
 
 
 def parse_weight_form(obj, where: str = "mu") -> WeightForm:
@@ -150,12 +156,13 @@ def parse_weight_form(obj, where: str = "mu") -> WeightForm:
         return constant_weight(number(obj, where))
     if isinstance(obj, dict):
         spec_object(obj, where, ("form", "params"), required=("form",))
-        return WeightForm(spec_string(obj["form"], f"{where}.form"), form_params(obj.get("params", {}), where))
+        form = spec_string(obj["form"], f"{where}.form")
+        return WeightForm(form, form_params(obj.get("params", {}), f"{where}.params"))
     raise SpecError(f"{where}: expected a number or a weight-form object, got {type(obj).__name__}")
 
 
 def weight_form_to_obj(w: WeightForm):
     if w.form == "const":
-        return float(w.params["value"])
+        return w.params["value"]
     return {"form": w.form, "params": dict(w.params)}
 

@@ -396,15 +396,12 @@ def parse_mu_spec(doc: dict, where: str = "mu spec") -> MembershipFunction:
             matcher = SetMatcher(tuple(_scalar_from_obj(v, f"{at}.match.values") for v in vals), tol)
         else:
             form = ValueForm(spec_string(match["form"], f"{at}.match.form"),
-                             form_params(match.get("params", {}), f"{at}.match"))
+                             form_params(match.get("params", {}), f"{at}.match.params"))
             n_min = number(match.get("n_min", 1), f"{at}.match.n_min", int)
             n_max = number(match.get("n_max", 100_000), f"{at}.match.n_max", int)
             matcher = FamilyMatcher(form, n_min, n_max, tol)
         weight = parse_weight_form(item["mu"], where=f"{at}.mu")
-        if weight.form == "const":
-            rules.append(MuRule(matcher, float(weight.params["value"])))
-        else:
-            rules.append(MuRule(matcher, weight))
+        rules.append(MuRule(matcher, weight.params["value"] if weight.form == "const" else weight))
     return MembershipFunction(tuple(rules), default)
 
 

@@ -68,9 +68,9 @@ from .forms import (
     SCAN_BLOCK,
     ValueForm,
     WeightForm,
-    check_params,
     form_params,
     parse_weight_form,
+    read_params,
     weight_form_to_obj,
 )
 from .membership import FieldContext, crisp, parse_mu_spec, serialize_mu_spec
@@ -101,7 +101,8 @@ REFUTED = "refuted-at-horizon"
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A closed-form family (or explicit table) with its valid index range."""
+    """A closed-form family (or explicit table) with its valid index range, read when
+    it is built: params finite floats (a closed form's read by its ValueForm)."""
 
     form: str
     params: dict = field(default_factory=dict)
@@ -111,37 +112,38 @@ class SequenceSpec:
     def __post_init__(self):
         if self.form not in SEQUENCE_FORMS:
             raise SpecError(f"unknown sequence form {self.form!r}; known: {SEQUENCE_FORMS}")
+        if self.form in _FORM_TO_VALUE_FORM:  # evaluated through its value form, built once
+            object.__setattr__(self, "_value", ValueForm(_FORM_TO_VALUE_FORM[self.form], self.params))
+            object.__setattr__(self, "params", self._value.params)
+        else:
+            object.__setattr__(self, "params", read_params(self.form, self.params,
+                                                           ("value",) if self.form == "constant" else ("points",)))
+        for k in ("n_min", "n_max"):
+            object.__setattr__(self, k, number(getattr(self, k), k, int, ValidationError))
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValidationError(f"index range [{self.n_min}, {self.n_max}] is invalid")
         if self.form == "exp_plus" and self.n_max > EXP_INDEX_CAP:
             raise ValidationError(
                 f"form 'exp_plus' caps at n <= {EXP_INDEX_CAP} to avoid overflow, got n_max={self.n_max}"
             )
-        if self.form in _FORM_TO_VALUE_FORM:
-            self._value_form()  # a closed form checks its params when it is built
-        else:
-            check_params(self.form, self.params, ("value",) if self.form == "constant" else ("points",))
         if self.form == "table":  # a point at every index of the range
             spec_object(self.params["points"], "table sequence params.points",
                         required=range(self.n_min, self.n_max + 1))
         if self.form == "moebius":  # c n + d is 0 only at an integer next to -d/c, or everywhere if c = d = 0
-            c, d = float(self.params["c"]), float(self.params["d"])
+            c, d = self.params["c"], self.params["d"]
             at = -d / c if c else (self.n_min if d == 0.0 else math.inf)
             for n in (math.floor(at), math.ceil(at)) if math.isfinite(at) else ():
                 if self.n_min <= n <= self.n_max and c * n + d == 0.0:
                     raise ValidationError(f"moebius sequence: pole at n={n} in [{self.n_min}, {self.n_max}]")
 
-    def _value_form(self) -> ValueForm:
-        return ValueForm(_FORM_TO_VALUE_FORM[self.form], self.params)
-
     def terms(self, ns: np.ndarray) -> np.ndarray:
         if self.form == "constant":
-            return np.full(ns.shape, float(self.params["value"]))
+            return np.full(ns.shape, self.params["value"])
         if self.form == "table":
             pts = self.params["points"]
-            return np.array([float(pts[int(k)]) for k in ns])
+            return np.array([pts[int(k)] for k in ns])
         with np.errstate(over="ignore"):  # a term past the float range is +-inf, as in a member table
-            return self._value_form().terms(ns.astype(float, copy=False))
+            return self._value.terms(ns.astype(float, copy=False))
 
     def term_at(self, n: int) -> float:
         if not (self.n_min <= n <= self.n_max):
@@ -167,7 +169,8 @@ class ExperimentSpec:
 
     An assignment entry (expr, offset, form) weighs the stream expr shifted by
     offset (None counts as 0) by a weight form of n; a stream with no entry
-    falls back to ctx.mu at its numeric value.
+    falls back to ctx.mu at its numeric value. Candidates and offsets are read
+    when it is built and kept as finite floats, the horizon as an integer.
     """
 
     sequence: SequenceSpec
@@ -184,6 +187,7 @@ class ExperimentSpec:
             raise ValidationError("eps schedule must be non-empty")
         for e in self.eps_schedule:
             check_eps(e, "eps schedule entry")
+        object.__setattr__(self, "horizon", number(self.horizon, "horizon", int, ValidationError))
         for s in [self.sequence] + ([self.partner] if self.partner else []):
             if self.horizon > s.n_max:
                 raise ValidationError(
@@ -191,16 +195,18 @@ class ExperimentSpec:
                 )
         if self.horizon < self.n_start:
             raise ValidationError("horizon below the first valid index")
-        for expr, value in self.candidates:
-            self.check_expression(expr)
-            number(value, "candidate", error=ValidationError)
-        for i, (expr, offset, wf) in enumerate(self.assignment):
+        object.__setattr__(self, "candidates", tuple(
+            (self.check_expression(expr), number(value, "candidate", error=ValidationError))
+            for expr, value in self.candidates))
+        for expr, offset, wf in self.assignment:
             self.check_expression(expr)
             if not isinstance(wf, WeightForm):
                 raise SpecError(f"assignment for {expr!r} must carry a WeightForm")
+        object.__setattr__(self, "assignment", tuple(
+            (expr, None if offset is None else number(offset, f"mu: tag {expr!r} offset", error=ValidationError), wf)
+            for expr, offset, wf in self.assignment))
+        for i, (expr, offset, _) in enumerate(self.assignment):
             first = self.assigned(expr, offset)
-            if first is None:  # only a non-finite offset misses its own entry
-                raise ValidationError(f"mu: tag {_tag_to_key(expr, offset)!r}: offset is not finite")
             if self.assignment.index(first) < i:  # the lookup would silently pick the first of two
                 raise SpecError(f"mu: tags {_tag_to_key(*first[:2])!r} and {_tag_to_key(expr, offset)!r}"
                                 " weigh the same stream")
@@ -217,19 +223,20 @@ class ExperimentSpec:
             n0 = max(n0, self.partner.n_min)
         return n0
 
-    def check_expression(self, expr: str) -> None:
-        """Refuse an expression this experiment has no stream for."""
+    def check_expression(self, expr: str) -> str:
+        """expr, refused when this experiment has no stream for it."""
         if expr not in EXPRESSIONS:
             raise UsageError(f"unknown expression {expr!r}; known: {', '.join(EXPRESSIONS)}")
         if expr != "self" and self.partner is None:
             raise UsageError(f"expression {expr!r} needs a partner sequence")
+        return expr
 
     def assigned(self, expr: str, offset: float | None):
         """The first assignment entry that weighs expr shifted by offset, or None;
         no offset counts as 0, and offsets within eq_tol are equal."""
-        want = 0.0 if offset is None else float(offset)
+        want = 0.0 if offset is None else offset
         for e_expr, e_off, wf in self.assignment:
-            if e_expr == expr and abs(want - (0.0 if e_off is None else float(e_off))) <= self.ctx.eq_tol:
+            if e_expr == expr and abs(want - (0.0 if e_off is None else e_off)) <= self.ctx.eq_tol:
                 return e_expr, e_off, wf
         return None
 
@@ -351,8 +358,9 @@ class _Stream:
         return v
 
     def _rational(self, expr, candidate, seq):
-        """(sequences, combine, weight) of a stream whose terms and weight are rational
-        in n, None for any other. weight is None for weight 1, a float for a constant,
+        """(sequences, combine, weight) of a stream the exact model decides, None for
+        any other: its terms and weight are rational in n, and every index up to hi
+        is exact in a double. weight is None for weight 1, a float for a constant,
         else a rational_poly form; combine is "sum" or "product" for two sequences."""
         exp = self.exp
         if seq is not None:
@@ -364,12 +372,12 @@ class _Stream:
                 form = entry[2]
                 if form.form not in ("const", "rational_poly"):
                     return None
-                weight = float(form.params["value"]) if form.form == "const" else form
+                weight = form.params["value"] if form.form == "const" else form
             elif exp.ctx.mu.rules:
                 return None
             else:
                 weight = exp.ctx.mu.default
-        if any(s.form not in RATIONAL_FORMS for s in seqs):
+        if self.hi > 2 ** 53 or any(s.form not in RATIONAL_FORMS for s in seqs):
             return None
         return seqs, expr if len(seqs) == 2 else None, weight
 
@@ -377,16 +385,14 @@ class _Stream:
         """What a scan asks of one stream over [n0, hi], answered from the exact model of
         a rational stream (mufield.exact), else from one blocked pass over the range."""
         parts = self._rational(expr, candidate, seq)
-        if parts is not None:
-            from . import exact  # on the first rational scan, so that `import mufield` stays without it
+        if parts is None:
+            return _BlockPass(self, expr, candidate, n0, seq, ctx)
+        from .exact import RationalScan  # on the first rational scan, so that `import mufield` stays without it
 
-            def window(first, last):  # a new pass each time: a pass holds a view of the shared buffer
-                return _BlockPass(self, expr, candidate, first, seq, ctx, last)
+        def window(first, last):  # a new pass each time: a pass holds a view of the shared buffer
+            return _BlockPass(self, expr, candidate, first, seq, ctx, last)
 
-            probe = exact.scan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, window)
-            if probe is not None:
-                return probe
-        return _BlockPass(self, expr, candidate, n0, seq, ctx)
+        return RationalScan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, window)
 
     def _scan(self, expr, candidate, n0, seq=None, schedule=None) -> ConvergenceVerdict:
         """Eps table, triviality fraction and tail certificate of one deviation over [n0, hi].
@@ -585,7 +591,7 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
     When both input sequences converge classically (at this horizon and eps
     schedule), the sum and product are asserted to be mu-supported at l + m
     and l * m. When only mu-convergence holds, observed verdicts are reported
-    without asserting any arithmetic.
+    without asserting any arithmetic, as when l + m or l * m is past the float range.
     """
     stream = _Stream(exp, lo=1)  # each sequence from its own n_min, for the classical scans
     verdicts = tuple(stream.verdict(expr, value) for expr, value in exp.candidates)
@@ -602,8 +608,10 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
         both = cl.verdict != REFUTED and cm.verdict != REFUTED
         for expr, target in (("sum", l + m), ("product", l * m)):
             if not both:
-                checks.append(_unmet(f"limit-{expr}", (l, m),
-                                     "classical support not established at this horizon"))
+                checks.append(_unmet(f"limit-{expr}", (l, m), "classical support not established at this horizon"))
+                continue
+            if not math.isfinite(target):
+                checks.append(_unmet(f"limit-{expr}", (l, m), f"the {expr} of the limits is past the float range"))
                 continue
             v = stream.verdict(expr, target)
             ok = v.verdict in (SUPPORTED, SUPPORTED_TRIVIALLY)
@@ -663,7 +671,7 @@ def _parse_sequence(doc, where="sequence") -> SequenceSpec:
     spec_object(doc, where, ("form", "params", "n_min", "n_max"), required=("form",))
     return SequenceSpec(
         form=spec_string(doc["form"], f"{where}.form"),
-        params=form_params(doc.get("params", {}), where),
+        params=form_params(doc.get("params", {}), f"{where}.params"),
         n_min=number(doc.get("n_min", 1), f"{where}.n_min", int),
         n_max=number(doc.get("n_max", DEFAULT_HORIZON), f"{where}.n_max", int),
     )
@@ -681,7 +689,7 @@ def _parse_tag(key: str, where="mu"):
 def _tag_to_key(expr: str, offset) -> str:
     if offset is None:
         return expr
-    return f"{expr}_minus:{float(offset)!r}"
+    return f"{expr}_minus:{offset!r}"
 
 
 # the top-level keys parse_experiment reads and serialize_experiment writes

@@ -65,6 +65,13 @@ class TestOperations:
         assert principal_arg(complex(-1.0, -0.0)) == math.pi
         assert principal_arg(complex(-1.0, 0.0)) == math.pi
 
+    def test_just_below_the_negative_real_axis_is_plus_pi(self):
+        # atan2 rounds -pi + 1e-17 to -pi, outside (-pi, pi]
+        assert principal_arg(-1 - 1e-17j) == math.pi
+        ctx = FieldContext()
+        assert check_complex_identity(ctx, "A1", [-1 - 1e-17j, 1 + 0j]).verdict == PASS  # was k = 1, residual 2
+        assert check_complex_identity(ctx, "P2", [-1 - 1e-17j, 1 + 0j, 0.5 + 0j]).verdict == PASS  # was unmet
+
     def test_arg_zero_is_domain_error(self):
         with pytest.raises(DomainError):
             mu_arg(FieldContext(), 0j)

@@ -140,6 +140,24 @@ def test_an_overflowing_stream_is_read_whole_and_equals_the_blocked_kernel():
     assert exact._scan("self", 1e307, 1) == block._scan("self", 1e307, 1)
 
 
+@pytest.mark.parametrize("seq, weight, candidate", [
+    # c n + d past the float range: every float term is 0, and the bound of each piece
+    # meets an integer quotient past the float range and a denominator floor lost to it
+    (SequenceSpec("moebius", {"a": 1.0, "b": 0.0, "c": 1e308, "d": 1e308}, 1, 100), None, 0.0),
+    # c n + d cancels to -64 at n = 50, less than its own rounding error: no floor
+    (SequenceSpec("moebius", {"a": 1.0, "b": 0.0, "c": 1e16, "d": -5.00000000000000064e17}, 1, 100), None, 0.0),
+    # a weight of 1 / 2 read as -1 / -2: the exact deviation's denominator is negative
+    (SequenceSpec("sq_ratio", {}, 1, 100), WeightForm("rational_poly", {"p": [-1.0], "q": [-2.0]}), 1.0),
+], ids=["overflowing_denominator", "cancelling_denominator", "negative_weight_denominator"])
+def test_an_edge_of_the_model_equals_the_blocked_kernel(seq, weight, candidate):
+    assignment = () if weight is None else (("self", candidate, weight),)
+    exp = ExperimentSpec(sequence=seq, assignment=assignment, horizon=100, eps_schedule=(1e-1, 1e-3, 1e-12))
+    exact, block = _Stream(exp), BlockStream(exp)
+    assert isinstance(exact._probe("self", candidate, 1, None, exp.ctx), RationalScan)
+    assert exact._scan("self", candidate, 1) == block._scan("self", candidate, 1)
+    assert exact.classical(seq, candidate) == block.classical(seq, candidate)
+
+
 def test_windows_wider_than_a_scan_block_equal_the_blocked_kernel(monkeypatch):
     # a constant stream's deviation is constant, so with eps on its float value, or an
     # ulp off, the model decides no index: each piece between powers of 2 is a window,
@@ -255,6 +273,14 @@ def test_weight_check_names_the_first_bad_weight_of_the_whole_range(p, q, n_min,
     # every bad index lies in a window the check weighs
     windows = weight_windows(wf, n_min, n_max)
     assert any(a <= want[0] <= b for a, b in windows)
+
+
+def test_an_empty_range_weighs_no_index():
+    wf = WeightForm("rational_poly", {"p": [2.0], "q": [1.0]})  # 2 at every index
+    assert weight_windows(wf, 5, 4) == [] and first_bad_weight(wf, 5, 4) is None
+    wf.validate_range(5, 4)
+    with pytest.raises(ValidationError, match="weight 2.0 out of \\[0, 1\\] at n=5"):
+        wf.validate_range(5, 5)
 
 
 def test_a_weight_far_from_0_and_1_weighs_no_index(monkeypatch):

@@ -470,10 +470,32 @@ def test_assigned_entry(expr, offset, index):
     assert exp.assigned(expr, offset) == (None if index is None else _ENTRIES[index])
 
 
+def test_experiment_keeps_the_numbers_it_reads():
+    # a candidate "1" was kept as a string: l + m gave "11", and l * m a raw TypeError
+    seq = SequenceSpec("sq_ratio", {}, 1, 100)
+    exp = ExperimentSpec(sequence=seq, partner=seq, candidates=(("self", "1"), ("partner", 1)), eps_schedule=(0.1,),
+                         horizon=100, assignment=(("sum", "2", constant_weight(1.0)),))
+    assert [type(v) for _, v in exp.candidates] == [float, float]
+    assert exp.assignment[0][1] == 2.0 and type(exp.assignment[0][1]) is float
+    checks = {c.identity_id: c for c in run_experiment(exp).theorem_checks}
+    assert checks["limit-sum"].operands == (1.0, 1.0) and checks["limit-sum"].verdict == PASS
+    assert checks["limit-product"].verdict == PASS
+
+
+def test_a_limit_past_the_float_range_is_unmet():
+    seq = SequenceSpec("constant", {"value": 1e308}, 1, 100)
+    exp = ExperimentSpec(sequence=seq, partner=seq, candidates=(("self", 1e308), ("partner", 1e308)), horizon=100)
+    checks = run_experiment(exp).theorem_checks
+    assert [(c.verdict, c.notes) for c in checks] == [
+        (UNMET, ("the sum of the limits is past the float range",)),
+        (UNMET, ("the product of the limits is past the float range",)),
+    ]
+
+
 @pytest.mark.parametrize("offset", [math.nan, math.inf])
 def test_non_finite_offset_is_refused(offset):
     # such an entry would weigh no stream, not even its own
-    with pytest.raises(ValidationError, match="offset is not finite"):
+    with pytest.raises(ValidationError, match="mu: tag .self. offset: expected a finite number"):
         ExperimentSpec(sequence=SequenceSpec("sq_ratio", {}, 1, 10), horizon=10,
                        assignment=(("self", offset, constant_weight(0.5)),))
 

@@ -7,11 +7,13 @@ read as absent), and every missing key reads `{where}: missing 'k'`.
 """
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
-from mufield import SequenceSpec, SpecError, ValidationError, ValueForm
+from mufield import ExperimentSpec, SequenceSpec, SpecError, ValidationError, ValueForm, WeightForm, constant_weight
 from mufield.cli import main
 from mufield.errors import number
 
@@ -255,3 +257,72 @@ def test_weight_form_pole_writes_one_error_line(capsys, tmp_path, recwarn):
     assert code == 2 and out == ""
     assert err == "error: mu[self]: weight nan out of [0, 1] at n=3\n"
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+class TestFormsReadTheirParams:
+    """A form built in code reads its params as a document does: each a finite float."""
+
+    @pytest.mark.parametrize("build, field", [
+        # a NaN c was "supported" at any candidate, with N(eps) = 1 for every eps
+        (lambda: SequenceSpec("log_plus", {"c": math.nan}), "form 'log_n_plus_c' params.c: expected a finite number"),
+        (lambda: WeightForm("rational_poly", {"p": [1.0], "q": [math.inf]}),
+         "form 'rational_poly' params.q[0]: expected a finite number"),
+        (lambda: ValueForm("moebius", {"a": "x", "b": 1, "c": 1, "d": 1}),
+         "form 'moebius' params.a: expected a number, got 'x'"),
+        (lambda: WeightForm("rational_poly", {"p": 1.0, "q": [1.0]}),
+         "form 'rational_poly' params.p: expected an array"),
+        (lambda: WeightForm("rational_poly", {"p": [], "q": [1.0]}), "params.p: expected a non-empty array"),
+        (lambda: constant_weight(math.nan), "form 'const' params.value: expected a finite number"),
+        (lambda: SequenceSpec("table", {"points": {1: 0.5, 2.5: 0.5}}, 1, 2),
+         "form 'table' params.points: expected an integer, got 2.5"),
+        (lambda: SequenceSpec("table", {"points": [0.5]}, 1, 1), "form 'table' params.points: expected an object"),
+        (lambda: SequenceSpec("log_plus", {"c": 0.0, "d": 1.0}), "form 'log_n_plus_c' params: unknown key(s) 'd'"),
+    ])
+    def test_refused_when_built(self, build, field):
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            build()
+
+    def test_params_are_kept_as_floats(self):
+        seq = SequenceSpec("table", {"points": {"1": 1, 2: "0.5"}}, 1, 2)
+        assert seq.params == {"points": {1: 1.0, 2: 0.5}}
+        assert all(type(k) is int and type(v) is float for k, v in seq.params["points"].items())
+        wf = WeightForm("rational_poly", {"p": [1], "q": ["2"]})
+        assert [type(c) for c in wf.params["p"] + wf.params["q"]] == [float, float]
+        assert type(ValueForm("log_n_plus_c", {"c": 1}).params["c"]) is float
+
+    def test_a_document_names_its_own_field(self, capsys, tmp_path):
+        seq = {"form": "log_plus", "params": {"c": "nan"}, "n_max": 50}
+        refused(converge(capsys, tmp_path, {"sequence": seq}), "sequence.params.c: expected a finite number, got 'nan'")
+
+
+class TestIntegers:
+    """An integer field refuses a fractional number instead of truncating it."""
+
+    @pytest.mark.parametrize("value", [1.5, 1999.9, -0.5, "1.5"])
+    def test_number_reader(self, value):
+        with pytest.raises(SpecError, match=re.escape(f"x: expected an integer, got {value!r}")):
+            number(value, "x", int)
+
+    def test_integral_values_still_read(self):
+        assert number(1e5, "x", int) == 100_000 and number(np.float64(7.0), "x", int) == 7
+        assert SequenceSpec("sq_ratio", {}, 1.0, "100").n_max == 100
+
+    @pytest.mark.parametrize("change, field", [
+        ({"horizon": 49.9}, "horizon: expected an integer, got 49.9"),  # ran to 49
+        ({"sequence": {**SEQ, "n_min": 1.5}}, "sequence.n_min: expected an integer, got 1.5"),  # read as 1
+        ({"sequence": {**SEQ, "n_max": 50.5}}, "sequence.n_max: expected an integer, got 50.5"),
+    ])
+    def test_experiment_field(self, capsys, tmp_path, change, field):
+        refused(converge(capsys, tmp_path, change), field)
+
+    def test_family_rule(self, capsys, tmp_path):
+        refused(axioms(capsys, tmp_path, {**FAMILY, "n_max": 50.5}), "rules[0].match.n_max: expected an integer")
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: SequenceSpec("sq_ratio", {}, 1.5, 100), "n_min: expected an integer, got 1.5"),
+        (lambda: ExperimentSpec(sequence=SequenceSpec("sq_ratio", {}, 1, 100), horizon=99.5),
+         "horizon: expected an integer, got 99.5"),
+    ])
+    def test_built_in_code(self, build, field):
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            build()
