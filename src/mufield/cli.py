@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -667,10 +668,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first main call: it holds no input,
+    as parse_args returns a new namespace each time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    from .exact import one_run  # on first use, so that `import mufield.cli` stays without it
+
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        with one_run():  # a command is one run: its spec checks and scans share their exact models
+            return args.fn(args)
     except SystemExit as e:  # --help, after printing the usage
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except (DomainError, MemoryError) as e:  # a valid request, undefined or too big for this machine

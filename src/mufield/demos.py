@@ -239,9 +239,13 @@ class DemoReport:
 
 
 def run_demo(name: str) -> DemoReport:
-    """Run a catalog demo and check the claims it is meant to reproduce."""
-    exp = demo_catalog(name)
-    report = run_experiment(exp)
-    _, headline, check = _CATALOG[name]
-    claims, bounds, literal = check(exp, report)
+    """Run a catalog demo and check the claims it is meant to reproduce: one run, whose
+    build and scans share their exact models (mufield.exact.one_run)."""
+    from .exact import one_run  # on first use, so that `import mufield` stays without it
+
+    with one_run():
+        exp = demo_catalog(name)
+        report = run_experiment(exp)
+        _, headline, check = _CATALOG[name]
+        claims, bounds, literal = check(exp, report)
     return DemoReport(name, headline, exp, report, tuple(claims), bounds, literal)

@@ -30,11 +30,19 @@ undecided, is read by the blocked kernel (sequences._BlockPass): one pass
 over the window answers the question the model asks of the whole range.
 The weight check's windows are weighed by WeightForm.validate_range.
 
+Within one run (one_run: a demo, a converge command, a run_experiment),
+each distinct weight and each distinct sequence has one exact model: a
+weight's pieces over a range are cut once, for the spec's weight check and
+every scan's weight count alike, and each bound over a piece is computed
+once. The models are dropped when the run ends.
+
 Imported on the first rational scan or weight check, never by `import mufield`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 
@@ -197,13 +205,58 @@ def _horner_bound(coeffs, n: float):
 
 
 # ---------------------------------------------------------------------------
+# The models of one run
+# ---------------------------------------------------------------------------
+
+_MODELS = contextvars.ContextVar("mufield_exact_models", default=None)  # {key: model} of the run, or None
+
+
+@contextlib.contextmanager
+def one_run():
+    """Share the exact models built within the block: one per distinct weight and
+    per distinct sequence. A block within another shares the outer one's models,
+    and the outermost drops them when it ends."""
+    if _MODELS.get() is not None:
+        yield
+        return
+    token = _MODELS.set({})
+    try:
+        yield
+    finally:
+        _MODELS.reset(token)
+
+
+def _model(cls, source):
+    """cls(source), the one built before in this run for an equal key, if any."""
+    models = _MODELS.get()
+    if models is None:
+        return cls(source)
+    key = (cls, cls.key(source))
+    if key not in models:
+        models[key] = cls(source)
+    return models[key]
+
+
+def _memo(bounds: dict, bound, l: int, r: int):
+    """bound(l, r), computed once per (l, r) into bounds."""
+    if (l, r) not in bounds:
+        bounds[l, r] = bound(l, r)
+    return bounds[l, r]
+
+
+# ---------------------------------------------------------------------------
 # Terms and weights
 # ---------------------------------------------------------------------------
 
 class _Terms:
     """One sequence's exact terms num(n) / den(n), and the bound of its float terms."""
 
+    @staticmethod
+    def key(seq):
+        return seq.form, tuple(sorted(seq.params.items()))
+
     def __init__(self, seq):
+        self.bounds = {}  # (l, r) -> bound(l, r)
         self.form, p = seq.form, seq.params
         if self.form == "constant":
             self.value = p["value"]
@@ -219,6 +272,9 @@ class _Terms:
 
     def bound(self, l: int, r: int):
         """(magnitude, error) of the float terms at the indices of [l, r]."""
+        return _memo(self.bounds, self._bound, l, r)
+
+    def _bound(self, l: int, r: int):
         if self.form == "constant":
             return abs(self.value), 0.0
         if self.form == "sq_ratio":  # (1.0 + 1.0 / n) ** 2, which numpy squares as x * x
@@ -234,7 +290,12 @@ class _Weight:
     """A weight's exact num(n) / den(n) and the bound of its float weights: a float
     (a constant weight) or a rational_poly form."""
 
+    @staticmethod
+    def key(weight):  # floats compare by value: -0.0 and 0.0 have the same exact model
+        return weight if isinstance(weight, float) else (tuple(weight.params["p"]), tuple(weight.params["q"]))
+
     def __init__(self, weight):
+        self.bounds, self.cuts = {}, {}  # (l, r) -> bound(l, r); (lo, hi) -> pieces(lo, hi)
         self.value = weight if isinstance(weight, float) else None
         self.poles, self.den_crit = [], []
         if self.value is not None:
@@ -253,14 +314,20 @@ class _Weight:
     def bound(self, l: int, r: int):
         if self.value is not None:
             return abs(self.value), 0.0
+        return _memo(self.bounds, self._bound, l, r)
+
+    def _bound(self, l: int, r: int):
         n = float(r)
         low = _dn(_quotient(min(abs(_ev(self.bottom, l)), abs(_ev(self.bottom, r))), self.lq))
         return _over(_horner_bound(self.p, n), _horner_bound(self.q, n), low)
 
     def pieces(self, lo: int, hi: int) -> _Pieces:
-        slope = _add(_mul(_deriv(self.num), self.den), _scale(_mul(self.num, _deriv(self.den)), -1))
-        return _Pieces(self.at, lambda l, r: self.bound(l, r)[1], [self.num, slope] + self.den_crit,
-                       self.poles, lo, hi)
+        """The pieces of a rational_poly weight over [lo, hi], cut once per range."""
+        if (lo, hi) not in self.cuts:
+            slope = _add(_mul(_deriv(self.num), self.den), _scale(_mul(self.num, _deriv(self.den)), -1))
+            self.cuts[lo, hi] = _Pieces(self.at, lambda l, r: self.bound(l, r)[1], [self.num, slope] + self.den_crit,
+                                        self.poles, lo, hi)
+        return self.cuts[lo, hi]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +402,7 @@ def weight_windows(form, n_min: int, n_max: int) -> list:
         return []
     if form.form == "const":
         return [] if 0.0 <= form.params["value"] <= 1.0 else [(n_min, n_min)]
-    pieces = _Weight(form).pieces(n_min, n_max)
+    pieces = _model(_Weight, form).pieces(n_min, n_max)
     out = []
     for row in pieces.rows:
         l, r, rising, bottom, top, err = row
@@ -362,9 +429,9 @@ class RationalScan:
     undecided."""
 
     def __init__(self, seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window):
-        self.terms = [_Terms(s) for s in seqs]
+        self.terms = [_model(_Terms, s) for s in seqs]
         self.combine, self.c = combine, abs(candidate)
-        self.weight = None if weight is None else _Weight(weight)
+        self.weight = None if weight is None else _model(_Weight, weight)
         self.n0, self.hi, self.eq_tol, self.min_mu, self.window = n0, hi, eq_tol, min_mu, window
         num, den = self.terms[0].num, self.terms[0].den
         if len(self.terms) == 2:

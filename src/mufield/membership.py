@@ -54,6 +54,14 @@ def _require_finite(v: Scalar, what: str = "value") -> Scalar:
     return v
 
 
+def _scalar(v, where: str) -> Scalar:
+    """A matcher's point: a float or a complex as it is (a non-finite one matches
+    nothing), anything else read by errors.number."""
+    if isinstance(v, (float, complex)):
+        return complex(v) if isinstance(v, complex) else float(v)
+    return number(v, where, error=ValidationError)
+
+
 def _unit_default(default) -> float:
     w = float(default)
     if not (0.0 <= w <= 1.0):
@@ -63,10 +71,14 @@ def _unit_default(default) -> float:
 
 @dataclass(frozen=True)
 class PointMatcher:
-    """Accepts values within tol of a single point."""
+    """Accepts values within tol of a single point; the point and a finite tol are read when it is built."""
 
     value: Scalar
     tol: float = 1e-9
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _scalar(self.value, "point matcher value"))
+        object.__setattr__(self, "tol", number(self.tol, "point matcher tol", error=ValidationError))
 
     def hit(self, v: Scalar) -> bool:
         return bool(self.hits(np.array([v]))[0])
@@ -85,10 +97,16 @@ class SetMatcher:
     neighbour its real part in one sorted table (the nearest, as |v - s|
     grows with the gap in real parts), found by one binary search; members
     off the real axis are tested one by one. A non-finite member matches nothing.
+    Members and a finite tol are read when it is built.
     """
 
     values: tuple
     tol: float = 1e-9
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(_scalar(v, f"set matcher values[{i}]")
+                                                 for i, v in enumerate(self.values)))
+        object.__setattr__(self, "tol", number(self.tol, "set matcher tol", error=ValidationError))
 
     def hit(self, v: Scalar) -> bool:
         return bool(self.hits(np.array([v]))[0])
@@ -133,13 +151,19 @@ class FamilyMatcher:
     one sorted table (non-finite members, past an exp overflow or at a
     moebius pole, match nothing). A lookup is then one binary search and a
     comparison of the two neighbours. Two float-equal members would make
-    the nearest one ambiguous, so building the table refuses them.
+    the nearest one ambiguous, so building the table refuses them. The index
+    range is read as integers and tol as a finite number when it is built.
     """
 
     form: ValueForm
     n_min: int
     n_max: int
     tol: float = 1e-9
+
+    def __post_init__(self):
+        for k in ("n_min", "n_max"):
+            object.__setattr__(self, k, number(getattr(self, k), f"family matcher {k}", int, ValidationError))
+        object.__setattr__(self, "tol", number(self.tol, "family matcher tol", error=ValidationError))
 
     def _members(self) -> tuple:
         """The member table, built on first use and kept: the finite members

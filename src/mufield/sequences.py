@@ -35,7 +35,9 @@ EPS_BLOCKs), into reused block buffers. What it reads depends on the stream:
   the deviation; N(eps) then reads again only the last EPS_BLOCK that
   reaches eps, and the triviality fraction the one the tail starts inside.
   The terms of a log_plus, exp_plus or table sequence are kept from their
-  first read, 8 bytes per index; weights are weighed block by block.
+  first read, 8 bytes per index, and so are the weights of a form assigned
+  to a stream of them, once per form; fallback weights are weighed block by
+  block.
 
 The classical scans read weight 1 over the sequence's own [n_min, horizon]
 with the default FieldContext tolerances, exactly as classical_converges.
@@ -252,9 +254,10 @@ class _Stream:
     Scans read indices [lo, hi]. lo defaults to the experiment's n_start; a
     lower lo lets the classical scans read each sequence from its own n_min.
     The terms of a log_plus, exp_plus or table sequence are evaluated once,
-    SCAN_BLOCK indices at a time, into one array kept from first use; the
-    rational forms are evaluated on each read, as are assigned weight forms.
-    Every scan reads through deviation(), at most SCAN_BLOCK indices at a
+    SCAN_BLOCK indices at a time, into one array kept from first use, and so
+    is each weight form assigned to a stream of such terms, over [n0, hi]; the
+    rational forms are evaluated on each read, as are the weights of a stream
+    of them, which an exact model reads only in the windows it leaves. Every scan reads through deviation(), at most SCAN_BLOCK indices at a
     time, into two reused block buffers (combined values, deviations), so it
     finishes with one block before it asks for the next. Verdicts are kept
     per candidate, so a limit check that repeats a declared candidate is free.
@@ -266,6 +269,7 @@ class _Stream:
         self.hi = exp.horizon if hi is None else hi
         self.n0 = max(exp.n_start, self.lo)
         self._terms = []  # (SequenceSpec, first index, terms from there to hi)
+        self._weights = []  # (WeightForm, weights from n0 to hi)
         self._verdicts = {}  # (expr, candidate) -> ConvergenceVerdict
         self._classical = []  # (SequenceSpec, candidate, ConvergenceVerdict)
         self._bufs = None
@@ -278,33 +282,48 @@ class _Stream:
             self._bufs = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
         return self._bufs
 
+    def _kept(self, kept: list, source, evaluate, start: int, first: int, last: int) -> np.ndarray:
+        """evaluate over [first, last], a view of the array over [start, hi] kept in kept
+        for source from first use, evaluated SCAN_BLOCK indices at a time."""
+        for s, begin, t in kept:
+            if s == source:
+                return t[first - begin:last - begin + 1]
+        t = np.empty(self.hi - start + 1)
+        for i in range(0, t.size, SCAN_BLOCK):
+            j = min(i + SCAN_BLOCK, t.size)
+            t[i:j] = evaluate(np.arange(start + i, start + j, dtype=float))
+        kept.append((source, start, t))
+        return t[first - start:last - start + 1]
+
     def terms(self, seq: SequenceSpec, first: int, last: int) -> np.ndarray:
         """Terms of seq over [first, last]: evaluated now for a rational form, else a
         view of the array kept from first use."""
         if seq.form in RATIONAL_FORMS:
             return seq.terms(np.arange(first, last + 1, dtype=float))
-        for s, start, t in self._terms:
-            if s == seq:
-                return t[first - start:last - start + 1]
-        start = max(seq.n_min, self.lo)
-        t = np.empty(self.hi - start + 1)
-        for i in range(0, t.size, SCAN_BLOCK):
-            j = min(i + SCAN_BLOCK, t.size)
-            t[i:j] = seq.terms(np.arange(start + i, start + j, dtype=float))
-        self._terms.append((seq, start, t))
-        return t[first - start:last - start + 1]
+        return self._kept(self._terms, seq, seq.terms, max(seq.n_min, self.lo), first, last)
+
+    def weights(self, expr: str, form: WeightForm, first: int, last: int) -> np.ndarray:
+        """The weights of form, assigned to expr, over [first, last]: a view of the array
+        kept from first use where expr reads a kept sequence, else evaluated now."""
+        if all(s.form in RATIONAL_FORMS for s in self._sequences(expr)):
+            return form.weights(np.arange(first, last + 1, dtype=float))
+        return self._kept(self._weights, form, form.weights, self.n0, first, last)
+
+    def _sequences(self, expr: str) -> tuple:
+        """The sequences whose terms make the stream of expr."""
+        exp = self.exp
+        exp.check_expression(expr)
+        return {"self": (exp.sequence,), "partner": (exp.partner,)}.get(expr, (exp.sequence, exp.partner))
 
     def values(self, expr: str, first: int, last: int) -> np.ndarray:
         """The stream of expr over [first, last]; a sum or product is built in the values buffer."""
-        exp = self.exp
-        exp.check_expression(expr)
-        if expr == "self":
-            return self.terms(exp.sequence, first, last)
-        if expr == "partner":
-            return self.terms(exp.partner, first, last)
+        seqs = self._sequences(expr)
+        if len(seqs) == 1:
+            return self.terms(seqs[0], first, last)
         combine = np.add if expr == "sum" else np.multiply
-        a, b = self.terms(exp.sequence, first, last), self.terms(exp.partner, first, last)
-        return combine(a, b, out=self._buffers()[0][:a.size])
+        a, b = (self.terms(s, first, last) for s in seqs)
+        with np.errstate(over="ignore"):  # a sum or product past the float range is +-inf, as one term is
+            return combine(a, b, out=self._buffers()[0][:a.size])
 
     def deviation(self, expr, candidate, first, last, seq=None, signed=False):
         """(v_n, |v_n - candidate| w_n, w_n) over [first, last], at most SCAN_BLOCK indices.
@@ -325,7 +344,7 @@ class _Stream:
             if entry is None:
                 w = exp.ctx.mu.weight_many(dev)
             else:
-                w = entry[2].weights(np.arange(first, last + 1, dtype=float))
+                w = self.weights(expr, entry[2], first, last)
         if not signed:
             np.abs(dev, out=dev)
         if w is not None:
@@ -366,7 +385,7 @@ class _Stream:
         if seq is not None:
             seqs, weight = (seq,), None
         else:
-            seqs = {"self": (exp.sequence,), "partner": (exp.partner,)}.get(expr, (exp.sequence, exp.partner))
+            seqs = self._sequences(expr)
             entry = exp.assigned(expr, candidate)
             if entry is not None:
                 form = entry[2]
@@ -592,7 +611,15 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
     schedule), the sum and product are asserted to be mu-supported at l + m
     and l * m. When only mu-convergence holds, observed verdicts are reported
     without asserting any arithmetic, as when l + m or l * m is past the float range.
+    Its scans share their exact models (mufield.exact.one_run).
     """
+    from .exact import one_run  # on first use, so that `import mufield` stays without it
+
+    with one_run():
+        return _run(exp)
+
+
+def _run(exp: ExperimentSpec) -> ExperimentReport:
     stream = _Stream(exp, lo=1)  # each sequence from its own n_min, for the classical scans
     verdicts = tuple(stream.verdict(expr, value) for expr, value in exp.candidates)
 

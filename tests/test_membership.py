@@ -406,6 +406,17 @@ def test_point_table_weighs_like_its_point_rules(rows, default, extra):
         assert list(table.weight_many(np.array(probes))) == [table.weight(v) for v in probes]
 
 
+def test_matchers_keep_the_numbers_they_read():
+    # a string point was kept as a string, and weight() on it ended in a raw TypeError
+    point, family = PointMatcher("0.5", "0.1"), FamilyMatcher(ValueForm("sq_ratio"), 1e0, "10")
+    assert (point.value, point.tol, family.n_min, family.n_max) == (0.5, 0.1, 1, 10)
+    assert [type(x) for x in (point.value, point.tol, family.n_min, family.n_max)] == [float, float, int, int]
+    mu = MembershipFunction((MuRule(point, 0.25), MuRule(family, 0.75)), 1.0)
+    assert [mu.weight(v) for v in (0.45, 4.0, 3.0)] == [0.25, 0.75, 1.0]
+    members = SetMatcher((1, complex(2, -1)), 0).values
+    assert members == (1.0, 2 - 1j) and [type(m) for m in members] == [float, complex]
+
+
 def test_a_distance_past_the_float_range_is_no_match():
     # |v - p| of a finite complex v may be past the float range; weight_many reads it as inf
     big = complex(1.5e308, 1.5e308)

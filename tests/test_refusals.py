@@ -20,6 +20,7 @@ from mufield import (
     PointMatcher,
     RangeGuardError,
     SequenceSpec,
+    SetMatcher,
     SpecError,
     UsageError,
     ValidationError,
@@ -69,6 +70,11 @@ REFUSALS = [
     (lambda: MuRule(PointMatcher(0.0, -1.0), 0.5), ValidationError, "matcher tol -1.0 must be finite and >= 0"),
     (lambda: MuRule(FamilyMatcher(ValueForm("sq_ratio"), 5, 4), 0.5), ValidationError,
      "family index range [5, 4] is invalid"),
+    (lambda: FamilyMatcher(ValueForm("sq_ratio"), 1.5, 10), ValidationError,
+     "family matcher n_min: expected an integer, got 1.5"),
+    (lambda: PointMatcher("half", 0.1), ValidationError, "point matcher value: expected a number, got 'half'"),
+    (lambda: SetMatcher((0.0, "one")), ValidationError, "set matcher values[1]: expected a number, got 'one'"),
+    (lambda: SetMatcher((0.0,), None), ValidationError, "set matcher tol: expected a number, got None"),
     (lambda: MembershipFunction((0.5,)), ValidationError, "rules[0] is not a MuRule"),
     (lambda: FieldContext(min_mu=1.0), ValidationError, "min_mu must lie in [0, 1)"),
     (lambda: load_mu_spec({"default": 1.0, "rules": [{"match": {"kind": "point", "value": [1, 2, 3]}, "mu": 0.5}]}),

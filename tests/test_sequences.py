@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -490,6 +491,16 @@ def test_a_limit_past_the_float_range_is_unmet():
         (UNMET, ("the sum of the limits is past the float range",)),
         (UNMET, ("the product of the limits is past the float range",)),
     ]
+
+
+@pytest.mark.parametrize("expr", ["sum", "product"])
+def test_a_stream_past_the_float_range_warns_nothing(expr):
+    # the two terms were added or multiplied outside np.errstate: numpy printed an overflow RuntimeWarning
+    seq = SequenceSpec("constant", {"value": 1e308}, 1, 10)
+    exp = ExperimentSpec(sequence=seq, partner=seq, horizon=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mu_converges(exp, expr, 0.0).verdict == REFUTED
 
 
 @pytest.mark.parametrize("offset", [math.nan, math.inf])
