@@ -30,11 +30,12 @@ undecided, is read by the blocked kernel (sequences._BlockPass): one pass
 over the window answers the question the model asks of the whole range.
 The weight check's windows are weighed by WeightForm.validate_range.
 
-Within one run (one_run: a demo, a converge command, a run_experiment),
-each distinct weight and each distinct sequence has one exact model: a
-weight's pieces over a range are cut once, for the spec's weight check and
-every scan's weight count alike, and each bound over a piece is computed
-once. The models are dropped when the run ends.
+Within one run (one_run: a demo, a CLI command, a run_experiment call),
+each distinct weight, sequence and deviation over a range has one exact
+model: a weight's pieces over a range are cut once, for the spec's weight
+check and every scan's weight count alike, two scans of one stream share
+its pieces, and each bound over a piece is computed once. The models are
+dropped when the run ends.
 
 Imported on the first rational scan or weight check, never by `import mufield`.
 """
@@ -213,9 +214,10 @@ _MODELS = contextvars.ContextVar("mufield_exact_models", default=None)  # {key: 
 
 @contextlib.contextmanager
 def one_run():
-    """Share the exact models built within the block: one per distinct weight and
-    per distinct sequence. A block within another shares the outer one's models,
-    and the outermost drops them when it ends."""
+    """Share the exact models built within the block: one per distinct weight, per
+    distinct sequence and per distinct deviation over a range. A block within
+    another shares the outer one's models, and the outermost drops them when it
+    ends."""
     if _MODELS.get() is not None:
         yield
         return
@@ -226,15 +228,19 @@ def one_run():
         _MODELS.reset(token)
 
 
-def _model(cls, source):
-    """cls(source), the one built before in this run for an equal key, if any."""
+def _shared(key, build):
+    """build(), or what it gave for an equal key before in this run. An equal key
+    names an equal model, so any of the builds would do."""
     models = _MODELS.get()
     if models is None:
-        return cls(source)
-    key = (cls, cls.key(source))
+        return build()
     if key not in models:
-        models[key] = cls(source)
+        models[key] = build()
     return models[key]
+
+
+def _model(cls, source):
+    return _shared((cls, cls.key(source)), lambda: cls(source))
 
 
 def _memo(bounds: dict, bound, l: int, r: int):
@@ -421,6 +427,44 @@ def weight_windows(form, n_min: int, n_max: int) -> list:
 # The scan of one rational stream
 # ---------------------------------------------------------------------------
 
+def _deviation(terms, combine, weight, candidate: float, n0: int, hi: int) -> _Pieces:
+    """The pieces of D(n) = |t(n) - c| w(n) over [n0, hi]: t the one sequence of terms,
+    or their combine ("sum" or "product"), c the candidate and w the weight model,
+    None for weight 1."""
+    num, den = terms[0].num, terms[0].den
+    if len(terms) == 2:
+        num2, den2 = terms[1].num, terms[1].den
+        if combine == "product":
+            num, den = _mul(num, num2), _mul(den, den2)
+        elif den == den2:
+            num = _add(num, num2)
+        else:
+            num, den = _add(_mul(num, den2), _mul(num2, den)), _mul(den, den2)
+    cn, cd = candidate.as_integer_ratio()
+    tn, td = _add(_scale(num, cd), _scale(den, -cn)), _scale(den, cd)  # t - c
+    w = weight or _model(_Weight, 1.0)
+    top, bottom = _reduce(_mul(tn, w.num), _mul(td, w.den))  # +-D
+    slope = _add(_mul(_deriv(top), bottom), _scale(_mul(top, _deriv(bottom)), -1))
+    c = abs(candidate)
+
+    def dev(n: int):
+        """D(n) exactly, as (num, den > 0); None at a pole."""
+        return _fraction(abs(_ev(tn, n)) * _ev(w.num, n), abs(_ev(td, n)) * _ev(w.den, n))
+
+    def err(l: int, r: int) -> float:
+        """The bound of |float deviation - D| over [l, r]: inf where it may overflow."""
+        x = terms[0].bound(l, r)
+        if len(terms) == 2:
+            y = terms[1].bound(l, r)
+            x = _times(x, y) if combine == "product" else _plus(x, y)
+        d = _plus(x, (c, 0.0))
+        if weight is not None:
+            d = _times(d, weight.bound(l, r))
+        return d[1] if _up(d[0] + d[1]) < _BIG else math.inf
+
+    return _Pieces(dev, err, [slope, tn] + w.den_crit, [t.den for t in terms] + w.poles, n0, hi)
+
+
 class RationalScan:
     """The three questions a convergence scan asks of one rational stream over
     [n0, hi], answered from its exact model. window(first, last) gives the
@@ -429,42 +473,12 @@ class RationalScan:
     undecided."""
 
     def __init__(self, seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window):
-        self.terms = [_model(_Terms, s) for s in seqs]
-        self.combine, self.c = combine, abs(candidate)
+        terms = [_model(_Terms, s) for s in seqs]
         self.weight = None if weight is None else _model(_Weight, weight)
         self.n0, self.hi, self.eq_tol, self.min_mu, self.window = n0, hi, eq_tol, min_mu, window
-        num, den = self.terms[0].num, self.terms[0].den
-        if len(self.terms) == 2:
-            num2, den2 = self.terms[1].num, self.terms[1].den
-            if combine == "product":
-                num, den = _mul(num, num2), _mul(den, den2)
-            elif den == den2:
-                num = _add(num, num2)
-            else:
-                num, den = _add(_mul(num, den2), _mul(num2, den)), _mul(den, den2)
-        cn, cd = candidate.as_integer_ratio()
-        self.tn, self.td = _add(_scale(num, cd), _scale(den, -cn)), _scale(den, cd)  # t - c
-        w = self.weight or _Weight(1.0)
-        self.wn, self.wd = w.num, w.den
-        top, bottom = _reduce(_mul(self.tn, w.num), _mul(self.td, w.den))  # +-D
-        slope = _add(_mul(_deriv(top), bottom), _scale(_mul(top, _deriv(bottom)), -1))
-        self.pieces = _Pieces(self._dev, self._err, [slope, self.tn] + w.den_crit,
-                              [t.den for t in self.terms] + w.poles, n0, hi)
-
-    def _dev(self, n: int):
-        """D(n) = |t(n) - c| w(n) exactly, as (num, den > 0); None at a pole."""
-        return _fraction(abs(_ev(self.tn, n)) * _ev(self.wn, n), abs(_ev(self.td, n)) * _ev(self.wd, n))
-
-    def _err(self, l: int, r: int) -> float:
-        """The bound of |float deviation - D| over [l, r]: inf where it may overflow."""
-        x = self.terms[0].bound(l, r)
-        if len(self.terms) == 2:
-            y = self.terms[1].bound(l, r)
-            x = _times(x, y) if self.combine == "product" else _plus(x, y)
-        d = _plus(x, (self.c, 0.0))
-        if self.weight is not None:
-            d = _times(d, self.weight.bound(l, r))
-        return d[1] if _up(d[0] + d[1]) < _BIG else math.inf
+        # the models of a run are one object per key, so a deviation is keyed by its models
+        self.pieces = _shared((*terms, combine, self.weight, candidate, n0, hi),
+                              lambda: _deviation(terms, combine, self.weight, candidate, n0, hi))
 
     def last_reaching(self, bound: float):
         """The last index whose float deviation is >= bound, or None."""

@@ -57,9 +57,9 @@ def _require_finite(v: Scalar, what: str = "value") -> Scalar:
 def _scalar(v, where: str) -> Scalar:
     """A matcher's point: a float or a complex as it is (a non-finite one matches
     nothing), anything else read by errors.number."""
-    if isinstance(v, (float, complex)):
-        return complex(v) if isinstance(v, complex) else float(v)
-    return number(v, where, error=ValidationError)
+    if isinstance(v, complex):
+        return complex(v)
+    return float(v) if isinstance(v, float) else number(v, where, error=ValidationError)
 
 
 def _unit_default(default) -> float:

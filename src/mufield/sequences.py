@@ -255,12 +255,14 @@ class _Stream:
     lower lo lets the classical scans read each sequence from its own n_min.
     The terms of a log_plus, exp_plus or table sequence are evaluated once,
     SCAN_BLOCK indices at a time, into one array kept from first use, and so
-    is each weight form assigned to a stream of such terms, over [n0, hi]; the
-    rational forms are evaluated on each read, as are the weights of a stream
-    of them, which an exact model reads only in the windows it leaves. Every scan reads through deviation(), at most SCAN_BLOCK indices at a
-    time, into two reused block buffers (combined values, deviations), so it
-    finishes with one block before it asks for the next. Verdicts are kept
-    per candidate, so a limit check that repeats a declared candidate is free.
+    are the weights of each form assigned to a stream of such terms, over
+    [n0, hi]. The rational forms are evaluated on each read, as are the
+    weights of a stream of them, which its exact model reads only in the
+    windows it leaves undecided. Every scan reads through deviation(), at
+    most SCAN_BLOCK indices at a time, into two reused block buffers
+    (combined values, deviations), so it finishes with one block before it
+    asks for the next. Verdicts are kept per candidate, so a limit check that
+    repeats a declared candidate is free.
     """
 
     def __init__(self, exp: ExperimentSpec, lo: int | None = None, hi: int | None = None):
@@ -269,7 +271,7 @@ class _Stream:
         self.hi = exp.horizon if hi is None else hi
         self.n0 = max(exp.n_start, self.lo)
         self._terms = []  # (SequenceSpec, first index, terms from there to hi)
-        self._weights = []  # (WeightForm, weights from n0 to hi)
+        self._weights = []  # (WeightForm, n0, weights from there to hi)
         self._verdicts = {}  # (expr, candidate) -> ConvergenceVerdict
         self._classical = []  # (SequenceSpec, candidate, ConvergenceVerdict)
         self._bufs = None
@@ -282,7 +284,7 @@ class _Stream:
             self._bufs = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
         return self._bufs
 
-    def _kept(self, kept: list, source, evaluate, start: int, first: int, last: int) -> np.ndarray:
+    def _keep(self, kept: list, source, evaluate, start: int, first: int, last: int) -> np.ndarray:
         """evaluate over [first, last], a view of the array over [start, hi] kept in kept
         for source from first use, evaluated SCAN_BLOCK indices at a time."""
         for s, begin, t in kept:
@@ -300,14 +302,14 @@ class _Stream:
         view of the array kept from first use."""
         if seq.form in RATIONAL_FORMS:
             return seq.terms(np.arange(first, last + 1, dtype=float))
-        return self._kept(self._terms, seq, seq.terms, max(seq.n_min, self.lo), first, last)
+        return self._keep(self._terms, seq, seq.terms, max(seq.n_min, self.lo), first, last)
 
     def weights(self, expr: str, form: WeightForm, first: int, last: int) -> np.ndarray:
         """The weights of form, assigned to expr, over [first, last]: a view of the array
         kept from first use where expr reads a kept sequence, else evaluated now."""
         if all(s.form in RATIONAL_FORMS for s in self._sequences(expr)):
             return form.weights(np.arange(first, last + 1, dtype=float))
-        return self._kept(self._weights, form, form.weights, self.n0, first, last)
+        return self._keep(self._weights, form, form.weights, self.n0, first, last)
 
     def _sequences(self, expr: str) -> tuple:
         """The sequences whose terms make the stream of expr."""

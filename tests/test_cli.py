@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mufield import FieldContext, UsageError, load_mu_spec, mu_eval
+from mufield import FieldContext, UsageError, cli, load_mu_spec, mu_eval
 from mufield.cli import MAX_AXIOM_SAMPLES, _parse_grid, main
 from mufield.sequences import run_experiment
 
@@ -638,6 +638,38 @@ def test_help_is_usage_on_stdout(capsys):
     code, out, err = run(capsys, "eval", "--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: mufield eval")
+
+
+class TestReusedParser:
+    """main builds its parser on the first call and reuses it: no value read by one call reaches the next."""
+
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+        cli._parser.cache_clear()
+        for argv in (["eval", "mu", "--a", "1"], ["nope"], ["--json", "eval", "mu", "--a", "2"]):
+            run(capsys, *argv)
+        assert len(built) == 1
+
+    def test_no_argument_value_carries_to_the_next_call(self, capsys, crisp_path, tmp_path):
+        samples = tmp_path / "samples.json"
+        samples.write_text("[1.0, 2.0, -3.0]")
+        code, out, _ = run(capsys, "--json", "axioms", crisp_path, "--samples", str(samples), "--tol", "0.5")
+        assert code == 0 and json.loads(out)["body"]["sample_count"] == 3
+        code, out, _ = run(capsys, "axioms", crisp_path)  # human lines, over the default --grid
+        assert code == 0 and out.startswith("axiom audit over 21 samples (sample-relative)\n")
+        # demo refuses --tol and --seed, so either one left over from a call before would refuse it
+        assert run(capsys, "identities", "R4", "--trials", "5", "--seed", "3")[0] == 0
+        assert run(capsys, "demo", "unbounded_convergent")[0] == 0
+        code, out, _ = run(capsys, "--json", "identities", "R4", "--trials", "5")
+        assert code == 0 and json.loads(out)["seed"] == 0
+
+    def test_a_refusal_stays_one_line_between_calls(self, capsys):
+        for _ in range(2):
+            code, out, err = run(capsys, "identities", "O1", "--trials", "ten")
+            assert (code, out) == (2, "")
+            assert err == "error: argument --trials: invalid int value: 'ten'\n"
+            assert run(capsys, "eval", "mu", "--a", "1")[0] == 0
 
 
 class TestEnvelope:
