@@ -504,22 +504,25 @@ def cmd_converge(args) -> int:
     _refuse_unread(args, "the experiment spec's 'tolerances' block")
     if args.trace_target is not None and not args.trace:
         raise UsageError("--trace-target needs --trace: nothing is traced without it")
+    from .exact import one_run  # on first use, so that `import mufield.cli` stays without it
+
     inputs = {}
-    exp = load_experiment(_read_text(args.experiment, inputs))
-    # checked before any work, so a refused target writes no file
-    target = _trace_target(exp, args.trace_target) if args.trace else None
-    count = exp.horizon - exp.n_start + 1
-    # forked before the scans, so that the helper formats while they run
-    helper = _fork_helper(TraceChunks(exp, *target)) if target is not None and _two_workers(count) else None
-    try:
-        report = run_experiment(exp)
-        if target is not None:
-            with open(args.trace, "w", newline="", encoding="utf-8") as f:
-                f.write("n,term,membership,scaled_deviation\r\n")
-                _write_trace(f, trace_rows(exp, *target), count, helper)
-    finally:
-        if helper is not None:
-            helper.close()
+    with one_run():  # the spec's weight check and the scans share their exact models
+        exp = load_experiment(_read_text(args.experiment, inputs))
+        # checked before any work, so a refused target writes no file
+        target = _trace_target(exp, args.trace_target) if args.trace else None
+        count = exp.horizon - exp.n_start + 1
+        # forked before the scans, so that the helper formats while they run
+        helper = _fork_helper(TraceChunks(exp, *target)) if target is not None and _two_workers(count) else None
+        try:
+            report = run_experiment(exp)
+            if target is not None:
+                with open(args.trace, "w", newline="", encoding="utf-8") as f:
+                    f.write("n,term,membership,scaled_deviation\r\n")
+                    _write_trace(f, trace_rows(exp, *target), count, helper)
+        finally:
+            if helper is not None:
+                helper.close()
     body = {
         "label": exp.label,
         "horizon": exp.horizon,
@@ -676,12 +679,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .exact import one_run  # on first use, so that `import mufield.cli` stays without it
-
     try:
         args = _parser().parse_args(argv)
-        with one_run():  # a command is one run: its spec checks and scans share their exact models
-            return args.fn(args)
+        return args.fn(args)
     except SystemExit as e:  # --help, after printing the usage
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except (DomainError, MemoryError) as e:  # a valid request, undefined or too big for this machine

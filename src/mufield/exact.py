@@ -30,7 +30,7 @@ undecided, is read by the blocked kernel (sequences._BlockPass): one pass
 over the window answers the question the model asks of the whole range.
 The weight check's windows are weighed by WeightForm.validate_range.
 
-Within one run (one_run: a demo, a CLI command, a run_experiment call),
+Within one run (one_run: a demo, a converge command, a run_experiment call),
 each distinct weight, sequence and deviation over a range has one exact
 model: a weight's pieces over a range are cut once, for the spec's weight
 check and every scan's weight count alike, two scans of one stream share

@@ -278,15 +278,15 @@ class _Stream:
 
     def _buffers(self):
         """The values, deviations and step-test block buffers, allocated at first use,
-        so that kept terms are evaluated before."""
+        so that kept terms and weights are evaluated before."""
         if self._bufs is None:
             size = min(SCAN_BLOCK, self.hi - self.lo + 1)
             self._bufs = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
         return self._bufs
 
     def _keep(self, kept: list, source, evaluate, start: int, first: int, last: int) -> np.ndarray:
-        """evaluate over [first, last], a view of the array over [start, hi] kept in kept
-        for source from first use, evaluated SCAN_BLOCK indices at a time."""
+        """evaluate(n) over [first, last]: a view of the array over [start, hi] that kept
+        holds for source, evaluated SCAN_BLOCK indices at a time on first use."""
         for s, begin, t in kept:
             if s == source:
                 return t[first - begin:last - begin + 1]
@@ -338,15 +338,12 @@ class _Stream:
         """
         exp = self.exp
         values = self.values(expr, first, last) if seq is None else self.terms(seq, first, last)
+        entry = None if seq is not None else exp.assigned(expr, candidate)
+        w = None if entry is None else self.weights(expr, entry[2], first, last)
         shift = 0.0 if candidate is None else float(candidate)
         dev = np.subtract(values, shift, out=self._buffers()[1][:values.size])
-        w = None
-        if seq is None:
-            entry = exp.assigned(expr, candidate)
-            if entry is None:
-                w = exp.ctx.mu.weight_many(dev)
-            else:
-                w = self.weights(expr, entry[2], first, last)
+        if seq is None and entry is None:
+            w = exp.ctx.mu.weight_many(dev)
         if not signed:
             np.abs(dev, out=dev)
         if w is not None:

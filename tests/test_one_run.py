@@ -1,13 +1,16 @@
 """Within one run each piece of fixed work is done once, and nothing outlives the run.
 
-A run (mufield.exact.one_run: one demo, one CLI command, one run_experiment)
+A run (mufield.exact.one_run: one demo, one converge command, one run_experiment)
 keeps one exact model per distinct weight, sequence and deviation: a weight
 is cut into pieces once per range, for the spec's weight check and every
 scan's weight count alike. A stream of kept terms weighs each assigned form
 once. A second run builds its models again.
 """
 
-from mufield import WeightForm, exact
+import json
+
+from mufield import WeightForm, demo_catalog, exact, serialize_experiment
+from mufield.cli import main
 from mufield.demos import DEMO_NAMES, run_demo
 from test_kernel import GOLDEN, demo_body
 
@@ -41,6 +44,14 @@ def test_each_weight_is_cut_once_per_range(monkeypatch):
     # self and partner at 1 are one stream (partner is self), then the sum at 0 and
     # at 2 and the classical scan at 1
     assert deviations == [4]
+
+
+def test_a_converge_command_is_one_run(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "sum_failure.json"
+    path.write_text(json.dumps(serialize_experiment(demo_catalog("sum_failure"))))
+    weights, deviations = count_cuts(monkeypatch)
+    assert main(["converge", str(path)]) == 0
+    assert list(weights.values()) == [1, 1] and deviations == [4]
 
 
 def test_a_second_run_builds_its_models_again(monkeypatch):
