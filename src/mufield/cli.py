@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import re
 import select
 import signal
 import struct
@@ -504,25 +505,23 @@ def cmd_converge(args) -> int:
     _refuse_unread(args, "the experiment spec's 'tolerances' block")
     if args.trace_target is not None and not args.trace:
         raise UsageError("--trace-target needs --trace: nothing is traced without it")
-    from .exact import one_run  # on first use, so that `import mufield.cli` stays without it
-
     inputs = {}
-    with one_run():  # the spec's weight check and the scans share their exact models
-        exp = load_experiment(_read_text(args.experiment, inputs))
-        # checked before any work, so a refused target writes no file
-        target = _trace_target(exp, args.trace_target) if args.trace else None
-        count = exp.horizon - exp.n_start + 1
-        # forked before the scans, so that the helper formats while they run
-        helper = _fork_helper(TraceChunks(exp, *target)) if target is not None and _two_workers(count) else None
-        try:
-            report = run_experiment(exp)
-            if target is not None:
-                with open(args.trace, "w", newline="", encoding="utf-8") as f:
-                    f.write("n,term,membership,scaled_deviation\r\n")
-                    _write_trace(f, trace_rows(exp, *target), count, helper)
-        finally:
-            if helper is not None:
-                helper.close()
+    # the spec's weight check and the scans share the exact models its forms and sequences keep
+    exp = load_experiment(_read_text(args.experiment, inputs))
+    # checked before any work, so a refused target writes no file
+    target = _trace_target(exp, args.trace_target) if args.trace else None
+    count = exp.horizon - exp.n_start + 1
+    # forked before the scans, so that the helper formats while they run
+    helper = _fork_helper(TraceChunks(exp, *target)) if target is not None and _two_workers(count) else None
+    try:
+        report = run_experiment(exp)
+        if target is not None:
+            with open(args.trace, "w", newline="", encoding="utf-8") as f:
+                f.write("n,term,membership,scaled_deviation\r\n")
+                _write_trace(f, trace_rows(exp, *target), count, helper)
+    finally:
+        if helper is not None:
+            helper.close()
     body = {
         "label": exp.label,
         "horizon": exp.horizon,
@@ -612,7 +611,15 @@ def cmd_identities(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose refusals are UsageErrors, printed by main as one error: line."""
+    """A parser whose refusals are UsageErrors, printed by main as one error: line.
+
+    No option of it starts with - and a digit, so a word that does is a value:
+    argparse alone takes only -1 and -1.5 for numbers, and -1e-3, -1,2 or
+    -1:1:0.5 after a space for an option with its value missing."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(message)

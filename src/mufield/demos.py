@@ -36,32 +36,24 @@ from .sequences import (
     seq_bounded_report,
 )
 
-# n / (n+1)^3, the index weighting both log-drift families carry
-_POLY_N_OVER_CUBE = WeightForm("rational_poly", {"p": [0, 1], "q": [1, 3, 3, 1]})
-# n^2 / (2n+1)^3
-_POLY_SQ_OVER_ODD_CUBE = WeightForm("rational_poly", {"p": [0, 0, 1], "q": [1, 6, 12, 8]})
-# n^2 / (2 (n+1)^3)
-_POLY_SQ_OVER_2CUBE = WeightForm("rational_poly", {"p": [0, 0, 1], "q": [2, 6, 6, 2]})
-# 3 (3n+1) / (2 n^2); exceeds 1 below n = 5, so entries using it start there
-_POLY_PARTNER = WeightForm("rational_poly", {"p": [3, 9], "q": [0, 0, 2]})
-# 1 / n
-_POLY_INV_N = WeightForm("rational_poly", {"p": [1], "q": [0, 1]})
-_INV_EXP = WeightForm("inv_exp_p1_sq", {})
+# Each builder makes its weight forms anew: a form keeps the exact model of its
+# weight (mufield.exact), so a form kept between calls would carry work between runs.
 
 
 def _nonunique_limit() -> ExperimentSpec:
     horizon = 100_000
     seq = SequenceSpec("log_plus", {"c": 1.0}, n_min=1, n_max=horizon)
     shift = 1.0 - math.sqrt(2.0)
+    weight = WeightForm("rational_poly", {"p": [0, 1], "q": [1, 3, 3, 1]})  # n / (n+1)^3
     mu = MembershipFunction((
-        MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": 1.0}), 1, horizon), _POLY_N_OVER_CUBE),
-        MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": math.sqrt(2.0)}), 1, horizon), _POLY_N_OVER_CUBE),
+        MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": 1.0}), 1, horizon), weight),
+        MuRule(FamilyMatcher(ValueForm("log_n_plus_c", {"c": math.sqrt(2.0)}), 1, horizon), weight),
     ), 0.0)
     return ExperimentSpec(
         sequence=seq,
         assignment=(
-            ("self", None, _POLY_N_OVER_CUBE),
-            ("self", shift, _POLY_N_OVER_CUBE),
+            ("self", None, weight),
+            ("self", shift, weight),
         ),
         candidates=(("self", 0.0), ("self", shift)),
         horizon=horizon,
@@ -78,7 +70,7 @@ def _unbounded_convergent() -> ExperimentSpec:
         sequence=seq,
         assignment=(
             ("self", None, constant_weight(1.0)),
-            ("self", 1.0, _INV_EXP),
+            ("self", 1.0, WeightForm("inv_exp_p1_sq", {})),
         ),
         candidates=(("self", 1.0),),
         horizon=horizon,
@@ -90,13 +82,14 @@ def _unbounded_convergent() -> ExperimentSpec:
 def _sum_failure() -> ExperimentSpec:
     horizon = 1_200_000
     seq = SequenceSpec("sq_ratio", {}, n_min=1, n_max=horizon)
+    weight = WeightForm("rational_poly", {"p": [0, 0, 1], "q": [1, 6, 12, 8]})  # n^2 / (2n+1)^3
     return ExperimentSpec(
         sequence=seq,
         partner=seq,
         assignment=(
-            ("self", 1.0, _POLY_SQ_OVER_ODD_CUBE),
-            ("partner", 1.0, _POLY_SQ_OVER_ODD_CUBE),
-            ("sum", None, _POLY_SQ_OVER_2CUBE),
+            ("self", 1.0, weight),
+            ("partner", 1.0, weight),
+            ("sum", None, WeightForm("rational_poly", {"p": [0, 0, 1], "q": [2, 6, 6, 2]})),  # n^2 / (2 (n+1)^3)
         ),
         candidates=(("self", 1.0), ("partner", 1.0), ("sum", 0.0), ("sum", 2.0)),
         horizon=horizon,
@@ -114,9 +107,10 @@ def _product_failure() -> ExperimentSpec:
         sequence=seq,
         partner=partner,
         assignment=(
-            ("self", 1.0, _POLY_SQ_OVER_ODD_CUBE),
-            ("partner", third, _POLY_PARTNER),
-            ("product", None, _POLY_INV_N),
+            ("self", 1.0, WeightForm("rational_poly", {"p": [0, 0, 1], "q": [1, 6, 12, 8]})),
+            # 3 (3n+1) / (2 n^2) exceeds 1 below n = 5, so the sequences start there
+            ("partner", third, WeightForm("rational_poly", {"p": [3, 9], "q": [0, 0, 2]})),
+            ("product", None, WeightForm("rational_poly", {"p": [1], "q": [0, 1]})),  # 1 / n
         ),
         candidates=(("self", 1.0), ("partner", third), ("product", 0.0), ("product", third)),
         horizon=horizon,
@@ -152,7 +146,7 @@ def _unbounded_convergent_claims(exp, report):
         sequence=exp.sequence,
         assignment=(
             ("self", None, constant_weight(1.0)),
-            ("self", -1.0, _INV_EXP),
+            ("self", -1.0, WeightForm("inv_exp_p1_sq", {})),
             ("self", 1.0, constant_weight(0.0)),
         ),
         candidates=(("self", 1.0),),
@@ -239,13 +233,10 @@ class DemoReport:
 
 
 def run_demo(name: str) -> DemoReport:
-    """Run a catalog demo and check the claims it is meant to reproduce: one run, whose
-    build and scans share their exact models (mufield.exact.one_run)."""
-    from .exact import one_run  # on first use, so that `import mufield` stays without it
-
-    with one_run():
-        exp = demo_catalog(name)
-        report = run_experiment(exp)
-        _, headline, check = _CATALOG[name]
-        claims, bounds, literal = check(exp, report)
+    """Run a catalog demo and check the claims it is meant to reproduce. Its weight check
+    and its scans share the exact models its new experiment's forms and sequences keep."""
+    exp = demo_catalog(name)
+    report = run_experiment(exp)
+    _, headline, check = _CATALOG[name]
+    claims, bounds, literal = check(exp, report)
     return DemoReport(name, headline, exp, report, tuple(claims), bounds, literal)

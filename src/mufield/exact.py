@@ -30,20 +30,18 @@ undecided, is read by the blocked kernel (sequences._BlockPass): one pass
 over the window answers the question the model asks of the whole range.
 The weight check's windows are weighed by WeightForm.validate_range.
 
-Within one run (one_run: a demo, a converge command, a run_experiment call),
-each distinct weight, sequence and deviation over a range has one exact
-model: a weight's pieces over a range are cut once, for the spec's weight
-check and every scan's weight count alike, two scans of one stream share
-its pieces, and each bound over a piece is computed once. The models are
-dropped when the run ends.
+Each exact model is built on first use and kept by the object it models: a
+rational sequence keeps its terms, a rational_poly weight form its weight,
+with the weight's pieces over each range and each bound over a piece. So a
+weight is cut once per range, for the spec's weight check and every scan's
+weight count alike. A scan's stream keeps its deviation pieces and its
+float weights' models, so two scans of one stream share its pieces.
 
 Imported on the first rational scan or weight check, never by `import mufield`.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import math
 
@@ -206,41 +204,22 @@ def _horner_bound(coeffs, n: float):
 
 
 # ---------------------------------------------------------------------------
-# The models of one run
+# Models, each built once
 # ---------------------------------------------------------------------------
 
-_MODELS = contextvars.ContextVar("mufield_exact_models", default=None)  # {key: model} of the run, or None
-
-
-@contextlib.contextmanager
-def one_run():
-    """Share the exact models built within the block: one per distinct weight, per
-    distinct sequence and per distinct deviation over a range. A block within
-    another shares the outer one's models, and the outermost drops them when it
-    ends."""
-    if _MODELS.get() is not None:
-        yield
-        return
-    token = _MODELS.set({})
-    try:
-        yield
-    finally:
-        _MODELS.reset(token)
-
-
-def _shared(key, build):
-    """build(), or what it gave for an equal key before in this run. An equal key
-    names an equal model, so any of the builds would do."""
-    models = _MODELS.get()
-    if models is None:
-        return build()
-    if key not in models:
-        models[key] = build()
-    return models[key]
-
-
-def _model(cls, source):
-    return _shared((cls, cls.key(source)), lambda: cls(source))
+def _model(source, models: dict | None = None):
+    """The exact model of a rational sequence, a rational_poly weight form or a float
+    weight, built on first use: a float's kept in models (its stream's), any other
+    kept on the sequence or form it models."""
+    if isinstance(source, float):  # floats compare by value: -0.0 and 0.0 have the same model
+        if source not in models:
+            models[source] = _Weight(source)
+        return models[source]
+    model = getattr(source, "_exact", None)
+    if model is None:
+        model = _Weight(source) if source.form == "rational_poly" else _Terms(source)
+        object.__setattr__(source, "_exact", model)
+    return model
 
 
 def _memo(bounds: dict, bound, l: int, r: int):
@@ -256,10 +235,6 @@ def _memo(bounds: dict, bound, l: int, r: int):
 
 class _Terms:
     """One sequence's exact terms num(n) / den(n), and the bound of its float terms."""
-
-    @staticmethod
-    def key(seq):
-        return seq.form, tuple(sorted(seq.params.items()))
 
     def __init__(self, seq):
         self.bounds = {}  # (l, r) -> bound(l, r)
@@ -295,10 +270,6 @@ class _Terms:
 class _Weight:
     """A weight's exact num(n) / den(n) and the bound of its float weights: a float
     (a constant weight) or a rational_poly form."""
-
-    @staticmethod
-    def key(weight):  # floats compare by value: -0.0 and 0.0 have the same exact model
-        return weight if isinstance(weight, float) else (tuple(weight.params["p"]), tuple(weight.params["q"]))
 
     def __init__(self, weight):
         self.bounds, self.cuts = {}, {}  # (l, r) -> bound(l, r); (lo, hi) -> pieces(lo, hi)
@@ -408,7 +379,7 @@ def weight_windows(form, n_min: int, n_max: int) -> list:
         return []
     if form.form == "const":
         return [] if 0.0 <= form.params["value"] <= 1.0 else [(n_min, n_min)]
-    pieces = _model(_Weight, form).pieces(n_min, n_max)
+    pieces = _model(form).pieces(n_min, n_max)
     out = []
     for row in pieces.rows:
         l, r, rising, bottom, top, err = row
@@ -427,10 +398,10 @@ def weight_windows(form, n_min: int, n_max: int) -> list:
 # The scan of one rational stream
 # ---------------------------------------------------------------------------
 
-def _deviation(terms, combine, weight, candidate: float, n0: int, hi: int) -> _Pieces:
+def _deviation(terms, combine, weight, candidate: float, n0: int, hi: int, models: dict) -> _Pieces:
     """The pieces of D(n) = |t(n) - c| w(n) over [n0, hi]: t the one sequence of terms,
     or their combine ("sum" or "product"), c the candidate and w the weight model,
-    None for weight 1."""
+    None for weight 1, whose model is kept in models."""
     num, den = terms[0].num, terms[0].den
     if len(terms) == 2:
         num2, den2 = terms[1].num, terms[1].den
@@ -442,7 +413,7 @@ def _deviation(terms, combine, weight, candidate: float, n0: int, hi: int) -> _P
             num, den = _add(_mul(num, den2), _mul(num2, den)), _mul(den, den2)
     cn, cd = candidate.as_integer_ratio()
     tn, td = _add(_scale(num, cd), _scale(den, -cn)), _scale(den, cd)  # t - c
-    w = weight or _model(_Weight, 1.0)
+    w = weight or _model(1.0, models)
     top, bottom = _reduce(_mul(tn, w.num), _mul(td, w.den))  # +-D
     slope = _add(_mul(_deriv(top), bottom), _scale(_mul(top, _deriv(bottom)), -1))
     c = abs(candidate)
@@ -470,15 +441,17 @@ class RationalScan:
     [n0, hi], answered from its exact model. window(first, last) gives the
     blocked kernel's pass over [first, last], which answers the same three
     questions in floats; it is asked only of the windows the model leaves
-    undecided."""
+    undecided. models is the stream's: its deviation pieces and its float
+    weights' models, shared by its scans."""
 
-    def __init__(self, seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window):
-        terms = [_model(_Terms, s) for s in seqs]
-        self.weight = None if weight is None else _model(_Weight, weight)
+    def __init__(self, seqs, combine, weight, candidate, n0, hi, eq_tol, min_mu, window, models):
+        terms = [_model(s) for s in seqs]
+        self.weight = None if weight is None else _model(weight, models)
         self.n0, self.hi, self.eq_tol, self.min_mu, self.window = n0, hi, eq_tol, min_mu, window
-        # the models of a run are one object per key, so a deviation is keyed by its models
-        self.pieces = _shared((*terms, combine, self.weight, candidate, n0, hi),
-                              lambda: _deviation(terms, combine, self.weight, candidate, n0, hi))
+        key = (*terms, combine, self.weight, candidate, n0, hi)  # a model is one object per source
+        if key not in models:
+            models[key] = _deviation(terms, combine, self.weight, candidate, n0, hi, models)
+        self.pieces = models[key]
 
     def last_reaching(self, bound: float):
         """The last index whose float deviation is >= bound, or None."""

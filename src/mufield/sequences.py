@@ -204,9 +204,17 @@ class ExperimentSpec:
             self.check_expression(expr)
             if not isinstance(wf, WeightForm):
                 raise SpecError(f"assignment for {expr!r} must carry a WeightForm")
-        object.__setattr__(self, "assignment", tuple(
-            (expr, None if offset is None else number(offset, f"mu: tag {expr!r} offset", error=ValidationError), wf)
-            for expr, offset, wf in self.assignment))
+        # one object per equal sequence and per equal weight form, so that each has one exact model
+        if self.partner is not None and _same(self.partner, self.sequence):
+            object.__setattr__(self, "partner", self.sequence)
+        forms = [rule.weight for rule in self.ctx.mu.rules if isinstance(rule.weight, WeightForm)]
+        entries = []
+        for expr, offset, wf in self.assignment:
+            wf = next((f for f in forms if _same(f, wf)), wf)
+            forms.append(wf)
+            entries.append((expr, None if offset is None else
+                            number(offset, f"mu: tag {expr!r} offset", error=ValidationError), wf))
+        object.__setattr__(self, "assignment", tuple(entries))
         for i, (expr, offset, _) in enumerate(self.assignment):
             first = self.assigned(expr, offset)
             if self.assignment.index(first) < i:  # the lookup would silently pick the first of two
@@ -243,6 +251,12 @@ class ExperimentSpec:
         return None
 
 
+def _same(a, b) -> bool:
+    """Whether two specs are equal down to the sign of each zero, so that either one
+    gives the same floats and the same document."""
+    return repr(a) == repr(b)
+
+
 # the classical scans weigh every term 1 and keep the default tolerances
 _CLASSICAL_CTX = FieldContext()
 _EPS_STARTS = np.arange(0, SCAN_BLOCK, EPS_BLOCK)  # each EPS_BLOCK's offset in a scan block
@@ -274,6 +288,7 @@ class _Stream:
         self._weights = []  # (WeightForm, n0, weights from there to hi)
         self._verdicts = {}  # (expr, candidate) -> ConvergenceVerdict
         self._classical = []  # (SequenceSpec, candidate, ConvergenceVerdict)
+        self._models = {}  # the exact deviation pieces and float weights' models of its scans
         self._bufs = None
 
     def _buffers(self):
@@ -410,7 +425,7 @@ class _Stream:
         def window(first, last):  # a new pass each time: a pass holds a view of the shared buffer
             return _BlockPass(self, expr, candidate, first, seq, ctx, last)
 
-        return RationalScan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, window)
+        return RationalScan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, window, self._models)
 
     def _scan(self, expr, candidate, n0, seq=None, schedule=None) -> ConvergenceVerdict:
         """Eps table, triviality fraction and tail certificate of one deviation over [n0, hi].
@@ -610,15 +625,8 @@ def run_experiment(exp: ExperimentSpec) -> ExperimentReport:
     schedule), the sum and product are asserted to be mu-supported at l + m
     and l * m. When only mu-convergence holds, observed verdicts are reported
     without asserting any arithmetic, as when l + m or l * m is past the float range.
-    Its scans share their exact models (mufield.exact.one_run).
+    Its scans read one stream, so they share its exact deviation pieces (mufield.exact).
     """
-    from .exact import one_run  # on first use, so that `import mufield` stays without it
-
-    with one_run():
-        return _run(exp)
-
-
-def _run(exp: ExperimentSpec) -> ExperimentReport:
     stream = _Stream(exp, lo=1)  # each sequence from its own n_min, for the classical scans
     verdicts = tuple(stream.verdict(expr, value) for expr, value in exp.candidates)
 

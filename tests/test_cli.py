@@ -623,7 +623,7 @@ def test_unknown_name_is_a_usage_error(capsys, argv, message):
 
 # a refusal of the parser is one error: line too, not a usage block
 @pytest.mark.parametrize("argv, message", [
-    (["eval", "mu", "--a", "1", "--tol", "-1e+200"], "argument --tol: expected one argument"),
+    (["eval", "mu", "--a"], "argument --a: expected one argument"),
     (["nope"], "argument command: invalid choice: 'nope'"),
     (["identities", "O1", "--trials", "ten"], "argument --trials: invalid int value: 'ten'"),
     (["eval", "mu_pow", "--base", "2", "--z", "1", "--branch", "1.5"], "argument --branch: invalid int value: '1.5'"),
@@ -632,6 +632,23 @@ def test_a_parser_refusal_is_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# no option starts with - and a digit, so a negative operand after a space is a value
+@pytest.mark.parametrize("argv", [
+    ["eval", "mu", "--a", "-1e-3"],
+    ["eval", "mu_conj", "--z", "-1,2"],
+    ["eval", "mu_sup", "--set", "-1,2"],
+    ["axioms", "--grid", "-1:1:0.5"],
+    ["eval", "mu", "--a", "1", "--tol", "-1e+200"],
+    ["--json", "--tol", "-1e-3", "eval", "mu", "--a", "1"],
+], ids=["real", "complex", "set", "grid", "tolerance", "top_level_tolerance"])
+def test_a_negative_operand_after_a_space_reads_as_its_equals_spelling(capsys, argv):
+    spaced = run(capsys, *argv)
+    i = next(i for i, word in enumerate(argv) if word[0] == "-" and word[1].isdigit())
+    joined = run(capsys, *argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:])
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
 
 
 def test_help_is_usage_on_stdout(capsys):

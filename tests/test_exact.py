@@ -133,6 +133,19 @@ def test_a_stream_with_a_pole_between_indices_equals_the_blocked_kernel():
         assert exact.classical(seq, cand) == block.classical(seq, cand)
 
 
+def test_a_bound_surely_reached_at_the_end_of_a_piece_equals_the_blocked_kernel():
+    # |(3 - n / 10) / (2 n + 10^4) - 1| / 2 rises over [37, 38]: a bound set on the float
+    # deviation at 37 is surely reached at 38, the last index of the piece
+    seq = SequenceSpec("moebius", {"a": -0.1, "b": 3.0, "c": 2.0, "d": 10_000.0}, 37, 38)
+    assignment = (("self", 1.0, WeightForm("rational_poly", {"p": [0.001], "q": [0.002]})),)
+    exp = ExperimentSpec(sequence=seq, assignment=assignment, horizon=38)
+    eps = float(_Stream(exp).deviation("self", 1.0, 37, 37)[1][0]) / (1.0 + exp.ctx.eq_tol)
+    exp = ExperimentSpec(sequence=seq, assignment=assignment, horizon=38, eps_schedule=(eps,))
+    exact, block = _Stream(exp), BlockStream(exp)
+    assert exact._scan("self", 1.0, 37) == block._scan("self", 1.0, 37)
+    assert exact._scan("self", 1.0, 37).eps_table == ((eps, None),)
+
+
 def test_an_overflowing_stream_is_read_whole_and_equals_the_blocked_kernel():
     seq = SequenceSpec("moebius", {"a": 1e307, "b": 1e308, "c": 1.0, "d": 1.0}, 1, 200)
     exp = ExperimentSpec(sequence=seq, candidates=(("self", 1e307),), horizon=200)

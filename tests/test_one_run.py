@@ -1,15 +1,18 @@
-"""Within one run each piece of fixed work is done once, and nothing outlives the run.
+"""Each piece of fixed work is done once, whoever calls it.
 
-A run (mufield.exact.one_run: one demo, one converge command, one run_experiment)
-keeps one exact model per distinct weight, sequence and deviation: a weight
-is cut into pieces once per range, for the spec's weight check and every
-scan's weight count alike. A stream of kept terms weighs each assigned form
-once. A second run builds its models again.
+Each exact model is kept by the object it models (mufield.exact): a weight
+form is cut into pieces once per range, for the spec's weight check and every
+scan's weight count alike, and a scan's stream keeps its deviation pieces.
+A demo, a converge command and a library call of run_experiment therefore cut
+alike. A stream of kept terms weighs each assigned form once. A new spec
+builds its models again.
 """
 
 import json
 
-from mufield import WeightForm, demo_catalog, exact, serialize_experiment
+import pytest
+
+from mufield import WeightForm, demo_catalog, exact, run_experiment, serialize_experiment
 from mufield.cli import main
 from mufield.demos import DEMO_NAMES, run_demo
 from test_kernel import GOLDEN, demo_body
@@ -63,7 +66,6 @@ def test_a_second_run_builds_its_models_again(monkeypatch):
         built.clear()
         assert demo_body("product_failure") == GOLDEN["product_failure"]
         runs.append(list(built))
-        assert exact._MODELS.get() is None  # the run dropped its models
     # three forms, the fallback's constant 0.0 for the product at 1/3 and weight 1 for the classical scans
     assert runs[0][3:] == [0.0, 1.0] and runs[0] == runs[1]
 
@@ -79,10 +81,18 @@ def test_a_stream_of_kept_terms_weighs_each_form_once(monkeypatch):
     assert sum(weighed) == 100_000
 
 
-def test_runs_within_one_run_share_its_models_and_keep_their_outputs():
-    # a run within another joins it; the models are pure, so each demo still gives its own report
-    with exact.one_run():
-        for name in DEMO_NAMES:
-            assert demo_body(name) == GOLDEN[name]
-        assert exact._MODELS.get()
-    assert exact._MODELS.get() is None
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_a_library_call_cuts_as_a_demo_and_a_converge_do(monkeypatch, tmp_path, capsys, name):
+    # the spec's weight check, outside run_experiment, reads the models its scans read
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(serialize_experiment(demo_catalog(name))))
+    weights, deviations = count_cuts(monkeypatch)
+    counts = []
+    for call in (lambda: run_experiment(demo_catalog(name)), lambda: main(["--json", "converge", str(path)]),
+                 lambda: run_demo(name)):
+        weights.clear()
+        deviations[0] = 0
+        call()
+        counts.append((dict(weights), deviations[0]))
+    capsys.readouterr()
+    assert counts[0] == counts[1] == counts[2]
