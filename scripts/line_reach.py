@@ -9,8 +9,10 @@ about twice as long as the suite alone; it is not part of Tier-1.
 
 A line counts as executable when the compiled module holds an instruction
 for it. The tracer cannot see lines that run in another process: a test's
-subprocess, or the helper that `converge --trace` forks. Such lines are
-listed as unreached even when a test runs them. A test that bounds its own
+subprocess, or the helper that `converge --trace` or `identities` forks.
+Such lines are listed as unreached even when a test runs them; the tests
+also run each helper's serve loop in-process, so of the helper's code only
+the forked branch of `cli._fork` stays unseen. A test that bounds its own
 run time may fail under the tracer.
 
 Exit status: pytest's own when it fails, else 0.

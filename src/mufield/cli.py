@@ -9,16 +9,28 @@ apart from the timestamp field.
 Exit codes: 0 all checks passed, 1 a check failed or a valid request met a
 domain error or did not fit in memory, 2 invalid input or usage.
 
-`converge --trace` writes its CSV on two cores when it can: where os.fork
-exists, the process may run on two CPUs or more, it runs no other thread and
-the trace is longer than one chunk of TRACE_CHUNK rows, a helper is forked
-before the scans run. The two processes claim chunks from one queue, each
-taking the next unclaimed chunk when it is free; the helper formats the
-chunks it claims and sends each back through a pipe as one frame. The parent
-draws every row through trace_rows, writes a frame only after checking it
-against the rows it stands for, and formats every chunk left itself once the
-helper ends, stalls or sends a wrong frame, so the bytes never depend on the
-helper. The helper is always reaped before the command returns.
+Two commands split their work with one forked helper when it can pay: where
+os.fork exists, the process may run on two CPUs or more and it runs no other
+thread (_two_workers), and the work is big enough. Each helper sends its
+results back through a pipe as frames, each headed by an index and a byte
+length; the parent uses a frame only after checking it, and does itself
+every piece of work the helper has not sent whole and right once the helper
+ends, stalls or sends a wrong frame, so the output never depends on the
+helper. The helper is always killed if still running, and reaped, before
+the command returns.
+
+`converge --trace` forks its helper when the trace is longer than one chunk
+of TRACE_CHUNK rows, before the scans run. The two processes claim chunks
+from one queue, each taking the next unclaimed chunk when it is free; the
+helper formats the chunks it claims. The parent draws every row through
+trace_rows and checks each frame against the rows it stands for.
+
+`identities` forks its helper when it sweeps two ids or more and
+SWEEP_FORK_TRIALS trials or more in all. The helper sweeps a fixed half of
+the ids, those at odd positions, and the parent the rest; each id's trials
+draw from their own seeded generator, so an outcome does not depend on the
+process that sweeps it. The parent takes a helper outcome only when it is
+that of the id due next, over the requested trials, with counts that add up.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import select
 import signal
@@ -53,7 +66,15 @@ from .membership import (
 )
 from .real_field import ScaledValue, mu_abs, mu_compare, mu_inf, mu_sup
 from .complex_field import mu_abs_c, mu_arg, mu_conj, mu_exp, mu_log, mu_pow
-from .registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY, run_identity_sweep
+from .registry import (
+    DEFAULT_SWEEP_IDS,
+    LITERAL_VARIANTS,
+    REGISTRY,
+    ZERO_RATE,
+    SweepOutcome,
+    run_identity_sweep,
+    sweep_context,
+)
 from .sequences import TRACE_CHUNK, TraceChunks, load_experiment, run_experiment, trace_rows
 
 EXIT_OK = 0
@@ -63,18 +84,22 @@ EXIT_USAGE = 2
 # would run for minutes and is refused before any sample is built
 MAX_AXIOM_SAMPLES = 2_000
 _CLAIM = struct.Struct("<Q")  # a chunk index in the trace helper's claim queue
-_FRAME = struct.Struct("<QQ")  # the chunk index and byte length that head each of the helper's frames
+_FRAME = struct.Struct("<QQ")  # the index and byte length that head each frame a helper sends
 _QUEUED = 16  # chunks queued past the next chunk to write, at most
-_STALL = 2.0  # seconds the parent waits for a helper's frame before it takes the helper as stalled
-_FRAME_MAX = TRACE_CHUNK * 256  # bytes of a frame at most: its lines are far shorter
+_STALL = 2.0  # seconds the parent waits for a helper's frame, at least, before it takes the helper as stalled
+_FRAME_MAX = TRACE_CHUNK * 256  # bytes of a frame at most: a trace chunk's lines, or an outcome, are far shorter
+# trials of a sweep, over all its ids, from which a helper sweeps half of its ids: a
+# fork costs about 4 ms, and the split broke even at about 500 trials over 38 ids and
+# 1,200 over two unequal ones (O1 C4), on a 2-vCPU machine
+SWEEP_FORK_TRIALS = 1_000
 
 
 def _to_jsonable(obj):
-    """obj as JSON data; the dataclass test comes last, as nearly every leaf is a built-in type."""
+    """obj as JSON data. Every body holds built-in leaves and the library's dataclasses,
+    which come last; asdict refuses anything else with a TypeError."""
     if isinstance(obj, float):  # np.float64 included
         return obj if math.isfinite(obj) else "nan" if obj != obj else "inf" if obj > 0 else "-inf"
-    t = type(obj)
-    if t is int or t is str or t is bool or obj is None:
+    if isinstance(obj, (str, int)) or obj is None:  # bool is an int
         return obj
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
@@ -82,11 +107,7 @@ def _to_jsonable(obj):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, (str, int)):
-        return obj
-    return repr(obj)
+    return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
 
 
 def _envelope(command: str, body, inputs=(), seed=None, status: int = 0) -> dict:
@@ -286,34 +307,135 @@ def _lines(rows):
     return (f"{n},{t!r},{w!r},{d!r}\r\n" for n, t, w, d in rows)
 
 
-def _two_workers(count: int) -> bool:
-    """Whether a trace of count rows is split with a forked helper: it spans more than
-    one chunk, two CPUs are allowed, and no other thread runs, as one could hold a
-    lock forever in the child."""
-    if count <= TRACE_CHUNK or not hasattr(os, "fork") or threading.active_count() != 1:
+def _two_workers() -> bool:
+    """Whether a command may split its work with a forked helper: os.fork exists, two
+    CPUs are allowed, and no other thread runs, as one could hold a lock forever in the
+    child. Each command also asks that its work be big enough to repay the fork."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cpus >= 2
 
 
 class _Helper:
-    """A forked process that formats the trace chunks it claims, seen from the parent.
+    """A forked helper process seen from the parent, which reads its frames from a pipe.
+
+    A frame is its index and byte length (_FRAME), then that many bytes. Once
+    closed, the helper sends nothing more, and the parent does the helper's work
+    not yet received itself.
+    """
+
+    def __init__(self, pid, frames: int):
+        self.pid, self.frames = pid, frames
+        self._poll = select.poll()
+        self._poll.register(frames, select.POLLIN)
+
+    def frame(self, k: int, stall: float = _STALL):
+        """The bytes of the helper's next frame, which must be headed by index k; None when
+        the helper is closed, has ended, sends another index or a frame past _FRAME_MAX
+        bytes, or stalls: no whole frame within stall seconds."""
+        if self.frames is None:
+            return None
+        deadline = time.monotonic() + stall
+        head = self._read(_FRAME.size, deadline)
+        if head is None:
+            return None
+        index, size = _FRAME.unpack(head)
+        return self._read(size, deadline) if index == k and size <= _FRAME_MAX else None
+
+    def _read(self, size: int, deadline: float):
+        data = bytearray(size)
+        view, got = memoryview(data), 0
+        while got < size:
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not self._poll.poll(math.ceil(wait * 1e3)):
+                return None
+            read = os.readv(self.frames, [view[got:]])
+            if not read:
+                return None
+            got += read
+        return data
+
+    def close(self) -> None:
+        """Close the pipe, kill the helper if it still runs and reap it; a second call does nothing."""
+        if self.frames is not None:
+            os.close(self.frames)
+            self.frames = None
+        if self.pid is not None:
+            if os.waitpid(self.pid, os.WNOHANG)[0] == 0:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _serve(fd: int, jobs, send) -> None:
+    """A helper's work: send(pipe, k) for each k of jobs, pipe the file of fd, which it closes."""
+    with open(fd, "wb") as pipe:
+        for k in jobs:
+            send(pipe, k)
+
+
+def _write_frame(pipe, k: int, data: bytes) -> None:
+    """Send data to pipe as one frame of index k."""
+    pipe.write(_FRAME.pack(k, len(data)))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _grow(fd: int) -> None:
+    """Let the pipe of fd hold up to the system's largest pipe size, so the helper can
+    bank frames; the pipe keeps its size where that fails."""
+    import fcntl  # POSIX only, as is os.fork
+    try:
+        with open("/proc/sys/fs/pipe-max-size", "rb") as f:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, int(f.read()))
+    except (OSError, ValueError):
+        pass
+
+
+def _fork(serve, shut=()):
+    """(pid, frames): a forked helper that closes the fds of shut, runs serve(fd), fd the
+    write end of a pipe whose read end is frames, and leaves with os._exit; None, with
+    that pipe closed, when no pipe or process is to be had."""
+    fds = []
+    try:
+        fds += os.pipe()
+        _grow(fds[1])
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    frames, frames_end = fds
+    if pid == 0:  # the helper: it never returns, so it neither flushes the parent's files nor runs its exit code
+        code = 1
+        try:
+            for fd in (frames, *shut):
+                os.close(fd)
+            serve(frames_end)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(frames_end)
+    return pid, frames
+
+
+class _TraceHelper(_Helper):
+    """A forked helper that formats the trace chunks it claims.
 
     Both processes claim chunks from one queue: a pipe of chunk indices in
     ascending order that only the parent writes, at most _QUEUED past the next
     chunk to write, and that either process reads without blocking, one index
-    a claim. The helper sends each chunk it claims through a second pipe as
-    one frame, the chunk index and byte length and then the lines, so its
-    frames come in the order the parent writes the chunks. Once closed, the
-    helper claims and sends nothing, and chunks, the parent's own reader of
-    the trace, formats what it held.
+    a claim. The helper sends each chunk it claims as one frame of its lines,
+    headed by the chunk index, so its frames come in the order the parent
+    writes the chunks. Once closed, the helper claims and sends nothing, and
+    chunks, the parent's own reader of the trace, formats what it held.
     """
 
-    def __init__(self, pid: int, chunks, queue: int, queue_end: int, frames: int):
-        self.pid, self.chunks, self.queue, self.queue_end, self.frames = pid, chunks, queue, queue_end, frames
+    def __init__(self, pid: int, frames: int, chunks, queue: int, queue_end: int):
+        super().__init__(pid, frames)
+        self.chunks, self.queue, self.queue_end = chunks, queue, queue_end
         self.queued = 0  # chunks below it are queued
-        self._poll = select.poll()
-        self._poll.register(frames, select.POLLIN)
 
     def enqueue(self, k: int) -> None:
         """Queue the chunks up to k + _QUEUED; once all are, close the queue, so that
@@ -340,32 +462,6 @@ class _Helper:
             return None
         return _CLAIM.unpack(claim)[0] if claim else None
 
-    def frame(self, k: int):
-        """The lines of the helper's next frame, which must be chunk k's; None when the
-        helper is closed, has ended, sends another chunk, or stalls: no whole frame
-        within _STALL seconds."""
-        if self.frames is None:
-            return None
-        deadline = time.monotonic() + _STALL
-        head = self._read(_FRAME.size, deadline)
-        if head is None:
-            return None
-        index, size = _FRAME.unpack(head)
-        return self._read(size, deadline) if index == k and size <= _FRAME_MAX else None
-
-    def _read(self, size: int, deadline: float):
-        data = bytearray(size)
-        view, got = memoryview(data), 0
-        while got < size:
-            wait = deadline - time.monotonic()
-            if wait <= 0 or not self._poll.poll(math.ceil(wait * 1e3)):
-                return None
-            read = os.readv(self.frames, [view[got:]])
-            if not read:
-                return None
-            got += read
-        return data
-
     def write(self, f, k: int, mark) -> None:
         """Write chunk k, whose rows were drawn into mark, to f: the helper's frame if it
         matches mark, else, closing the helper, the chunk as the parent's reader formats it."""
@@ -374,79 +470,53 @@ class _Helper:
             f.write("".join(_lines(self.chunks.rows(k))))
 
     def close(self) -> None:
-        """Close the pipes, kill the helper if it still runs and reap it; a second call does nothing."""
-        for fd in (self.queue, self.queue_end, self.frames):
+        """Close the queue and the frame pipe, kill the helper if it still runs and reap it."""
+        for fd in (self.queue, self.queue_end):
             if fd is not None:
                 os.close(fd)
-        self.queue = self.queue_end = self.frames = None
-        if self.pid is not None:
-            if os.waitpid(self.pid, os.WNOHANG)[0] == 0:
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            self.pid = None
+        self.queue = self.queue_end = None
+        super().close()
 
 
-def _serve(chunks, queue: int, frames: int) -> None:
-    """The helper's work: until the queue ends, claim its next chunk and send that chunk to frames."""
+def _claims(queue: int):
+    """The chunks the trace helper claims from queue, until the queue ends."""
     poll = select.poll()
     poll.register(queue, select.POLLIN)
-    with open(frames, "wb") as pipe:
-        while True:
-            poll.poll()
-            try:
-                claim = os.read(queue, _CLAIM.size)
-            except BlockingIOError:  # the parent claimed it first
-                continue
-            if not claim:
-                return
-            _send(pipe, chunks, _CLAIM.unpack(claim)[0])
+    while True:
+        poll.poll()
+        try:
+            claim = os.read(queue, _CLAIM.size)
+        except BlockingIOError:  # the parent claimed it first
+            continue
+        if not claim:
+            return
+        yield _CLAIM.unpack(claim)[0]
+
+
+def _serve_chunks(chunks, queue: int, fd: int) -> None:
+    """The trace helper's work: send each chunk it claims from queue to fd."""
+    _serve(fd, _claims(queue), lambda pipe, k: _send(pipe, chunks, k))
 
 
 def _send(pipe, chunks, k: int) -> None:
     """Send the lines of chunk k of chunks to pipe as one frame."""
-    data = "".join(_lines(chunks.rows(k))).encode()
-    pipe.write(_FRAME.pack(k, len(data)))
-    pipe.write(data)
-    pipe.flush()
-
-
-def _grow(fd: int) -> None:
-    """Let the pipe of fd hold up to the system's largest pipe size, so the helper can
-    bank frames; the pipe keeps its size where that fails."""
-    import fcntl  # POSIX only, as is os.fork
-    try:
-        with open("/proc/sys/fs/pipe-max-size", "rb") as f:
-            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, int(f.read()))
-    except (OSError, ValueError):
-        pass
+    _write_frame(pipe, k, "".join(_lines(chunks.rows(k))).encode())
 
 
 def _fork_helper(chunks):
-    """A _Helper formatting the chunks of chunks it claims, the first _QUEUED queued;
+    """A _TraceHelper formatting the chunks of chunks it claims, the first _QUEUED queued;
     None when no pipe or process is to be had, and the parent formats every chunk."""
-    fds = []
     try:
-        for _ in range(2):
-            fds += os.pipe()
-        queue, queue_end, frames, frames_end = fds
-        os.set_blocking(queue, False)
-        _grow(frames_end)
-        pid = os.fork()
+        queue, queue_end = os.pipe()
     except OSError:
-        for fd in fds:
-            os.close(fd)
         return None
-    if pid == 0:  # the helper: it never returns, so it neither flushes the parent's files nor runs its exit code
-        code = 1
-        try:
-            os.close(queue_end)
-            os.close(frames)
-            _serve(chunks, queue, frames_end)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(frames_end)
-    helper = _Helper(pid, chunks, queue, queue_end, frames)
+    os.set_blocking(queue, False)
+    forked = _fork(functools.partial(_serve_chunks, chunks, queue), shut=(queue_end,))
+    if forked is None:
+        os.close(queue)
+        os.close(queue_end)
+        return None
+    helper = _TraceHelper(*forked, chunks, queue, queue_end)
     helper.enqueue(0)
     return helper
 
@@ -512,7 +582,8 @@ def cmd_converge(args) -> int:
     target = _trace_target(exp, args.trace_target) if args.trace else None
     count = exp.horizon - exp.n_start + 1
     # forked before the scans, so that the helper formats while they run
-    helper = _fork_helper(TraceChunks(exp, *target)) if target is not None and _two_workers(count) else None
+    helper = (_fork_helper(TraceChunks(exp, *target))
+              if target is not None and count > TRACE_CHUNK and _two_workers() else None)
     try:
         report = run_experiment(exp)
         if target is not None:
@@ -565,6 +636,62 @@ def cmd_demo(args) -> int:
     return _emit(_envelope("demo", body, status=status), args, lines)
 
 
+def _send_outcome(pipe, i: int, outcome) -> None:
+    """Send outcome, that of the id at position i of the sweep, to pipe as one frame."""
+    _write_frame(pipe, i, pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+
+
+def _serve_outcomes(ids, sweep, fd: int) -> None:
+    """The sweep helper's work: sweep each id at an odd position of ids alone, in order,
+    and send its outcome to fd."""
+    _serve(fd, range(1, len(ids), 2), lambda pipe, i: _send_outcome(pipe, i, *sweep([ids[i]])))
+
+
+def _outcome(helper, i: int, ident: str, trials: int, stall: float):
+    """The helper's outcome of ident, at position i of the sweep; None, closing the helper,
+    when its next frame is not i's, does not come whole within stall seconds, or does not
+    decode to an outcome of ident over trials trials whose counts add up to trials."""
+    frame = helper.frame(i, stall)
+    try:  # the frame comes from the forked helper only, through a pipe no other process holds
+        outcome = None if frame is None else pickle.loads(frame)
+    except Exception:  # bytes that do not decode raise whatever the unpickler meets first
+        outcome = None
+    if (isinstance(outcome, SweepOutcome) and outcome.ident == ident and outcome.trials == trials
+            and outcome.passed + outcome.failed + outcome.unmet == trials):
+        return outcome
+    helper.close()
+    return None
+
+
+def _sweep(ids, sweep, trials: int) -> list:
+    """sweep(ids), the outcomes in the order of ids.
+
+    A sweep of two ids or more and SWEEP_FORK_TRIALS trials or more, where
+    _two_workers allows, forks a helper that sweeps the ids at odd positions
+    while the parent sweeps the rest. The parent then takes each of the
+    helper's outcomes in order, and sweeps, itself, every one that the helper
+    does not send whole and right; so the outcomes never depend on the helper.
+    """
+    if len(ids) < 2 or len(ids) * trials < SWEEP_FORK_TRIALS or not _two_workers():
+        return sweep(ids)
+    forked = _fork(functools.partial(_serve_outcomes, ids, sweep))
+    if forked is None:
+        return sweep(ids)
+    helper = _Helper(*forked)
+    try:
+        start = time.monotonic()
+        outcomes = [None] * len(ids)
+        outcomes[0::2] = sweep(ids[0::2])
+        # the helper started with the parent's half and has as many trials, so a
+        # healthy one is at most about that half's time behind
+        stall = max(_STALL, time.monotonic() - start)
+        for i in range(1, len(ids), 2):
+            outcomes[i] = _outcome(helper, i, ids[i], trials, stall) or sweep([ids[i]])[0]
+    finally:
+        helper.close()
+    return outcomes
+
+
 def cmd_identities(args) -> int:
     ids = list(args.ids) if args.ids else list(DEFAULT_SWEEP_IDS)
     if args.literal:
@@ -578,7 +705,9 @@ def cmd_identities(args) -> int:
     mu = _load_mu(args.mu, inputs) if args.mu else None
     seed = 0 if args.seed is None else args.seed
     tol = FieldContext.eq_tol if args.tol is None else args.tol
-    outcomes = run_identity_sweep(ids, trials=args.trials, seed=seed, mu=mu, eq_tol=tol)
+    sweep_context(args.trials, ZERO_RATE, mu, tol)  # refused here, before a helper is forked
+    sweep = functools.partial(run_identity_sweep, trials=args.trials, seed=seed, mu=mu, eq_tol=tol)
+    outcomes = _sweep(ids, sweep, args.trials)
     any_failed = any(o.failed for o in outcomes)
     body = {
         "trials": args.trials,
@@ -697,7 +826,3 @@ def main(argv=None) -> int:
     except (MuFieldError, FileNotFoundError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from operator import add, mul, sub, truediv
 
 from .complex_field import COMPLEX_IDENTITIES, check_complex_identity
-from .errors import UsageError
+from .errors import UsageError, ValidationError, number
 from .membership import FieldContext, MembershipFunction, crisp
 from .real_field import PASS, UNMET, REAL_IDENTITIES, IdentityCheckReport, check_real_identity
 
 _PIN_TOL = 1e-12
+ZERO_RATE = 0.08  # the default share of drawn weights that are exactly zero
 
 
 def _mag(rng, lo=1e-3, hi=1e3) -> float:
@@ -219,11 +220,25 @@ class SweepOutcome:
     first_failure: IdentityCheckReport | None
 
 
+def sweep_context(trials, zero_rate, mu, eq_tol) -> tuple:
+    """(trials, ctx) of a sweep, checked before any trial: trials read as an integer of
+    at least 1, as a sweep of no trials checks nothing; zero_rate a finite number in
+    [0, 1], as a NaN rate would turn the zero-weight injection off; ctx the context of
+    mu (crisp when the trials draw their own tables) and eq_tol, which it checks.
+    A ValidationError otherwise."""
+    trials = number(trials, "trials", int, ValidationError)
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}: a sweep of no trials checks nothing")
+    if not 0.0 <= number(zero_rate, "zero_rate", float, ValidationError) <= 1.0:
+        raise ValidationError(f"zero_rate must lie in [0, 1], got {zero_rate!r}")
+    return trials, FieldContext(mu=crisp() if mu is None else mu, eq_tol=eq_tol)
+
+
 def run_identity_sweep(
     idents=None,
     trials: int = 1000,
     seed: int = 0,
-    zero_rate: float = 0.08,
+    zero_rate: float = ZERO_RATE,
     mu: MembershipFunction | None = None,
     eq_tol: float = 1e-9,
 ):
@@ -231,10 +246,11 @@ def run_identity_sweep(
 
     With mu=None each trial gets its own point-table weighting; with a fixed
     mu the same weighting serves every trial (derived points then usually
-    fall to its default weight).
+    fall to its default weight). Each id draws from its own generator, seeded
+    f"{seed}:{ident}", so its outcome does not depend on the ids swept with it.
     """
     ids = tuple(idents) if idents else DEFAULT_SWEEP_IDS
-    ctx = FieldContext(mu=crisp() if mu is None else mu, eq_tol=eq_tol)  # checks eq_tol before any trial
+    trials, ctx = sweep_context(trials, zero_rate, mu, eq_tol)
     outcomes = []
     for ident in ids:
         if ident not in REGISTRY:

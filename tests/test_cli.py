@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -614,6 +615,7 @@ class TestIdentities:
     (["eval", "mu_abs"], "op mu_abs needs --a"),
     (["demo", "nope"], "unknown demo 'nope'"),
     (["identities", "O1", "QQ", "--trials", "5"], "unknown identities: QQ"),
+    (["eval", "mu_conj", "--z", "1,2,3"], "bad complex literal '1,2,3'; expected re or re,im"),
 ])
 def test_unknown_name_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -649,6 +651,13 @@ def test_a_negative_operand_after_a_space_reads_as_its_equals_spelling(capsys, a
     joined = run(capsys, *argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:])
     assert spaced == joined
     assert "expected one argument" not in spaced[2]
+
+
+def test_python_m_mufield_exits_with_mains_status(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["mufield", "eval", "mu_conj", "--z", "1,2"])
+    with pytest.raises(SystemExit) as e:
+        runpy.run_module("mufield", run_name="__main__", alter_sys=False)
+    assert e.value.code == 0 and capsys.readouterr().out == "mu_conj = (1-2j)\n  weight((1+2j)) = 1\n"
 
 
 def test_help_is_usage_on_stdout(capsys):

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from mufield import FieldContext, UsageError, crisp, run_identity_sweep
+from mufield.errors import ValidationError
 from mufield.real_field import PASS, UNMET
 from mufield.registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY, check_identity, table_membership
 
@@ -86,3 +88,21 @@ def test_a_verdict_is_its_residual_within_eq_tol(eq_tol):
             rep = check_identity(ctx, ident, operands)
             if rep.verdict != UNMET:
                 assert (rep.verdict == PASS) == (rep.residual <= eq_tol), rep
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True, "x", None])
+def test_a_trial_count_that_checks_nothing_is_refused(trials):
+    # 0 and -3 returned clean outcomes of no trial, 2.5 a raw TypeError, True one trial
+    with pytest.raises(ValidationError, match="trials"):
+        run_identity_sweep(["O1"], trials=trials)
+
+
+@pytest.mark.parametrize("zero_rate", [math.nan, math.inf, -0.1, 1.5, "x"])
+def test_a_zero_rate_outside_zero_to_one_is_refused(zero_rate):
+    # a NaN rate turned the zero-weight injection off: rng.random() < nan is never true
+    with pytest.raises(ValidationError, match="zero_rate"):
+        run_identity_sweep(["O1"], trials=5, zero_rate=zero_rate)
+
+
+def test_a_trial_count_given_as_an_integral_number_is_read_as_an_integer():
+    assert run_identity_sweep(["R3"], trials=40.0, seed=5) == run_identity_sweep(["R3"], trials=40, seed=5)

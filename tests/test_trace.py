@@ -156,7 +156,7 @@ def queued_bytes(fd) -> int:
 def helper_claims_first(monkeypatch):
     """Hold main's first claim until the helper has claimed a chunk, so that main always
     meets a chunk of the helper's, however the two processes are scheduled."""
-    claim = cli._Helper.claim
+    claim = cli._TraceHelper.claim
 
     def after_the_helper(helper, k):
         if k == 0:
@@ -164,7 +164,7 @@ def helper_claims_first(monkeypatch):
             while queued_bytes(helper.queue) == helper.queued * cli._CLAIM.size and time.monotonic() < deadline:
                 time.sleep(0.001)
         return claim(helper, k)
-    monkeypatch.setattr(cli._Helper, "claim", after_the_helper)
+    monkeypatch.setattr(cli._TraceHelper, "claim", after_the_helper)
 
 
 def count_copies(monkeypatch) -> list:
