@@ -41,7 +41,6 @@ import dataclasses
 import functools
 import hashlib
 import itertools
-import json
 import math
 import os
 import pickle
@@ -52,6 +51,7 @@ import struct
 import sys
 import threading
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .demos import DEMO_NAMES, run_demo
@@ -94,24 +94,67 @@ _FRAME_MAX = TRACE_CHUNK * 256  # bytes of a frame at most: a trace chunk's line
 SWEEP_FORK_TRIALS = 1_000
 
 
-def _to_jsonable(obj):
-    """obj as JSON data. Every body holds built-in leaves and the library's dataclasses,
-    which come last; asdict refuses anything else with a TypeError."""
-    if isinstance(obj, float):  # np.float64 included
-        return obj if math.isfinite(obj) else "nan" if obj != obj else "inf" if obj > 0 else "-inf"
-    if isinstance(obj, (str, int)) or obj is None:  # bool is an int
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return {k: _to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+# float.__repr__ of a non-finite float, and what the envelope shows for it: a string,
+# or, for a part of a complex value, the bare word json.dumps writes
+_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_BARE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj) -> str:
+    """obj as JSON text: a 2-space indent, one item a line, keys sorted, ASCII escapes.
+
+    obj holds built-in leaves, lists, tuples, dicts (keys str()'d, the last of
+    two equal ones winning), complex values (as [re, im]) and the library's
+    dataclasses, read field by field; anything else raises a TypeError. A
+    non-finite float is "nan", "inf" or "-inf", but a non-finite part of a
+    complex value is the bare NaN, Infinity or -Infinity.
+    """
+    floats = {}  # the text of each nonzero float met, by value: 0.0 and -0.0 are one key
+
+    def number(v):
+        text = floats.get(v)
+        if text is None:
+            text = float.__repr__(v)
+            text = _NONFINITE.get(text, text)
+            if v:
+                floats[v] = text
+        return text
+
+    # the text of a value of exactly these classes; walk takes the rest
+    leaf = {float: number, str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda v: "null"}.get
+
+    def walk(obj, nl):
+        if isinstance(obj, float):  # np.float64 included
+            return number(obj)
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        inner = nl + "  "
+        if isinstance(obj, dict):
+            items = {str(k): v for k, v in obj.items()}
+        elif isinstance(obj, (list, tuple)):
+            return "[" + inner + ("," + inner).join(
+                [f(v) if (f := leaf(v.__class__)) else walk(v, inner) for v in obj]) + nl + "]" if obj else "[]"
+        elif isinstance(obj, complex):
+            re, im = float.__repr__(obj.real), float.__repr__(obj.imag)
+            return "[" + inner + _BARE.get(re, re) + "," + inner + _BARE.get(im, im) + nl + "]"
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            items = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + (f(v) if (f := leaf((v := items[k]).__class__)) else walk(v, inner))
+             for k in sorted(items)]) + nl + "}" if items else "{}"
+
+    f = leaf(obj.__class__)
+    return f(obj) if f else walk(obj, "\n")
 
 
 def _envelope(command: str, body, inputs=(), seed=None, status: int = 0) -> dict:
-    """inputs maps each file read to the sha256 of the bytes _read_text parsed."""
+    """inputs maps each file read to the sha256 of the bytes _read_text parsed; body is
+    kept as given, and _json_text reads it."""
     return {
         "tool": "mufield",
         "version": __version__,
@@ -119,14 +162,14 @@ def _envelope(command: str, body, inputs=(), seed=None, status: int = 0) -> dict
         "inputs": dict(inputs),
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "body": _to_jsonable(body),
+        "body": body,
         "status": status,
     }
 
 
 def _emit(env: dict, args, human_lines) -> int:
     if args.json:
-        print(json.dumps(env, indent=2, sort_keys=True))
+        print(_json_text(env))
     else:
         for line in human_lines:
             print(line)
@@ -275,7 +318,7 @@ def cmd_eval(args) -> int:
     except DomainError as e:
         env = _envelope("eval", {"op": args.op, "error": str(e)}, inputs, status=EXIT_CHECK_FAILED)
         return _emit(env, args, [f"eval {args.op}: {e}"])
-    body = {"op": args.op, "value": _to_jsonable(value), "memberships": memberships}
+    body = {"op": args.op, "value": value, "memberships": memberships}
     lines = [f"{args.op} = {value}"]
     for k, w in memberships.items():
         lines.append(f"  weight({k}) = {w:.9g}")
@@ -596,11 +639,11 @@ def cmd_converge(args) -> int:
     body = {
         "label": exp.label,
         "horizon": exp.horizon,
-        "verdicts": [_to_jsonable(v) for v in report.verdicts],
+        "verdicts": report.verdicts,
         "classical": [
             {"expr": e, "candidate": c, "verdict": v.verdict} for e, c, v in report.classical
         ],
-        "theorem_checks": [_to_jsonable(c) for c in report.theorem_checks],
+        "theorem_checks": report.theorem_checks,
     }
     lines = [f"experiment {exp.label or args.experiment}: horizon {exp.horizon}"]
     for v in report.verdicts:
@@ -618,9 +661,9 @@ def cmd_demo(args) -> int:
         "name": demo.name,
         "headline": demo.headline,
         "claims": [{"claim": label, "holds": flag} for label, flag in demo.claims],
-        "verdicts": [_to_jsonable(v) for v in demo.report.verdicts],
-        "bounds": _to_jsonable(demo.bounds) if demo.bounds else None,
-        "literal_variant": _to_jsonable(demo.literal_variant) if demo.literal_variant else None,
+        "verdicts": demo.report.verdicts,
+        "bounds": demo.bounds,
+        "literal_variant": demo.literal_variant,
     }
     lines = [f"demo {demo.name}: {demo.headline}"]
     for label, flag in demo.claims:

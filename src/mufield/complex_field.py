@@ -94,7 +94,8 @@ def mu_exp(ctx: FieldContext, z: complex) -> complex:
     z = complex(z)
     if abs(z.real) > EXP_RE_CAP:
         raise RangeGuardError(f"|Re z| = {abs(z.real)} exceeds the overflow guard {EXP_RE_CAP}")
-    return cmath.exp(z) * mu_eval(ctx, z)
+    w = mu_eval(ctx, z)  # refuses a non-finite z, which cmath.exp would raise a ValueError on
+    return cmath.exp(z) * w
 
 
 def principal_log(z: complex) -> complex:

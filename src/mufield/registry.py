@@ -251,10 +251,11 @@ def run_identity_sweep(
     """
     ids = tuple(idents) if idents else DEFAULT_SWEEP_IDS
     trials, ctx = sweep_context(trials, zero_rate, mu, eq_tol)
+    unknown = [ident for ident in ids if ident not in REGISTRY]
+    if unknown:  # refused before any trial
+        raise UsageError(f"unknown identity {unknown[0]!r}; known: {sorted(REGISTRY)}")
     outcomes = []
     for ident in ids:
-        if ident not in REGISTRY:
-            raise UsageError(f"unknown identity {ident!r}; known: {sorted(REGISTRY)}")
         entry = REGISTRY[ident]
         rng = random.Random(f"{seed}:{ident}")
         passed = failed = unmet = 0

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DomainError,
     SpecError,
     UsageError,
     ValidationError,
@@ -144,7 +145,9 @@ class SequenceSpec:
         if self.form == "table":
             pts = self.params["points"]
             return np.array([pts[int(k)] for k in ns])
-        with np.errstate(over="ignore"):  # a term past the float range is +-inf, as in a member table
+        # a term past the float range is +-inf, as in a member table, and one of inf / inf is
+        # NaN, which the scans refuse
+        with np.errstate(over="ignore", invalid="ignore"):
             return self._value.terms(ns.astype(float, copy=False))
 
     def term_at(self, n: int) -> float:
@@ -339,7 +342,8 @@ class _Stream:
             return self.terms(seqs[0], first, last)
         combine = np.add if expr == "sum" else np.multiply
         a, b = (self.terms(s, first, last) for s in seqs)
-        with np.errstate(over="ignore"):  # a sum or product past the float range is +-inf, as one term is
+        # a sum or product past the float range is +-inf, as one term is; inf + -inf or inf * 0 is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             return combine(a, b, out=self._buffers()[0][:a.size])
 
     def deviation(self, expr, candidate, first, last, seq=None, signed=False):
@@ -362,7 +366,8 @@ class _Stream:
         if not signed:
             np.abs(dev, out=dev)
         if w is not None:
-            dev *= w
+            with np.errstate(invalid="ignore"):  # an infinite deviation at weight 0 is NaN
+                dev *= w
         return values, dev, w
 
     def blocks(self, expr, candidate, first=None, seq=None, signed=False, last=None):
@@ -471,11 +476,13 @@ class _BlockPass:
     """The blocked kernel: one pass over [n0, hi] of any stream, hi defaulting
     to the stream's; an exact model asks one over each window it leaves undecided.
 
-    The pass keeps, per EPS_BLOCK deviations, the maximum (fmax skips NaN)
-    and the count of weights <= min_mu, and the last index whose deviation
-    is not within eq_tol of the one before (a NaN step counts). Of the
-    blocks, only the last EPS_BLOCK that reaches a bound is read again, and
-    the one a tail starts inside, for its weights.
+    The pass keeps, per EPS_BLOCK deviations, the maximum and the count of
+    weights <= min_mu, and the last index whose deviation is not within
+    eq_tol of the one before (a NaN step counts). Of the blocks, only the
+    last EPS_BLOCK that reaches a bound is read again, and the one a tail
+    starts inside, for its weights. A NaN deviation reaches no bound, so it
+    would support any candidate: the pass raises a DomainError naming its
+    first index instead, found from the maxima, which keep a NaN.
     """
 
     def __init__(self, stream: _Stream, expr, candidate, n0, seq, ctx, hi=None):
@@ -491,7 +498,10 @@ class _BlockPass:
             steps_buf, _, within_buf = stream._buffers()  # the scan reads no values
             starts = _EPS_STARTS[:-(-dev.size // EPS_BLOCK)]
             b = (n - n0) // EPS_BLOCK
-            self.peaks[b:b + starts.size] = np.fmax.reduceat(dev, starts)
+            peaks = np.maximum.reduceat(dev, starts)
+            if np.isnan(peaks).any():
+                self._refuse_nan(n + dev.size - 1)
+            self.peaks[b:b + starts.size] = peaks
             if w is not None:  # an EPS_BLOCK count fits in 16 bits
                 zero = np.less_equal(w, ctx.min_mu, out=within_buf[:w.size])
                 self.low[b:b + starts.size] = np.add.reduceat(zero.view(np.uint8), starts, dtype=np.uint16)
@@ -504,6 +514,16 @@ class _BlockPass:
                 self.rise = n + steps.size - int(np.argmin(within[::-1]))
             prev = dev[-1]
             del w  # fallback weights are a new array per block: free them before the next
+
+    def _refuse_nan(self, last: int):
+        """Raise the DomainError that names the scan's first NaN deviation, at or before last;
+        it may lie before n0, in a window an exact model decided."""
+        (expr, candidate), seq, stream = self.args, self.seq, self.stream
+        start = stream.n0 if seq is None else seq.n_min
+        k = next(n + int(np.argmax(np.isnan(dev)))
+                 for n, _, dev, _ in stream.blocks(expr, candidate, start, seq, last=last) if np.isnan(dev).any())
+        scan = f"{expr} -> {candidate!r}" if seq is None else f"classical {seq.form} -> {candidate!r}"
+        raise DomainError(f"{scan}: the deviation at n={k} is NaN in floating point, so it has no verdict")
 
     def last_reaching(self, bound: float):
         """The last index whose deviation is >= bound, or None."""

@@ -208,6 +208,21 @@ class TestConverge:
         p.write_text(json.dumps(doc))
         return str(p)
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_a_nan_deviation_is_refused_before_the_trace_is_written(self, tmp_path, as_json):
+        # every term is exactly 1, but inf / inf in floating point: a NaN deviation, which reaches no bound
+        doc = {"sequence": {"form": "moebius", "params": {"a": 1e308, "b": 1e308, "c": 1e308, "d": 1e308},
+                            "n_min": 1, "n_max": 5}, "horizon": 5, "candidates": [0.5]}
+        spec, trace = tmp_path / "exp.json", tmp_path / "trace.csv"
+        spec.write_text(json.dumps(doc))
+        argv = [sys.executable, "-m", "mufield", *(["--json"] if as_json else []), "converge", str(spec)]
+        for extra in ([], ["--trace", str(trace)]):
+            done = subprocess.run(argv + extra, capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)})
+            assert (done.returncode, done.stdout) == (1, "")
+            assert done.stderr == "error: self -> 0.5: the deviation at n=1 is NaN in floating point, so it has no verdict\n"
+            assert not trace.exists()
+
     def test_runs_and_reports_n_table(self, capsys, experiment_path):
         code, out, _ = run(capsys, "converge", experiment_path)
         assert code == 0

@@ -1,17 +1,22 @@
-"""The CLI contract, checked on generated argv: for now, for `identities`.
+"""The CLI contract, checked on generated argv: for now, for `identities` and `axioms`.
 
 Every call of `main` exits 0, 1 or 2 and lets no exception out. A refusal
 prints exactly one stderr line, starting with `error:`, and nothing on
-stdout; an exit 1 with no such line is a sweep with a failing trial. A
-`--json` envelope parses and its `status` is the exit code. And stdout is
-the same whether the sweep may fork its helper or not: the helper is forced
-on for every sweep of two ids or more by a fork threshold of 0 trials.
+stdout; an exit 1 with no such line is a sweep with a failing trial, or an
+audit with a failing axiom. A `--json` envelope parses, its `status` is the
+exit code, and it is its own re-dump: parsed and dumped again with a 2-space
+indent and sorted keys, it reads the same. No warning is printed. For
+`identities`, stdout is the same whether the sweep may fork its helper or
+not: the helper is forced on for every sweep of two ids or more by a fork
+threshold of 0 trials. For `axioms`, the membership specs and sample lists
+are drawn from README's grammar, numbers from the edge pool.
 """
 
 import contextlib
 import io
 import json
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,3 +77,81 @@ def test_identities_keeps_the_cli_contract(draw):
     off = call(argv, fork=False)
     drop = lambda text: [line for line in text.splitlines() if '"timestamp"' not in line]
     assert (off[0], drop(off[1]), off[2], off[3]) == (code, drop(out), err, 0)
+
+
+# the membership grammar of README: a default weight and point, set and family rules,
+# whose weight is a number or a weight form. Each field is drawn valid five times in
+# six, so that most specs load, and off the grammar or from the edge pool otherwise.
+def mostly(valid, invalid):
+    return st.sampled_from(range(6)).flatmap(lambda i: invalid if i == 5 else valid)
+
+
+NUMBERS = mostly(st.one_of(st.floats(-30, 30), st.sampled_from([0.0, -0.0, 1.0, 0.25, 1e-9, 5e-324, 1e200])),
+                 st.sampled_from(EDGE_NUMBERS))
+WEIGHTS = mostly(st.one_of(st.sampled_from([1, 0.5, 0]), st.floats(0, 1)), st.sampled_from(["nan", 1.5, -0.5, "x"]))
+SCALARS = mostly(st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2)), st.sampled_from([[1], "abc", None]))
+PARAMS = {
+    "log_n_plus_c": st.fixed_dictionaries({"c": NUMBERS}),
+    "exp_n_plus_c": st.fixed_dictionaries({"c": NUMBERS}),
+    "sq_ratio": st.just({}),
+    "moebius": st.fixed_dictionaries({k: NUMBERS for k in "abcd"}),
+}
+WEIGHT_FORMS = st.one_of(
+    st.fixed_dictionaries({"form": st.just("const"), "params": st.fixed_dictionaries({"value": WEIGHTS})}),
+    st.fixed_dictionaries({"form": st.just("rational_poly"), "params": st.fixed_dictionaries(
+        {"p": st.lists(st.sampled_from([0, 1, 2, -1]), min_size=1, max_size=3),
+         "q": st.lists(st.sampled_from([0, 1, 3, -1]), min_size=1, max_size=4)})}),
+    st.fixed_dictionaries({"form": st.just("inv_exp_p1_sq"), "params": st.just({})}),
+)
+TOLS = mostly(st.sampled_from([1e-9, 1e-3, 0.5]), st.sampled_from([0, -1, "inf", "1e-6", None]))
+
+
+@st.composite
+def rules(draw):
+    """A rule: a point, set or family match, and a weight; only a family rule's may be a
+    weight form of n."""
+    kind = draw(mostly(st.sampled_from(["point", "set", "family"]), st.just("nope")))
+    tol = draw(TOLS)
+    if kind == "point":
+        match = {"kind": kind, "value": draw(SCALARS), "tol": tol}
+    elif kind == "set":
+        match = {"kind": kind, "values": draw(st.lists(SCALARS, max_size=4)), "tol": tol}
+    else:
+        form = draw(st.sampled_from(sorted(PARAMS)))
+        n_min = draw(mostly(st.sampled_from([1, 2]), st.just(0)))
+        match = {"kind": kind, "form": form, "params": draw(PARAMS[form]), "n_min": n_min,
+                 "n_max": n_min + draw(st.sampled_from([0, 5, 40, 600])), "tol": tol}
+    mu = draw(st.one_of(WEIGHTS, WEIGHT_FORMS) if kind == "family" else mostly(WEIGHTS, WEIGHT_FORMS))
+    return {"match": match, "mu": mu}
+
+
+SPECS = st.fixed_dictionaries({"default": WEIGHTS, "rules": st.lists(rules(), max_size=3)})
+SAMPLES = mostly(st.one_of(st.lists(NUMBERS, min_size=1, max_size=60),
+                           st.lists(st.floats(-5, 5), min_size=30, max_size=60)),
+                 st.sampled_from([{}, [[1, 2]], "3", []]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(SPECS, SAMPLES, st.booleans())
+def test_axioms_keeps_the_cli_contract(tmp_path_factory, spec, samples, as_json):
+    where = tmp_path_factory.mktemp("axioms")
+    (where / "mu.json").write_text(json.dumps(spec))
+    (where / "samples.json").write_text(json.dumps(samples))
+    argv = (["--json"] if as_json else []) + ["axioms", str(where / "mu.json"), "--samples", str(where / "samples.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    if err or code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    elif as_json:
+        env = json.loads(out)
+        assert env["status"] == code
+        assert json.dumps(env, indent=2, sort_keys=True) + "\n" == out
+        assert (code == 1) == (not all(env["body"]["verdicts"].values()))
+    else:
+        assert (code == 1) == ("FAIL" in out)

@@ -87,6 +87,13 @@ class TestOperations:
         with pytest.raises(RangeGuardError):
             mu_exp(FieldContext(), 800 + 0j)
 
+    @pytest.mark.parametrize("z", [complex(0, math.inf), complex(0, -math.inf), complex(0, math.nan),
+                                   complex(math.nan, 0)])
+    def test_exp_refuses_a_non_finite_z_as_log_does(self, z):
+        for op in (mu_exp, mu_log):
+            with pytest.raises(DomainError, match="value must be finite"):
+                op(FieldContext(), z)
+
     def test_log(self):
         ctx = FieldContext()
         assert mu_log(ctx, complex(math.e)) == pytest.approx(1.0, rel=1e-15)

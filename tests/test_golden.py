@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from mufield import FieldContext, check_axioms, mu_summary, parse_mu_spec
-from mufield.cli import _to_jsonable, main
+from mufield.cli import _json_text, main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_outputs.json").read_text())
 
@@ -98,7 +98,7 @@ COMPLEX_SAMPLES = [1 + 1j, 1 - 1j, 2j, -1j, complex(math.log(3) + C_A, 0.0), mat
 
 def audit_outputs(spec, samples):
     ctx = FieldContext(mu=parse_mu_spec(spec))
-    return _to_jsonable({"axioms": check_axioms(ctx, samples), "summary": mu_summary(ctx, samples)})
+    return json.loads(_json_text({"axioms": check_axioms(ctx, samples), "summary": mu_summary(ctx, samples)}))
 
 
 def test_axiom_audit_matches_golden():

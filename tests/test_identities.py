@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mufield import FieldContext, UsageError, crisp, run_identity_sweep
+from mufield import FieldContext, UsageError, crisp, registry, run_identity_sweep
 from mufield.errors import ValidationError
 from mufield.real_field import PASS, UNMET
 from mufield.registry import DEFAULT_SWEEP_IDS, LITERAL_VARIANTS, REGISTRY, check_identity, table_membership
@@ -67,6 +67,14 @@ def test_fixed_mu_mode_uses_the_given_weighting():
 def test_unknown_identity_rejected():
     with pytest.raises(UsageError):
         run_identity_sweep(["NOPE"], trials=1)
+
+
+def test_an_unknown_identity_is_refused_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(registry, "check_identity", lambda *args: calls.append(args))
+    with pytest.raises(UsageError, match="unknown identity 'NOPE'"):
+        run_identity_sweep(["O1", "NOPE"], trials=10**6)
+    assert calls == []
 
 
 def test_an_inequality_off_by_an_ulp_passes_a_tight_tol():

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from mufield import DomainError, FieldContext, parse_mu_spec
-from mufield.cli import _to_jsonable
+from mufield.cli import _json_text
 from mufield.registry import REGISTRY, check_identity, table_membership
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "identity_golden.json"
@@ -50,7 +50,7 @@ def report_digest(ident, fixed_mu=None):
         mu = fixed_mu or table_membership(entry.point_groups(operands), rng, ZERO_RATE)
         ctx = FieldContext(mu=mu)
         try:
-            reports.append(_to_jsonable(check_identity(ctx, ident, operands)))
+            reports.append(json.loads(_json_text(check_identity(ctx, ident, operands))))
         except DomainError as e:
             reports.append({"error": str(e)})
     return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mufield import (
+    DomainError,
     ExperimentSpec,
     FieldContext,
     MembershipFunction,
@@ -35,7 +36,7 @@ from mufield import (
     run_experiment,
     seq_bounded_report,
 )
-from mufield.cli import _to_jsonable
+from mufield.cli import _json_text
 from mufield.demos import DEMO_NAMES, run_demo
 from mufield.forms import _horner
 from mufield.real_field import FAIL, PASS, bounds_report
@@ -45,15 +46,20 @@ from test_membership import BAD_WEIGHTS, weight_bad_at
 GOLDEN = json.loads((Path(__file__).parent / "data" / "demo_golden.json").read_text())
 
 
+def as_json(obj):
+    """obj as the CLI envelope shows it, parsed back."""
+    return json.loads(_json_text(obj))
+
+
 def demo_body(name):
     d = run_demo(name)
     return {
         "claims": [[label, flag] for label, flag in d.claims],
-        "verdicts": _to_jsonable(d.report.verdicts),
-        "classical": [[e, c, _to_jsonable(v)] for e, c, v in d.report.classical],
-        "theorem_checks": _to_jsonable(d.report.theorem_checks),
-        "bounds": _to_jsonable(d.bounds),
-        "literal_variant": _to_jsonable(d.literal_variant),
+        "verdicts": as_json(d.report.verdicts),
+        "classical": [[e, c, as_json(v)] for e, c, v in d.report.classical],
+        "theorem_checks": as_json(d.report.theorem_checks),
+        "bounds": as_json(d.bounds),
+        "literal_variant": as_json(d.literal_variant),
     }
 
 
@@ -154,6 +160,17 @@ def scan_reference(dev, weights, n0, schedule, eq_tol, min_mu):
     return table, frac, certificate, tail_from
 
 
+def refused_where_nan(dev, weights, n0, schedule, eq_tol=1e-9):
+    """Check that the scan of dev refuses its first NaN, if it has one, by name; then
+    set every NaN deviation to 0.0, which reaches no bound, as a NaN did before the
+    scans refused it."""
+    nan = np.flatnonzero(np.isnan(dev))
+    if nan.size:
+        with pytest.raises(DomainError, match=rf"the deviation at n={n0 + int(nan[0])} is NaN"):
+            ArrayStream(dev, weights, n0, schedule, eq_tol).scan()
+        dev[nan] = 0.0
+
+
 class ArrayStream(_Stream):
     """A stream whose deviations and weights over [n0, n0 + size - 1] are given
     arrays; it records every range the scan reads."""
@@ -216,6 +233,7 @@ def test_eps_table_matches_per_eps_scan(size, seed, schedule, eq_tol, data):
         dev[int(rng.integers(0, size))] = np.nextafter(bound, 0.0)
     if data.draw(st.booleans()):
         dev[-1] = data.draw(st.sampled_from([np.nan, 1.0, 0.0]))
+    refused_where_nan(dev, np.ones(size), n0, schedule, eq_tol)
     want = tuple((eps, eps_n_reference(dev, n0, float(eps), eq_tol)) for eps in schedule)
     assert ArrayStream(dev, np.ones(size), n0, schedule, eq_tol).scan()[0] == want
 
@@ -253,6 +271,7 @@ def test_blocked_scan_matches_whole_array_scan(size, seed, eq_tol, tail, data):
         weights = np.where(rng.uniform(size=size) < data.draw(st.sampled_from([0.0, 0.3, 1.0])), level, 0.75)
     if weights is None:
         eq_tol = 1e-9  # the classical scan keeps the default tolerances
+    refused_where_nan(dev, weights, n0, schedule, eq_tol)
     want = scan_reference(dev, weights, n0, schedule, eq_tol, 1e-12)
     assert ArrayStream(dev, weights, n0, schedule, eq_tol).scan() == want
 
@@ -265,6 +284,10 @@ def test_a_rise_on_either_side_of_a_block_edge_breaks_the_certificate(j, step):
     dev = np.linspace(1e-4, 0.0, size)
     dev[0] = 1.0
     dev[j] = dev[j - 1] + step
+    if step != step:  # a NaN step is a NaN deviation, which the scan refuses
+        with pytest.raises(DomainError, match=rf"the deviation at n={1 + j} is NaN"):
+            ArrayStream(dev, np.ones(size), 1, (0.5, 1e-1, 1e-3)).scan()
+        return
     want = scan_reference(dev, np.ones(size), 1, (0.5, 1e-1, 1e-3), 1e-9, 1e-12)
     assert want[2] is None and want[3] == 2
     assert ArrayStream(dev, np.ones(size), 1, (0.5, 1e-1, 1e-3)).scan() == want

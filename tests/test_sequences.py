@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mufield import (
+    DomainError,
     ExperimentSpec,
     FamilyMatcher,
     FieldContext,
@@ -376,6 +377,38 @@ class TestRunExperiment:
                 candidates=(("sum", 2.0),),
                 horizon=100,
             )
+
+
+# every term is inf / inf in floating point, NaN, though exactly 1
+NAN_TERMS = {"form": "moebius", "params": {"a": 1e308, "b": 1e308, "c": 1e308, "d": 1e308}, "n_min": 1, "n_max": 5}
+
+
+class TestNaNDeviation:
+    """A NaN deviation reaches no bound, so it would support any candidate: the
+    weighted and the classical scan refuse it, naming its first index, with no
+    numpy warning."""
+
+    @pytest.mark.parametrize("candidate", [0.5, 1.0])
+    def test_the_weighted_verdict_is_refused(self, candidate):
+        exp = load_experiment({"sequence": NAN_TERMS, "horizon": 5, "candidates": [candidate]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"self -> {candidate}: the deviation at n=1 is NaN"):
+                run_experiment(exp)
+            with pytest.raises(DomainError, match="at n=1 is NaN"):
+                mu_converges(exp, "self", candidate)
+
+    def test_the_classical_verdict_is_refused(self):
+        seq = SequenceSpec(NAN_TERMS["form"], NAN_TERMS["params"], 1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="classical moebius -> 0.5: the deviation at n=1 is NaN"):
+                classical_converges(seq, 0.5)
+
+    def test_an_infinite_deviation_still_reaches_every_bound(self):
+        seq = SequenceSpec("moebius", {"a": 1e308, "b": 1e308, "c": 1.0, "d": 0.0}, 1, 5)  # inf from n = 1
+        v = classical_converges(seq, 0.5)
+        assert v.verdict == REFUTED and all(n is None for _, n in v.eps_table)
 
 
 class TestSchema:
