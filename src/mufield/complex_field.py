@@ -111,7 +111,11 @@ def mu_log(ctx: FieldContext, z: complex) -> complex:
     return principal_log(z) * mu_eval(ctx, z)
 
 
-def _pow_value(a: complex, z: complex, branch: int) -> complex:
+def _exponent(a: complex, z: complex, branch: int) -> complex:
+    """w = z (Log a + 2 pi i branch), whose exp is a^z on that branch; refused unless
+    it is finite, which cmath.exp needs, and its real part is within the overflow guard."""
+    if a == 0:
+        raise DomainError("power base must be nonzero")
     try:
         shift = TWO_PI * branch
     except OverflowError:  # an int past the float range
@@ -119,7 +123,9 @@ def _pow_value(a: complex, z: complex, branch: int) -> complex:
     w = z * (principal_log(a) + complex(0.0, shift))
     if abs(w.real) > EXP_RE_CAP:
         raise RangeGuardError(f"|Re(z log a)| = {abs(w.real)} exceeds the overflow guard {EXP_RE_CAP}")
-    return cmath.exp(w)
+    if not cmath.isfinite(w):
+        raise RangeGuardError(f"z log a = {w!r} is not finite")
+    return w
 
 
 def mu_pow(ctx: FieldContext, a: complex, z: complex, branch: int = 0) -> complex:
@@ -129,9 +135,7 @@ def mu_pow(ctx: FieldContext, a: complex, z: complex, branch: int = 0) -> comple
     logarithm by 2 pi i b.
     """
     a, z = complex(a), complex(z)
-    if a == 0:
-        raise DomainError("power base must be nonzero")
-    return _pow_value(a, z, branch) * mu_eval(ctx, z)
+    return cmath.exp(_exponent(a, z, branch)) * mu_eval(ctx, z)
 
 
 @dataclass(frozen=True)
@@ -150,11 +154,10 @@ def mu_pow_forms(ctx: FieldContext, a: complex, z: complex, branch: int = 0) -> 
     the exponent, the alternative weights by the whole product z Log a.
     """
     a, z = complex(a), complex(z)
-    if a == 0:
-        raise DomainError("power base must be nonzero")
-    pv = _pow_value(a, z, branch)
+    w = _exponent(a, z, branch)
+    pv = cmath.exp(w)
     primary = pv * mu_eval(ctx, z)
-    alt = pv * mu_eval(ctx, z * (principal_log(a) + complex(0.0, TWO_PI * branch)))
+    alt = pv * mu_eval(ctx, w)
     return PowerForms(primary, alt, rel_residual(primary, alt))
 
 

@@ -110,10 +110,8 @@ class BoundsReport:
 def bounds_report(blocks, eq_tol, probe=None, n0=0, expr=None) -> BoundsReport:
     """The bounds of a stream given as consecutive blocks of arrays (values,
     weights, scaled = values * weights); element i of the stream is index n0 + i.
-
-    Each block is read before the next is asked for, so blocks may share a
-    buffer. As np.argmax and np.max over the whole stream, the first NaN is
-    an extreme and a NaN makes the maxima NaN.
+    As np.argmax and np.max over the whole stream, the first NaN is an
+    extreme and a NaN makes the maxima NaN.
     """
     probe = None if probe is None else number(probe, "probe", error=ValidationError)
     sup = inf = first_exceed = None
@@ -402,10 +400,15 @@ def _dispatch(ctx, ident, operands, domain, table, convert) -> IdentityCheckRepo
     if ident not in table:
         raise UsageError(f"unknown {domain} identity {ident!r}; known: {sorted(table)}")
     _, arity, fn = table[ident]
-    ops = tuple(convert(v) for v in operands)
-    for v in ops:
-        if not cmath.isfinite(v):
-            raise DomainError(f"operand {v!r} is not finite")
+    ops = []
+    for i, v in enumerate(operands, 1):
+        try:
+            ops.append(convert(v))
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"identity {ident}: operand {i} is not a {domain} number, got {v!r}") from None
+        if not cmath.isfinite(ops[-1]):
+            raise DomainError(f"operand {ops[-1]!r} is not finite")
+    ops = tuple(ops)
     if arity is not None and len(ops) != arity:
         raise UsageError(f"identity {ident} takes {arity} operand(s), got {len(ops)}")
     if arity is None and not ops:

@@ -17,7 +17,9 @@ machine-checkable.
 
 Every scan reads a stream through one range function, _Stream.deviation,
 at most SCAN_BLOCK = 65,536 indices at a time (512 KB per float array, 16
-EPS_BLOCKs), into reused block buffers. What it reads depends on the stream:
+EPS_BLOCKs); the arrays of each read belong to its caller. A value past the
+float range is +-inf, and a NaN deviation is refused by name. What a scan
+reads depends on the stream:
 
 - A rational stream is decided by its exact model (mufield.exact): its
   terms are sq_ratio, moebius or constant, or a sum or a product of two of
@@ -276,10 +278,8 @@ class _Stream:
     [n0, hi]. The rational forms are evaluated on each read, as are the
     weights of a stream of them, which its exact model reads only in the
     windows it leaves undecided. Every scan reads through deviation(), at
-    most SCAN_BLOCK indices at a time, into two reused block buffers
-    (combined values, deviations), so it finishes with one block before it
-    asks for the next. Verdicts are kept per candidate, so a limit check that
-    repeats a declared candidate is free.
+    most SCAN_BLOCK indices at a time. Verdicts are kept per candidate, so a
+    limit check that repeats a declared candidate is free.
     """
 
     def __init__(self, exp: ExperimentSpec, lo: int | None = None, hi: int | None = None):
@@ -292,15 +292,6 @@ class _Stream:
         self._verdicts = {}  # (expr, candidate) -> ConvergenceVerdict
         self._classical = []  # (SequenceSpec, candidate, ConvergenceVerdict)
         self._models = {}  # the exact deviation pieces and float weights' models of its scans
-        self._bufs = None
-
-    def _buffers(self):
-        """The values, deviations and step-test block buffers, allocated at first use,
-        so that kept terms and weights are evaluated before."""
-        if self._bufs is None:
-            size = min(SCAN_BLOCK, self.hi - self.lo + 1)
-            self._bufs = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-        return self._bufs
 
     def _keep(self, kept: list, source, evaluate, start: int, first: int, last: int) -> np.ndarray:
         """evaluate(n) over [first, last]: a view of the array over [start, hi] that kept
@@ -336,15 +327,12 @@ class _Stream:
         return {"self": (exp.sequence,), "partner": (exp.partner,)}.get(expr, (exp.sequence, exp.partner))
 
     def values(self, expr: str, first: int, last: int) -> np.ndarray:
-        """The stream of expr over [first, last]; a sum or product is built in the values buffer."""
+        """The stream of expr over [first, last]."""
         seqs = self._sequences(expr)
         if len(seqs) == 1:
             return self.terms(seqs[0], first, last)
         combine = np.add if expr == "sum" else np.multiply
-        a, b = (self.terms(s, first, last) for s in seqs)
-        # a sum or product past the float range is +-inf, as one term is; inf + -inf or inf * 0 is NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            return combine(a, b, out=self._buffers()[0][:a.size])
+        return combine(*(self.terms(s, first, last) for s in seqs))
 
     def deviation(self, expr, candidate, first, last, seq=None, signed=False):
         """(v_n, |v_n - candidate| w_n, w_n) over [first, last], at most SCAN_BLOCK indices.
@@ -352,21 +340,21 @@ class _Stream:
         Signed, the deviation is (v_n - candidate) w_n. w_n is the weight form
         assigned to (expr, candidate) at n, else the fallback membership at
         v_n - candidate. Given seq, v_n are its terms and w_n is None, weight
-        1: the classical deviation. The deviation lives in the block buffer,
-        and the values of a sum or a product in the values buffer.
+        1: the classical deviation.
         """
         exp = self.exp
-        values = self.values(expr, first, last) if seq is None else self.terms(seq, first, last)
         entry = None if seq is not None else exp.assigned(expr, candidate)
         w = None if entry is None else self.weights(expr, entry[2], first, last)
         shift = 0.0 if candidate is None else float(candidate)
-        dev = np.subtract(values, shift, out=self._buffers()[1][:values.size])
-        if seq is None and entry is None:
-            w = exp.ctx.mu.weight_many(dev)
-        if not signed:
-            np.abs(dev, out=dev)
-        if w is not None:
-            with np.errstate(invalid="ignore"):  # an infinite deviation at weight 0 is NaN
+        # a value past the float range is +-inf, and inf - inf and inf * 0 are NaN, which the scans refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values(expr, first, last) if seq is None else self.terms(seq, first, last)
+            dev = values - shift
+            if seq is None and entry is None:
+                w = exp.ctx.mu.weight_many(dev)
+            if not signed:
+                np.abs(dev, out=dev)
+            if w is not None:
                 dev *= w
         return values, dev, w
 
@@ -427,7 +415,7 @@ class _Stream:
             return _BlockPass(self, expr, candidate, n0, seq, ctx)
         from .exact import RationalScan  # on the first rational scan, so that `import mufield` stays without it
 
-        def window(first, last):  # a new pass each time: a pass holds a view of the shared buffer
+        def window(first, last):
             return _BlockPass(self, expr, candidate, first, seq, ctx, last)
 
         return RationalScan(*parts, float(candidate), n0, self.hi, ctx.eq_tol, ctx.min_mu, window, self._models)
@@ -495,7 +483,6 @@ class _BlockPass:
         self.rise = n0  # the last n > n0 with not dev[n] - dev[n - 1] <= eq_tol; n0 for none
         self.held = None  # (first index, deviations) of the EPS_BLOCK read last
         for n, _, dev, w in stream.blocks(expr, candidate, n0, seq, last=self.hi):
-            steps_buf, _, within_buf = stream._buffers()  # the scan reads no values
             starts = _EPS_STARTS[:-(-dev.size // EPS_BLOCK)]
             b = (n - n0) // EPS_BLOCK
             peaks = np.maximum.reduceat(dev, starts)
@@ -503,17 +490,16 @@ class _BlockPass:
                 self._refuse_nan(n + dev.size - 1)
             self.peaks[b:b + starts.size] = peaks
             if w is not None:  # an EPS_BLOCK count fits in 16 bits
-                zero = np.less_equal(w, ctx.min_mu, out=within_buf[:w.size])
-                self.low[b:b + starts.size] = np.add.reduceat(zero.view(np.uint8), starts, dtype=np.uint16)
+                zero = (w <= ctx.min_mu).view(np.uint8)
+                self.low[b:b + starts.size] = np.add.reduceat(zero, starts, dtype=np.uint16)
             with np.errstate(invalid="ignore"):  # inf - inf is a NaN step, which counts
                 if n > n0 and not dev[0] - prev <= eq_tol:
                     self.rise = n
-                steps = np.subtract(dev[1:], dev[:-1], out=steps_buf[:dev.size - 1])
-            within = np.less_equal(steps, eq_tol, out=within_buf[:steps.size])
+                within = dev[1:] - dev[:-1] <= eq_tol
             if not within.all():
-                self.rise = n + steps.size - int(np.argmin(within[::-1]))
+                self.rise = n + within.size - int(np.argmin(within[::-1]))
             prev = dev[-1]
-            del w  # fallback weights are a new array per block: free them before the next
+            del _, dev, w  # a block's arrays are its own: free them before the next is read
 
     def _refuse_nan(self, last: int):
         """Raise the DomainError that names the scan's first NaN deviation, at or before last;
@@ -541,7 +527,6 @@ class _BlockPass:
         k, r = divmod(first - self.n0, EPS_BLOCK)
         count = int(self.low[k + (r > 0):].sum())
         if r:
-            self.held = None  # the read below reuses the deviation buffer
             w = self.stream.deviation(*self.args, first, min(self.n0 + (k + 1) * EPS_BLOCK, self.hi + 1) - 1)[2]
             count += int(np.count_nonzero(w <= self.min_mu))
         return count
@@ -593,8 +578,10 @@ def seq_bounded_report(exp: ExperimentSpec, expr: str = "self", probe: float | N
 def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityCheckReport:
     """Certify that the scaled stream is nondecreasing and closes on its supremum.
 
-    Monotonicity is checked termwise with eq_tol slack, in one pass. When a
-    probe is given and the scaled stream exceeds it, the supremum-convergence
+    Monotonicity is checked termwise with eq_tol slack, in one pass that
+    stops at the first drop; a NaN scaled value before it has no order, so
+    it is refused with a DomainError naming its first index. When a probe is
+    given and the scaled stream exceeds it, the supremum-convergence
     conclusion is reported as precondition-unmet (the stream is not bounded
     within the probe, so the monotone-convergence statement has no content at
     horizon). Otherwise the residual is the final gap (sup - last) / (1 + |sup|).
@@ -605,10 +592,15 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
     sup = top = -math.inf
     prev = None  # the scaled value before the block
     for n, _, s, _ in _Stream(exp).blocks("self", None, signed=True):
-        steps = np.diff(s) if prev is None else np.diff(s, prepend=prev)
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN step, which is no drop
+            steps = np.diff(s) if prev is None else np.diff(s, prepend=prev)
         drops = np.flatnonzero(steps < -exp.ctx.eq_tol)
-        if drops.size:
-            j = int(drops[0]) - (prev is not None)  # the index of s before the drop, -1 for prev
+        j = int(drops[0]) - (prev is not None) if drops.size else s.size  # the index of s before the drop
+        nan = np.flatnonzero(np.isnan(s[:j + 1]))
+        if nan.size:
+            raise DomainError(f"monotone: the scaled value at n={n + int(nan[0])} is NaN in floating point,"
+                              " so it has no verdict")
+        if drops.size:  # j is -1 for a drop from prev
             k = n + j
             return _judged(exp.ctx, "monotone", (), float(s[j + 1]), float(prev if j < 0 else s[j]), math.inf,
                            (f"scaled stream decreases at n={k}",), first_violation_n=k)

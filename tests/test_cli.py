@@ -22,7 +22,9 @@ OVERFLOWING_EVALS = [
     ("mu_log", "--z", "1.5e308,1.5e308"),
     ("mu_pow", "--base", "1.5e308,1.5e308", "--z", "1,0"),
     ("mu_pow", "--base", "2,0", "--z", "1,0", "--branch", str(10**400)),
+    ("mu_pow", "--base=-1", "--z", "1e308"),  # z Log a is 0 + inf i
 ]
+OVERFLOWING_IDS = ["mu_abs_c", "mu_log", "mu_pow-base", "mu_pow-branch", "mu_pow-exponent"]
 
 
 def run(capsys, *argv):
@@ -163,11 +165,17 @@ class TestEval:
         assert code == 1
         assert "undefined" in out
 
-    @pytest.mark.parametrize("argv", OVERFLOWING_EVALS, ids=["mu_abs_c", "mu_log", "mu_pow-base", "mu_pow-branch"])
+    @pytest.mark.parametrize("argv", OVERFLOWING_EVALS, ids=OVERFLOWING_IDS)
     def test_an_operand_past_the_float_range_is_exit_1(self, capsys, argv):
         code, out, _ = run(capsys, "eval", *argv)
         assert code == 1
         assert out.startswith(f"eval {argv[0]}: ")
+
+    @pytest.mark.parametrize("argv", OVERFLOWING_EVALS, ids=OVERFLOWING_IDS)
+    def test_an_operand_past_the_float_range_is_status_1_in_the_envelope(self, capsys, argv):
+        code, out, err = run(capsys, "--json", "eval", *argv)
+        env = json.loads(out)
+        assert (code, err, env["status"], env["body"]["op"]) == (1, "", 1, argv[0])
 
     def test_the_entry_point_exits_1_without_a_traceback(self):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -222,6 +230,22 @@ class TestConverge:
             assert (done.returncode, done.stdout) == (1, "")
             assert done.stderr == "error: self -> 0.5: the deviation at n=1 is NaN in floating point, so it has no verdict\n"
             assert not trace.exists()
+
+    def test_a_deviation_past_the_float_range_warns_nothing(self, tmp_path):
+        # 1e308 - -1e308 overflows to inf: numpy printed an overflow warning from the subtraction
+        doc = {"sequence": {"form": "table", "params": {"points": {"1": 1e308, "2": 1e308, "3": 1e308}},
+                            "n_min": 1, "n_max": 3}, "horizon": 3, "candidates": [-1e308]}
+        spec, trace = tmp_path / "exp.json", tmp_path / "trace.csv"
+        spec.write_text(json.dumps(doc))
+        argv = [sys.executable, "-W", "error", "-m", "mufield", "--json", "converge", str(spec)]
+        for extra in ([], ["--trace", str(trace)]):
+            done = subprocess.run(argv + extra, capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)})
+            assert (done.returncode, done.stderr) == (0, "")
+            (verdict,) = json.loads(done.stdout)["body"]["verdicts"]
+            assert verdict["verdict"] == "refuted-at-horizon"
+            assert [n for _, n in verdict["eps_table"]] == [None] * 6
+        assert trace.read_text().splitlines()[1:] == [f"{n},1e+308,1.0,inf" for n in (1, 2, 3)]
 
     def test_runs_and_reports_n_table(self, capsys, experiment_path):
         code, out, _ = run(capsys, "converge", experiment_path)

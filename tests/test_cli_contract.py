@@ -1,4 +1,4 @@
-"""The CLI contract, checked on generated argv: for now, for `identities` and `axioms`.
+"""The CLI contract, checked on generated argv: for `identities`, `axioms`, `eval` and `converge`.
 
 Every call of `main` exits 0, 1 or 2 and lets no exception out. A refusal
 prints exactly one stderr line, starting with `error:`, and nothing on
@@ -9,7 +9,10 @@ indent and sorted keys, it reads the same. No warning is printed. For
 `identities`, stdout is the same whether the sweep may fork its helper or
 not: the helper is forced on for every sweep of two ids or more by a fork
 threshold of 0 trials. For `axioms`, the membership specs and sample lists
-are drawn from README's grammar, numbers from the edge pool.
+are drawn from README's grammar, numbers from the edge pool; for `eval`, the
+operands from the edge pool, and for `converge`, the experiment specs from
+README's grammar with horizons up to 3,000. The faults these generators
+found are pinned as examples.
 """
 
 import contextlib
@@ -19,7 +22,7 @@ import os
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mufield import cli
 from mufield.registry import REGISTRY
@@ -86,6 +89,11 @@ def mostly(valid, invalid):
     return st.sampled_from(range(6)).flatmap(lambda i: invalid if i == 5 else valid)
 
 
+def rarely(valid, invalid):
+    """valid 23 times in 24, for a field of which a document holds many."""
+    return st.sampled_from(range(24)).flatmap(lambda i: invalid if i == 23 else valid)
+
+
 NUMBERS = mostly(st.one_of(st.floats(-30, 30), st.sampled_from([0.0, -0.0, 1.0, 0.25, 1e-9, 5e-324, 1e200])),
                  st.sampled_from(EDGE_NUMBERS))
 WEIGHTS = mostly(st.one_of(st.sampled_from([1, 0.5, 0]), st.floats(0, 1)), st.sampled_from(["nan", 1.5, -0.5, "x"]))
@@ -131,13 +139,10 @@ SAMPLES = mostly(st.one_of(st.lists(NUMBERS, min_size=1, max_size=60),
                  st.sampled_from([{}, [[1, 2]], "3", []]))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(SPECS, SAMPLES, st.booleans())
-def test_axioms_keeps_the_cli_contract(tmp_path_factory, spec, samples, as_json):
-    where = tmp_path_factory.mktemp("axioms")
-    (where / "mu.json").write_text(json.dumps(spec))
-    (where / "samples.json").write_text(json.dumps(samples))
-    argv = (["--json"] if as_json else []) + ["axioms", str(where / "mu.json"), "--samples", str(where / "samples.json")]
+def keeps_the_contract(argv) -> tuple:
+    """(exit code, stdout, envelope or None) of main(argv), held to the contract: exit 0, 1
+    or 2, no warning, a refusal one `error:` line on stderr and nothing on stdout, and a
+    --json envelope that parses, has the exit code as its status and is its own re-dump."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -148,10 +153,140 @@ def test_axioms_keeps_the_cli_contract(tmp_path_factory, spec, samples, as_json)
     assert [str(w.message) for w in caught] == []
     if err or code == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
-    elif as_json:
-        env = json.loads(out)
-        assert env["status"] == code
-        assert json.dumps(env, indent=2, sort_keys=True) + "\n" == out
+        return code, out, None
+    if "--json" not in argv:
+        return code, out, None
+    env = json.loads(out)
+    assert env["status"] == code
+    assert json.dumps(env, indent=2, sort_keys=True) + "\n" == out
+    return code, out, env
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(SPECS, SAMPLES, st.booleans())
+def test_axioms_keeps_the_cli_contract(tmp_path_factory, spec, samples, as_json):
+    where = tmp_path_factory.mktemp("axioms")
+    (where / "mu.json").write_text(json.dumps(spec))
+    (where / "samples.json").write_text(json.dumps(samples))
+    argv = (["--json"] if as_json else []) + ["axioms", str(where / "mu.json"), "--samples", str(where / "samples.json")]
+    code, out, env = keeps_the_contract(argv)
+    if env is not None:
         assert (code == 1) == (not all(env["body"]["verdicts"].values()))
-    else:
+    elif out:
         assert (code == 1) == ("FAIL" in out)
+
+
+# the operands of eval: the edge pool, as the flags spell numbers, and now and then one
+# that no flag reads
+EDGE_POOL = ["0", "-0.0", "5e-324", "1e-300", "1e200", "-1e200", "1e308", "-1e308", "1.5e308", "-1.5e308",
+             "709", "710", "1", "-1", "0.5"]
+POOL = mostly(st.sampled_from(EDGE_POOL), st.sampled_from(EDGE_NUMBERS))
+PAIRS = st.one_of(POOL, st.tuples(POOL, POOL).map(",".join))
+EVAL_FLAGS = {
+    "a": POOL, "b": POOL, "z": PAIRS, "base": PAIRS,
+    "set": st.lists(POOL, min_size=1, max_size=4).map(",".join),
+    "branch": st.sampled_from(["1", "-1", "3", str(10**400), "x"]),
+}
+
+
+@st.composite
+def eval_argv(draw):
+    """eval OP with, five times in six, exactly the flags OP reads, else any of them."""
+    op = draw(st.sampled_from(sorted(cli._EVAL_OPS)))
+    needs = cli._EVAL_OPS[op][0]
+    argv = ["eval", op]
+    for flag, values in EVAL_FLAGS.items():
+        if draw(mostly(st.just(flag in needs), st.booleans())):
+            argv.append(f"--{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(eval_argv(), st.sampled_from(range(3)).flatmap(lambda i: SPECS if i == 0 else st.none()), st.sampled_from([None, "1e-9", "1e-3"]), st.booleans())
+@example(["eval", "mu_pow", "--base=-1", "--z=1e308"], None, None, False)  # 0 + inf i was a ValueError
+@example(["eval", "mu_pow", "--base=-1", "--z=1e308"], None, None, True)
+def test_eval_keeps_the_cli_contract(tmp_path_factory, argv, spec, tol, as_json):
+    if spec is not None:
+        path = tmp_path_factory.mktemp("eval") / "mu.json"
+        path.write_text(json.dumps(spec))
+        argv = argv + ["--mu", str(path)]
+    argv = (["--json"] if as_json else []) + ([] if tol is None else [f"--tol={tol}"]) + argv
+    code, out, env = keeps_the_contract(argv)
+    if code == 1 and env is None:  # a domain error, named with its op
+        assert out.startswith(f"eval {argv[argv.index('eval') + 1]}: ") and out.count("\n") == 1
+    if env is not None:
+        assert ("error" in env["body"]) == (code == 1)
+
+
+# the experiment grammar of README: a sequence of every form, a partner, tags of every
+# expression, candidates bare or by expression, an eps schedule, a fallback membership
+# spec and tolerances; numbers from the edge pool
+SPEC_NUMBERS = rarely(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e200, -1e200, 1e308, -1e308, 1.5e308, -1.5e308,
+                                       709.0, 710.0, 1.0, -1.0, 0.5, 2.0, 3.0]),
+                      st.sampled_from(["x", None, [1.0], True]))
+SEQUENCE_PARAMS = {
+    "log_plus": st.fixed_dictionaries({"c": SPEC_NUMBERS}),
+    "exp_plus": st.fixed_dictionaries({"c": SPEC_NUMBERS}),
+    "sq_ratio": st.just({}),
+    "moebius": st.fixed_dictionaries({k: SPEC_NUMBERS for k in "abcd"}),
+    "constant": st.fixed_dictionaries({"value": SPEC_NUMBERS}),
+}
+
+
+@st.composite
+def sequences(draw, horizon):
+    """A sequence whose range holds the horizon almost always, of a form whose cap it
+    stays under; a table repeats a few drawn points over its whole range."""
+    forms = sorted(SEQUENCE_PARAMS) + ["table"]
+    form = draw(st.sampled_from([f for f in forms if f != "exp_plus" or horizon <= 700]))
+    n_min = draw(rarely(st.sampled_from([1, 2]), st.just(0)))
+    n_max = max(n_min, horizon) + draw(rarely(st.sampled_from([0, 3]), st.just(-1)))
+    if form == "table":
+        points = draw(st.lists(SPEC_NUMBERS, min_size=1, max_size=4))
+        params = {"points": {str(n): points[n % len(points)] for n in range(n_min, n_max + 1)}}
+    else:
+        params = draw(SEQUENCE_PARAMS[form])
+    return {"form": form, "params": params, "n_min": n_min, "n_max": n_max}
+
+
+@st.composite
+def experiments(draw):
+    horizon = draw(st.sampled_from([1, 2, 5, 40, 700, 3000]))
+    doc = {"sequence": draw(sequences(horizon)), "horizon": horizon}
+    if draw(st.booleans()):
+        doc["partner"] = draw(sequences(horizon))
+    exprs = ["self", "partner", "sum", "product"] if "partner" in doc else ["self"]
+    EXPRS = rarely(st.sampled_from(exprs), st.sampled_from(["ratio", "partner"]))
+    tags = st.tuples(EXPRS, st.sampled_from(["", "_minus:1.0", "_minus:0.5"])).map("".join)
+    doc["mu"] = draw(st.dictionaries(tags, st.one_of(WEIGHTS, WEIGHT_FORMS), max_size=2))
+    doc["candidates"] = draw(st.lists(st.one_of(SPEC_NUMBERS, st.fixed_dictionaries(
+        {"expr": EXPRS, "value": SPEC_NUMBERS})), min_size=draw(rarely(st.just(1), st.just(0))), max_size=3))
+    if draw(st.booleans()):
+        doc["eps"] = draw(mostly(st.lists(st.sampled_from([0.5, 0.1, 1e-3, 1e-6]), min_size=1, max_size=3),
+                                 st.sampled_from([[], [0.0], [-1.0]])))
+    if draw(st.sampled_from(range(3))) == 0:
+        doc["fallback_mu"] = draw(SPECS)
+    if draw(st.booleans()):
+        doc["tolerances"] = {"eq_tol": draw(TOLS), "min_mu": draw(mostly(st.sampled_from([1e-12, 0.25]), TOLS))}
+    return doc
+
+
+# every term is 1e308, 2e308 away from the candidate: 1e308 - -1e308 overflowed with a warning
+OVERFLOWING_DEVIATION = {"sequence": {"form": "table", "params": {"points": {"1": 1e308, "2": 1e308, "3": 1e308}},
+                                      "n_min": 1, "n_max": 3}, "horizon": 3, "candidates": [-1e308]}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(experiments(), st.sampled_from([None, None, "", "", "self:0", "sum:1", "self:x"]), st.booleans())
+@example(OVERFLOWING_DEVIATION, None, False)
+@example(OVERFLOWING_DEVIATION, "", True)
+def test_converge_keeps_the_cli_contract(tmp_path_factory, doc, target, as_json):
+    where = tmp_path_factory.mktemp("converge")
+    (where / "exp.json").write_text(json.dumps(doc))
+    argv = (["--json"] if as_json else []) + ["converge", str(where / "exp.json")]
+    if target is not None:  # "" traces the first candidate
+        argv += ["--trace", str(where / "trace.csv")] + ([f"--trace-target={target}"] if target else [])
+    code, out, env = keeps_the_contract(argv)
+    assert code != 1 or env is not None or out == ""  # converge fails only by refusing
+    if code == 0 and target is not None:
+        assert (where / "trace.csv").read_text().startswith("n,term,membership,scaled_deviation\n")

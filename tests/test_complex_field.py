@@ -158,6 +158,17 @@ class TestOperations:
         with pytest.raises(DomainError, match="branch"):
             evaluate(FieldContext(), 2 + 0j, 1 + 0j, branch=10**400)
 
+    # z Log a = 1e308 pi i is 0 + inf i: its real part is within the guard, and cmath.exp raised a ValueError
+    @pytest.mark.parametrize("evaluate", [
+        lambda ctx: mu_pow(ctx, -1 + 0j, 1e308 + 0j),
+        lambda ctx: mu_pow_forms(ctx, -1 + 0j, 1e308 + 0j),
+        lambda ctx: check_complex_identity(ctx, "P1", [-1 + 0j, 1e308 + 0j, 0j]),
+        lambda ctx: check_complex_identity(ctx, "P1_additive", [-1 + 0j, 1e308 + 0j, 0j]),
+    ], ids=["mu_pow", "mu_pow_forms", "P1", "P1_additive"])
+    def test_an_exponent_past_the_float_range_is_a_range_guard_error(self, evaluate):
+        with pytest.raises(RangeGuardError, match=re.escape("z log a = infj is not finite")):
+            evaluate(FieldContext())
+
 
 class TestArgK:
     def test_negative_reals(self):

@@ -191,9 +191,7 @@ class ArrayStream(_Stream):
         self.reads.append((first, last))
         dev, weights = self.arrays
         i, j = first - self.n0, last - self.n0 + 1
-        out = self._buffers()[1][:j - i]
-        out[:] = dev[i:j]
-        return None, out, None if seq is not None else weights[i:j]
+        return None, dev[i:j].copy(), None if seq is not None else weights[i:j]
 
     def scan(self):
         """The verdict fields the scan computes, and the reads past its one pass."""

@@ -97,8 +97,13 @@ REFUSALS = [
     (lambda: check_complex_identity(CTX, "L1", [0j, 1 + 0j]), DomainError, "L1 needs nonzero operands"),
     (lambda: check_complex_identity(CTX, "P1", [0j, 1 + 0j, 1 + 0j]), DomainError, "P1 needs a != 0"),
     (lambda: check_complex_identity(CTX, "P2", [1 + 0j, 0j, 1 + 0j]), DomainError, "P2 needs nonzero bases"),
-    # registry
+    # registry; an operand that does not convert was a raw TypeError or ValueError
     (lambda: check_identity(CTX, "Z9", [1.0]), UsageError, "unknown identity 'Z9'"),
+    (lambda: check_identity(CTX, "O1", [1 + 1j]), UsageError, "identity O1: operand 1 is not a real number, got (1+1j)"),
+    (lambda: check_real_identity(CTX, "O3", [1.0, "x"]), UsageError, "identity O3: operand 2 is not a real number, got 'x'"),
+    (lambda: check_complex_identity(CTX, "C1", ["x"]), UsageError,
+     "identity C1: operand 1 is not a complex number, got 'x'"),
+    (lambda: check_real_identity(CTX, "O1", [float("nan")]), DomainError, "operand nan is not finite"),
 ]
 
 

@@ -335,6 +335,30 @@ class TestMonotone:
         no_probe = check_monotone(self._exp(seq, horizon=2000, assignment=assignment))
         assert no_probe.verdict == PASS  # finite-horizon sup is the last term
 
+    def test_an_infinite_step_warns_nothing(self):
+        # every term is inf in floating point: numpy printed an invalid value warning on inf - inf
+        seq = SequenceSpec("moebius", {"a": 1e308, "b": 1e308, "c": 1.0, "d": 0.0}, 1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_monotone(self._exp(seq, horizon=5))
+        assert (rep.lhs, rep.rhs) == (math.inf, math.inf)
+
+    def test_a_nan_scaled_value_is_refused(self):
+        # every term is exactly 1 but inf / inf in floating point: the check failed with residual NaN
+        seq = SequenceSpec("moebius", {"a": 1e308, "b": 1e308, "c": 1e308, "d": 1e308}, 1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape("monotone: the scaled value at n=1 is NaN")):
+                check_monotone(self._exp(seq, horizon=5))
+
+    def test_a_nan_after_the_first_drop_does_not_refuse_it(self):
+        # terms 0, -inf, -inf, -inf at weights (n - 3)^2 / 1000: scaled 0, -inf, NaN, -inf. The
+        # drop at n=1 is between two numbers, so it fails the check whatever follows
+        seq = SequenceSpec("moebius", {"a": -1e308, "b": 1e308, "c": 1.0, "d": 0.0}, 1, 4)
+        assignment = (("self", None, WeightForm("rational_poly", {"p": [9, -6, 1], "q": [1000]})),)
+        rep = check_monotone(self._exp(seq, horizon=4, assignment=assignment))
+        assert rep.verdict == FAIL and rep.details["first_violation_n"] == 1
+
 
 class TestRunExperiment:
     def test_crisp_limit_arithmetic(self):
