@@ -404,8 +404,10 @@ def _dispatch(ctx, ident, operands, domain, table, convert) -> IdentityCheckRepo
     for i, v in enumerate(operands, 1):
         try:
             ops.append(convert(v))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise UsageError(f"identity {ident}: operand {i} is not a {domain} number, got {v!r}") from None
+        except OverflowError:  # an int past the float range
+            raise DomainError(f"identity {ident}: operand {i} is past the float range") from None
         if not cmath.isfinite(ops[-1]):
             raise DomainError(f"operand {ops[-1]!r} is not finite")
     ops = tuple(ops)

@@ -140,9 +140,10 @@ SAMPLES = mostly(st.one_of(st.lists(NUMBERS, min_size=1, max_size=60),
 
 
 def keeps_the_contract(argv) -> tuple:
-    """(exit code, stdout, envelope or None) of main(argv), held to the contract: exit 0, 1
-    or 2, no warning, a refusal one `error:` line on stderr and nothing on stdout, and a
-    --json envelope that parses, has the exit code as its status and is its own re-dump."""
+    """(exit code, stdout, refused, envelope or None) of main(argv), held to the contract:
+    exit 0, 1 or 2, no warning, a refusal one `error:` line on stderr and nothing on
+    stdout, and a --json envelope that parses, has the exit code as its status and is its
+    own re-dump; the envelope is None for a refusal and in human mode."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -153,13 +154,13 @@ def keeps_the_contract(argv) -> tuple:
     assert [str(w.message) for w in caught] == []
     if err or code == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
-        return code, out, None
+        return code, out, True, None
     if "--json" not in argv:
-        return code, out, None
+        return code, out, False, None
     env = json.loads(out)
     assert env["status"] == code
     assert json.dumps(env, indent=2, sort_keys=True) + "\n" == out
-    return code, out, env
+    return code, out, False, env
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -169,10 +170,10 @@ def test_axioms_keeps_the_cli_contract(tmp_path_factory, spec, samples, as_json)
     (where / "mu.json").write_text(json.dumps(spec))
     (where / "samples.json").write_text(json.dumps(samples))
     argv = (["--json"] if as_json else []) + ["axioms", str(where / "mu.json"), "--samples", str(where / "samples.json")]
-    code, out, env = keeps_the_contract(argv)
+    code, out, refused, env = keeps_the_contract(argv)
     if env is not None:
         assert (code == 1) == (not all(env["body"]["verdicts"].values()))
-    elif out:
+    elif not refused:
         assert (code == 1) == ("FAIL" in out)
 
 
@@ -211,7 +212,7 @@ def test_eval_keeps_the_cli_contract(tmp_path_factory, argv, spec, tol, as_json)
         path.write_text(json.dumps(spec))
         argv = argv + ["--mu", str(path)]
     argv = (["--json"] if as_json else []) + ([] if tol is None else [f"--tol={tol}"]) + argv
-    code, out, env = keeps_the_contract(argv)
+    code, out, _, env = keeps_the_contract(argv)
     if code == 1 and env is None:  # a domain error, named with its op
         assert out.startswith(f"eval {argv[argv.index('eval') + 1]}: ") and out.count("\n") == 1
     if env is not None:
@@ -286,7 +287,7 @@ def test_converge_keeps_the_cli_contract(tmp_path_factory, doc, target, as_json)
     argv = (["--json"] if as_json else []) + ["converge", str(where / "exp.json")]
     if target is not None:  # "" traces the first candidate
         argv += ["--trace", str(where / "trace.csv")] + ([f"--trace-target={target}"] if target else [])
-    code, out, env = keeps_the_contract(argv)
+    code, out, _, env = keeps_the_contract(argv)
     assert code != 1 or env is not None or out == ""  # converge fails only by refusing
     if code == 0 and target is not None:
         assert (where / "trace.csv").read_text().startswith("n,term,membership,scaled_deviation\n")

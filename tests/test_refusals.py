@@ -104,6 +104,9 @@ REFUSALS = [
     (lambda: check_complex_identity(CTX, "C1", ["x"]), UsageError,
      "identity C1: operand 1 is not a complex number, got 'x'"),
     (lambda: check_real_identity(CTX, "O1", [float("nan")]), DomainError, "operand nan is not finite"),
+    (lambda: check_real_identity(CTX, "O1", [10**400]), DomainError, "identity O1: operand 1 is past the float range"),
+    (lambda: check_complex_identity(CTX, "C1", [1j, -10**400]), DomainError,
+     "identity C1: operand 2 is past the float range"),
 ]
 
 
