@@ -410,12 +410,11 @@ def _dispatch(ctx, ident, operands, domain, table, convert) -> IdentityCheckRepo
             raise DomainError(f"identity {ident}: operand {i} is past the float range") from None
         if not cmath.isfinite(ops[-1]):
             raise DomainError(f"operand {ops[-1]!r} is not finite")
-    ops = tuple(ops)
     if arity is not None and len(ops) != arity:
         raise UsageError(f"identity {ident} takes {arity} operand(s), got {len(ops)}")
     if arity is None and not ops:
         raise UsageError(f"identity {ident} needs at least one operand")
-    return fn(ctx, ops)
+    return fn(ctx, tuple(ops))
 
 
 def check_real_identity(ctx: FieldContext, ident: str, operands) -> IdentityCheckReport:
