@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from operator import add, mul, sub, truediv
 
-from .errors import DomainError, RangeGuardError
+from .errors import DomainError, RangeGuardError, UsageError, number, operand
 from .membership import FieldContext, mu_eval
 from .real_field import (
     IdentityCheckReport,
@@ -54,7 +54,7 @@ def _norm(z: complex) -> complex:
 def principal_arg(z: complex) -> float:
     """Argument in (-pi, pi]; exactly pi on the negative real axis. Just below the
     axis atan2 rounds the argument to -pi, which is read as pi."""
-    z = _norm(complex(z))
+    z = _norm(operand(z, "z", complex))
     if z == 0:
         raise DomainError("argument undefined at 0")
     arg = math.atan2(z.imag, z.real)
@@ -63,19 +63,19 @@ def principal_arg(z: complex) -> float:
 
 def mu_conj(ctx: FieldContext, z: complex) -> complex:
     """Conjugate scaled by the weight of z."""
-    z = complex(z)
+    z = operand(z, "z", complex)
     return z.conjugate() * mu_eval(ctx, z)
 
 
 def mu_abs_c(ctx: FieldContext, z: complex) -> float:
     """Modulus scaled by the weight of z."""
-    z = complex(z)
+    z = operand(z, "z", complex)
     return _modulus(z) * mu_eval(ctx, z)
 
 
 def mu_arg(ctx: FieldContext, z: complex) -> float:
     """Principal argument scaled by the weight of z; undefined at 0."""
-    z = complex(z)
+    z = operand(z, "z", complex)
     return principal_arg(z) * mu_eval(ctx, z)
 
 
@@ -91,7 +91,7 @@ def arg_k(z1: complex, z2: complex) -> int:
 
 def mu_exp(ctx: FieldContext, z: complex) -> complex:
     """Exponential scaled by the weight of z, guarded against overflow."""
-    z = complex(z)
+    z = operand(z, "z", complex)
     if abs(z.real) > EXP_RE_CAP:
         raise RangeGuardError(f"|Re z| = {abs(z.real)} exceeds the overflow guard {EXP_RE_CAP}")
     w = mu_eval(ctx, z)  # refuses a non-finite z, which cmath.exp would raise a ValueError on
@@ -99,7 +99,7 @@ def mu_exp(ctx: FieldContext, z: complex) -> complex:
 
 
 def principal_log(z: complex) -> complex:
-    z = _norm(complex(z))
+    z = _norm(operand(z, "z", complex))
     if z == 0:
         raise DomainError("logarithm undefined at 0")
     return complex(math.log(_modulus(z)), principal_arg(z))
@@ -107,13 +107,14 @@ def principal_log(z: complex) -> complex:
 
 def mu_log(ctx: FieldContext, z: complex) -> complex:
     """Principal logarithm scaled by the weight of z; undefined at 0."""
-    z = complex(z)
+    z = operand(z, "z", complex)
     return principal_log(z) * mu_eval(ctx, z)
 
 
 def _exponent(a: complex, z: complex, branch: int) -> complex:
     """w = z (Log a + 2 pi i branch), whose exp is a^z on that branch; refused unless
     it is finite, which cmath.exp needs, and its real part is within the overflow guard."""
+    branch = number(branch, "branch", int, UsageError)
     if a == 0:
         raise DomainError("power base must be nonzero")
     try:
@@ -134,7 +135,7 @@ def mu_pow(ctx: FieldContext, a: complex, z: complex, branch: int = 0) -> comple
     Branch 0 is the principal value exp(z Log a); branch b shifts the
     logarithm by 2 pi i b.
     """
-    a, z = complex(a), complex(z)
+    a, z = operand(a, "base", complex), operand(z, "exponent", complex)
     return cmath.exp(_exponent(a, z, branch)) * mu_eval(ctx, z)
 
 
@@ -153,7 +154,7 @@ def mu_pow_forms(ctx: FieldContext, a: complex, z: complex, branch: int = 0) -> 
     The forms agree only when w(z Log a) = w(z); the primary form weights by
     the exponent, the alternative weights by the whole product z Log a.
     """
-    a, z = complex(a), complex(z)
+    a, z = operand(a, "base", complex), operand(z, "exponent", complex)
     w = _exponent(a, z, branch)
     pv = cmath.exp(w)
     primary = pv * mu_eval(ctx, z)

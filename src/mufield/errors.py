@@ -19,7 +19,9 @@ never a raw TypeError and never silently dropped. The four reading rules:
    0, [], "" or null there is refused, and {} for the keys it lacks.
 
 check_eps is the one reader of an eps, from a document or from the API: a
-finite number > 0.
+finite number > 0. operand is the one reader of a number handed to a library
+function: a number of the wrong type there is a UsageError, an integer past
+the float range a DomainError.
 
 Value rules stay with the objects built: a moebius sequence, for one, refuses
 a pole in its index range, found from -d/c without evaluating a term.
@@ -69,12 +71,25 @@ def number(value, where: str, convert=float, error=SpecError):
     return out
 
 
+def operand(value, what: str, convert=float):
+    """convert(value), float or complex, for a number handed to a library function: a
+    UsageError naming what when it is not a number of that kind, a DomainError when it
+    is past the float range (an int such as 10**400). Whether it is finite is the caller's."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        kind = "real" if convert is float else "complex"
+        raise UsageError(f"{what} is not a {kind} number, got {value!r}") from None
+    except OverflowError:
+        raise DomainError(f"{what} is past the float range") from None
+
+
 def check_eps(eps, what: str) -> None:
     """Refuse an eps that is not a finite number > 0: a NaN eps would be met at once,
     an infinite one by everything."""
     try:
         ok = math.isfinite(eps) and eps > 0.0
-    except TypeError:
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
         ok = False
     if not ok:
         raise ValidationError(f"{what} must be a finite number > 0, got {eps!r}")

@@ -84,17 +84,20 @@ class ValueForm:
             raise SpecError(f"unknown value form {self.form!r}; known: {VALUE_FORM_IDS}")
         object.__setattr__(self, "params", read_params(self.form, self.params, _VALUE_FORM_PARAMS[self.form]))
 
-    def terms(self, n):
-        """Evaluate the form at n (scalar or array of indices)."""
-        p = self.params
+    def terms(self, n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate the form at an array of indices, into out when it is given
+        (a float array of n's shape, not overlapping n)."""
+        p, out = self.params, np.empty(n.shape) if out is None else out
         if self.form == "log_n_plus_c":
-            return np.log(n) + p["c"]
+            return np.add(np.log(n, out=out), p["c"], out=out)
         if self.form == "exp_n_plus_c":
-            return np.exp(n) + p["c"]
-        if self.form == "sq_ratio":
-            return (1.0 + 1.0 / n) ** 2
+            return np.add(np.exp(n, out=out), p["c"], out=out)
+        if self.form == "sq_ratio":  # (1 + 1/n)^2
+            np.add(1.0, np.divide(1.0, n, out=out), out=out)
+            return np.square(out, out=out)
         # moebius: (a n + b) / (c n + d)
-        return (p["a"] * n + p["b"]) / (p["c"] * n + p["d"])
+        np.add(np.multiply(p["a"], n, out=out), p["b"], out=out)
+        return np.divide(out, p["c"] * n + p["d"], out=out)
 
     def term_at(self, n: int) -> float:
         return float(self.terms(np.array([n], dtype=float))[0])

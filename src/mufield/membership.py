@@ -31,7 +31,8 @@ from typing import Union
 import numpy as np
 
 from .errors import (
-    DomainError, SpecError, UsageError, ValidationError, number, spec_array, spec_document, spec_object, spec_string,
+    DomainError, SpecError, UsageError, ValidationError, number, operand, spec_array, spec_document, spec_object,
+    spec_string,
 )
 from .forms import (
     ValueForm,
@@ -48,7 +49,8 @@ Scalar = Union[float, complex]
 
 
 def _require_finite(v: Scalar, what: str = "value") -> Scalar:
-    v = v if isinstance(v, complex) else float(v)
+    """v as a complex or else as a float, read by errors.operand; a DomainError when it is not finite."""
+    v = v if isinstance(v, complex) else operand(v, what)
     if not cmath.isfinite(v):
         raise DomainError(f"{what} must be finite, got {v!r}")
     return v
@@ -63,7 +65,7 @@ def _scalar(v, where: str) -> Scalar:
 
 
 def _unit_default(default) -> float:
-    w = float(default)
+    w = operand(default, "default weight")
     if not (0.0 <= w <= 1.0):
         raise ValidationError(f"default weight {default!r} out of [0, 1]")
     return w
@@ -149,7 +151,8 @@ class FamilyMatcher:
 
     The first lookup evaluates every member once and keeps the finite ones in
     one sorted table (non-finite members, past an exp overflow or at a
-    moebius pole, match nothing). A lookup is then one binary search and a
+    moebius pole, match nothing); members already in strictly monotone order
+    are not sorted. A lookup is then one binary search and a
     comparison of the two neighbours. Two float-equal members would make
     the nearest one ambiguous, so building the table refuses them. The index
     range is read as integers and tol as a finite number when it is built.
@@ -168,30 +171,54 @@ class FamilyMatcher:
     def _members(self) -> tuple:
         """The member table, built on first use and kept: the finite members
         ascending after one -inf and before two +inf sentinels, and each
-        one's n - n_min as int32 (-1 at the sentinels)."""
+        one's n - n_min as int32 (-1 at the sentinels).
+
+        The members are evaluated straight into the table. When they are all
+        finite and strictly increase, that is the table; when they strictly
+        decrease, it is reversed in place. Only members in any other order
+        are sorted."""
         table = getattr(self, "_table", None)
         if table is None:
+            size = max(self.n_max - self.n_min + 1, 0)
+            members = np.empty(size + 3)
+            members[0], members[-2:] = -np.inf, np.inf
+            terms = members[1:-2]
             with np.errstate(all="ignore"):
-                terms = self.form.terms(np.arange(self.n_min, self.n_max + 1, dtype=float))
-            order = np.argsort(terms, kind="stable")  # -inf first, then the finite, +inf and NaN last
-            start = np.count_nonzero(terms == -np.inf)
-            order = order[start:start + np.count_nonzero(np.isfinite(terms))]
-            members = np.full(order.size + 3, np.inf)
-            members[0] = -np.inf
-            np.take(terms, order, out=members[1:-2])
-            positions = np.full(order.size + 3, -1, dtype=np.int32)
-            positions[1:-2] = order
-            same = np.flatnonzero(members[1:] == members[:-1])
-            if same.size and members[same[0]] < np.inf:
-                k = int(same[0])
-                raise ValidationError(
-                    f"family {self.form.form} on [{self.n_min}, {self.n_max}]: the members at"
-                    f" n={self.n_min + int(positions[k])} and n={self.n_min + int(positions[k + 1])}"
-                    f" are both {float(members[k])!r}, so the nearest member is ambiguous"
-                )
+                self.form.terms(np.arange(self.n_min, self.n_max + 1, dtype=float), out=terms)
+            # a strictly ordered table has no equal neighbours; NaN compares false
+            if np.all(members[1:-1] > members[:-2]):  # -inf < first < ... < last < +inf
+                positions = np.arange(-1, size + 2, dtype=np.int32)
+                positions[-2:] = -1
+            elif -np.inf < terms[-1] and terms[0] < np.inf and np.all(terms[1:] < terms[:-1]):
+                terms[:] = terms[::-1]
+                positions = np.arange(size, -3, -1, dtype=np.int32)
+                positions[[0, -1]] = -1
+            else:
+                members, positions = self._sorted(terms)
             table = (members, positions)
             object.__setattr__(self, "_table", table)
         return table
+
+    def _sorted(self, terms: np.ndarray) -> tuple:
+        """The member table of terms in any order, by a stable sort; two
+        float-equal finite members are refused."""
+        order = np.argsort(terms, kind="stable")  # -inf first, then the finite, +inf and NaN last
+        start = np.count_nonzero(terms == -np.inf)
+        order = order[start:start + np.count_nonzero(np.isfinite(terms))]
+        members = np.full(order.size + 3, np.inf)
+        members[0] = -np.inf
+        np.take(terms, order, out=members[1:-2])
+        positions = np.full(order.size + 3, -1, dtype=np.int32)
+        positions[1:-2] = order
+        same = np.flatnonzero(members[1:] == members[:-1])
+        if same.size and members[same[0]] < np.inf:
+            k = int(same[0])
+            raise ValidationError(
+                f"family {self.form.form} on [{self.n_min}, {self.n_max}]: the members at"
+                f" n={self.n_min + int(positions[k])} and n={self.n_min + int(positions[k + 1])}"
+                f" are both {float(members[k])!r}, so the nearest member is ambiguous"
+            )
+        return members, positions
 
     def match_index(self, v: float) -> int | None:
         """The index whose member is nearest v within tol (the lower on a tie), or None."""
@@ -358,7 +385,7 @@ def crisp() -> MembershipFunction:
 def two_level(values, level: float, tol: float = 1e-9) -> MembershipFunction:
     """Weight 1 on the given finite set, the constant level elsewhere."""
     return MembershipFunction(
-        (MuRule(SetMatcher(tuple(values), tol), 1.0),), float(level)
+        (MuRule(SetMatcher(tuple(values), tol), 1.0),), level
     )
 
 
@@ -385,7 +412,7 @@ class FieldContext:
 
 
 def mu_eval(ctx: FieldContext, v: Scalar) -> float:
-    """Membership weight of v under ctx.mu; v must be finite."""
+    """Membership weight of v under ctx.mu; v must be a finite real or complex number."""
     if not (type(v) in (float, complex) and cmath.isfinite(v)):  # subclasses, e.g. np.float64, are converted
         v = _require_finite(v)
     return ctx.mu.weight(v)

@@ -35,7 +35,7 @@ from operator import add, mul, neg
 
 import numpy as np
 
-from .errors import DomainError, UsageError, ValidationError, check_eps, number
+from .errors import DomainError, UsageError, ValidationError, check_eps, number, operand
 from .membership import FieldContext, mu_eval
 
 PASS = "pass"
@@ -64,7 +64,9 @@ class ScaledValue:
 
 
 def scaled(ctx: FieldContext, a: float) -> float:
-    return ScaledValue.of(ctx, a).scaled
+    """The scaled value a w(a) of a real a, as ScaledValue.of computes it."""
+    w = mu_eval(ctx, a)
+    return operand(a, "value") * w
 
 
 def mu_compare(ctx: FieldContext, a: float, b: float) -> Ordering:
@@ -77,7 +79,7 @@ def mu_compare(ctx: FieldContext, a: float, b: float) -> Ordering:
 
 def mu_abs(ctx: FieldContext, a: float) -> float:
     """Weighted modulus |a| * w(a); zero at a = 0 regardless of the weight."""
-    a = float(a)
+    a = operand(a, "value")
     if a == 0.0:
         return 0.0
     return abs(a) * mu_eval(ctx, a)
@@ -143,7 +145,7 @@ def bounds_report(blocks, eq_tol, probe=None, n0=0, expr=None) -> BoundsReport:
 
 def mu_bounded_report(ctx: FieldContext, values, bound_probe: float | None = None) -> BoundsReport:
     """The bounds of a finite non-empty set, each value weighed by mu_eval."""
-    vals = [float(v) for v in values]
+    vals = _operands(values, "set member")
     if not vals:
         raise UsageError("an empty set has no scaled bounds")
     raw, w = np.array(vals), np.array([mu_eval(ctx, v) for v in vals])
@@ -244,7 +246,7 @@ def check_sup_characterization(
     residual 0 when every eps has a witness, inf otherwise.
     """
     probe = None if probe is None else number(probe, "probe", error=ValidationError)
-    vals = [float(v) for v in values]
+    vals = _operands(values, "set member")
     if not vals:
         raise UsageError("check_sup_characterization needs a non-empty set")
     eps_list = list(eps_schedule)
@@ -395,21 +397,29 @@ REAL_IDENTITIES = {
 }
 
 
+def _operands(values, what: str, convert=float) -> list:
+    """convert of each of values, an iterable of numbers: a UsageError when values is
+    not iterable, and the first that does not convert read by errors.operand as "what i"."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise UsageError(f"{what}s must be given as a list, got {values!r}") from None
+    try:
+        return list(map(convert, values))
+    except (TypeError, ValueError, OverflowError):  # the slow branch: name the first that does not convert
+        for i, v in enumerate(values, 1):
+            operand(v, f"{what} {i}", convert)
+        raise
+
+
 def _dispatch(ctx, ident, operands, domain, table, convert) -> IdentityCheckReport:
     """Look ident up in the domain's table, convert and vet the operands, run the check."""
     if ident not in table:
         raise UsageError(f"unknown {domain} identity {ident!r}; known: {sorted(table)}")
     _, arity, fn = table[ident]
-    ops = []
-    for i, v in enumerate(operands, 1):
-        try:
-            ops.append(convert(v))
-        except (TypeError, ValueError):
-            raise UsageError(f"identity {ident}: operand {i} is not a {domain} number, got {v!r}") from None
-        except OverflowError:  # an int past the float range
-            raise DomainError(f"identity {ident}: operand {i} is past the float range") from None
-        if not cmath.isfinite(ops[-1]):
-            raise DomainError(f"operand {ops[-1]!r} is not finite")
+    ops = _operands(operands, f"identity {ident}: operand", convert)
+    if not all(map(cmath.isfinite, ops)):
+        raise DomainError(f"operand {next(v for v in ops if not cmath.isfinite(v))!r} is not finite")
     if arity is not None and len(ops) != arity:
         raise UsageError(f"identity {ident} takes {arity} operand(s), got {len(ops)}")
     if arity is None and not ops:

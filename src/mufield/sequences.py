@@ -539,6 +539,7 @@ class _BlockPass:
 def scaled_deviation(exp: ExperimentSpec, expr: str, candidate: float, n: int) -> float:
     """|v_n - candidate| times the resolved weight at (v_n - candidate)."""
     candidate = number(candidate, "candidate", error=ValidationError)
+    n = number(n, "index", int, UsageError)
     if not (exp.n_start <= n <= exp.horizon):
         raise UsageError(f"index {n} outside [{exp.n_start}, {exp.horizon}]")
     _, dev, _ = _Stream(exp, n, n).deviation(expr, candidate, n, n)
@@ -579,8 +580,9 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
     """Certify that the scaled stream is nondecreasing and closes on its supremum.
 
     Monotonicity is checked termwise with eq_tol slack, in one pass that
-    stops at the first drop; a NaN scaled value before it has no order, so
-    it is refused with a DomainError naming its first index. When a probe is
+    stops at the first drop; a scaled value before it that is NaN or
+    infinite in floating point has no order, or no final gap, so it is
+    refused with a DomainError naming its first index. When a probe is
     given and the scaled stream exceeds it, the supremum-convergence
     conclusion is reported as precondition-unmet (the stream is not bounded
     within the probe, so the monotone-convergence statement has no content at
@@ -596,10 +598,11 @@ def check_monotone(exp: ExperimentSpec, probe: float | None = None) -> IdentityC
             steps = np.diff(s) if prev is None else np.diff(s, prepend=prev)
         drops = np.flatnonzero(steps < -exp.ctx.eq_tol)
         j = int(drops[0]) - (prev is not None) if drops.size else s.size  # the index of s before the drop
-        nan = np.flatnonzero(np.isnan(s[:j + 1]))
-        if nan.size:
-            raise DomainError(f"monotone: the scaled value at n={n + int(nan[0])} is NaN in floating point,"
-                              " so it has no verdict")
+        bad = np.flatnonzero(~np.isfinite(s[:j + 1]))
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(f"monotone: the scaled value at n={n + i} is {'NaN' if np.isnan(s[i]) else s[i]}"
+                              " in floating point, so it has no verdict")
         if drops.size:  # j is -1 for a drop from prev
             k = n + j
             return _judged(exp.ctx, "monotone", (), float(s[j + 1]), float(prev if j < 0 else s[j]), math.inf,

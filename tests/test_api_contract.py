@@ -3,7 +3,8 @@
 A call either returns or raises a MuFieldError; no other exception escapes,
 and no warning is printed. Numbers come from the edge pool, the finite edges
 of the CLI's pool plus the infinities and NaN, which only the library can be
-handed. Membership specs and experiment documents are drawn from README's
+handed; one in four is a value of another type (a string, None, an int past
+the float range, and a complex value where a real one is read). Membership specs and experiment documents are drawn from README's
 grammar by the generators of the CLI contract; a context, a sequence or an
 experiment is built inside the call, so a refusal to build one is held to
 the same rule. The faults these calls found are pinned as examples.
@@ -24,9 +25,18 @@ from mufield.complex_field import COMPLEX_IDENTITIES
 from mufield.sequences import _parse_sequence
 from test_cli_contract import SPECS, experiments, rarely, sequences
 
-REALS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e200, -1e200, 1e308, -1e308, 1.5e308, -1.5e308,
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e200, -1e200, 1e308, -1e308, 1.5e308, -1.5e308,
                          709.0, 710.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan])
-SCALARS = st.one_of(REALS, st.builds(complex, REALS, REALS))
+
+
+def sometimes(valid, wrong):
+    """valid 3 times in 4, else wrong: a value of another type than the argument takes."""
+    return st.sampled_from(range(4)).flatmap(lambda i: wrong if i == 3 else valid)
+
+
+# a real-only argument is also drawn as a string, a complex value, None or an int past the float range
+REALS = sometimes(EDGES, st.sampled_from(["x", "1.5", 1 + 1j, None, 10**400]))
+SCALARS = sometimes(st.one_of(EDGES, st.builds(complex, EDGES, EDGES)), st.sampled_from(["x", "1+2j", None, 10**400]))
 OPERANDS = st.lists(rarely(SCALARS, st.sampled_from(["x", None, "1+2j", 10**400])), max_size=4)
 SETS = st.lists(REALS, max_size=5)
 PROBES = st.one_of(st.none(), REALS)
@@ -89,8 +99,8 @@ CALLS = {
     "mu_exp": st.tuples(CTX, SCALARS),
     "mu_inf": st.tuples(CTX, SETS),
     "mu_log": st.tuples(CTX, SCALARS),
-    "mu_pow": st.tuples(CTX, SCALARS, SCALARS, st.sampled_from([0, 1, -1, 10**400])),
-    "mu_pow_forms": st.tuples(CTX, SCALARS, SCALARS, st.sampled_from([0, 1, -1, 10**400])),
+    "mu_pow": st.tuples(CTX, SCALARS, SCALARS, st.sampled_from([0, 1, -1, 10**400, 0.5, "x"])),
+    "mu_pow_forms": st.tuples(CTX, SCALARS, SCALARS, st.sampled_from([0, 1, -1, 10**400, 0.5, "x"])),
     "mu_summary": st.tuples(CTX, SETS),
     "mu_sup": st.tuples(CTX, SETS),
     "parse_mu_spec": st.tuples(SPECS),
@@ -100,7 +110,7 @@ CALLS = {
     "run_identity_sweep": st.tuples(st.lists(IDS, max_size=3), st.integers(0, 4), st.integers(-5, 5),
                                     st.sampled_from([0.08, 0.0, 1.0, 1.5, math.nan]), st.one_of(st.none(), MU),
                                     st.sampled_from([1e-9, 0.0, math.inf])),
-    "scaled_deviation": st.tuples(EXP, EXPRS, REALS, st.sampled_from([0, 1, 2, 40, 3000, 3001])),
+    "scaled_deviation": st.tuples(EXP, EXPRS, REALS, st.sampled_from([0, 1, 2, 40, 3000, 3001, 1.5, "x"])),
     "seq_bounded_report": st.tuples(EXP, EXPRS, PROBES),
     "serialize_experiment": st.tuples(EXP),
     "serialize_mu_spec": st.tuples(MU),
@@ -129,13 +139,18 @@ PINNED = {
     "mu_pow_forms": [(ctx(), -1 + 0j, 1e308 + 0j, 0)],
     # operands that do not convert raised a TypeError or a ValueError; P1's exponent is 0 + inf i
     "check_identity": [(ctx(), "O1", [1 + 1j])],
-    "check_real_identity": [(ctx(), "O1", ["x"])],
+    "check_real_identity": [(ctx(), "O1", ["x"]), (ctx(), "O1", 5)],
     "check_complex_identity": [(ctx(), "C1", ["x"]), (ctx(), "P1", [-1 + 0j, 1e308 + 0j, 0j])],
     # an inf - inf step printed a warning; terms NaN in floats but exactly 1 failed with residual NaN
     "check_monotone": [(exp({"sequence": {"form": "moebius", "params": {"a": 1e308, "b": 1e308, "c": 1, "d": 0},
                                           "n_min": 1, "n_max": 5}, "horizon": 5}), None),
                        (exp({"sequence": {"form": "moebius", "params": dict.fromkeys("abcd", 1e308),
                                           "n_min": 1, "n_max": 5}, "horizon": 5}), None)],
+    # a number of the wrong type raised a ValueError or a TypeError
+    "mu_eval": [(ctx(), "x")],
+    "mu_exp": [(ctx(), "x")],
+    "mu_abs": [(ctx(), 1 + 1j)],
+    "mu_sup": [(ctx(), [1 + 1j])],
     # 1e308 - -1e308 overflowed with a warning
     "mu_converges": [(exp({"sequence": {"form": "table", "params": {"points": dict.fromkeys("123", 1e308)},
                                         "n_min": 1, "n_max": 3}, "horizon": 3}), "self", -1e308)],

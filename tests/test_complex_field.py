@@ -158,6 +158,17 @@ class TestOperations:
         with pytest.raises(DomainError, match="branch"):
             evaluate(FieldContext(), 2 + 0j, 1 + 0j, branch=10**400)
 
+    # branch 0.5 was taken as a shift of pi i: mu_pow(ctx, 2, 1, branch=0.5) returned -2 + 2.4e-16j
+    @pytest.mark.parametrize("evaluate", [mu_pow, mu_pow_forms], ids=["mu_pow", "mu_pow_forms"])
+    @pytest.mark.parametrize("branch", [0.5, "x", None, True])
+    def test_a_branch_that_is_not_an_integer_is_a_usage_error(self, evaluate, branch):
+        with pytest.raises(UsageError, match=re.escape(f"branch: expected an integer, got {branch!r}")):
+            evaluate(FieldContext(), 2 + 0j, 1 + 0j, branch=branch)
+
+    def test_an_integral_branch_of_another_type_is_read_as_an_integer(self):
+        ctx = FieldContext()
+        assert mu_pow(ctx, 1 + 0j, 1j, branch=1.0) == mu_pow(ctx, 1 + 0j, 1j, branch=1)
+
     # z Log a = 1e308 pi i is 0 + inf i: its real part is within the guard, and cmath.exp raised a ValueError
     @pytest.mark.parametrize("evaluate", [
         lambda ctx: mu_pow(ctx, -1 + 0j, 1e308 + 0j),

@@ -144,6 +144,78 @@ def test_family_range_cap(capsys, tmp_path):
     assert "log_n_plus_c on [1, 2000001]" in err and f"cap of {MAX_FAMILY_MEMBERS}" in err
 
 
+def reference_table(m: FamilyMatcher) -> tuple:
+    """The member table by a stable argsort of the finite members: one -inf sentinel,
+    the finite members ascending, two +inf sentinels, and each one's n - n_min (-1 at
+    the sentinels) as int32."""
+    with np.errstate(all="ignore"):
+        terms = m.form.terms(np.arange(m.n_min, m.n_max + 1, dtype=float))
+    finite = np.flatnonzero(np.isfinite(terms))
+    order = finite[np.argsort(terms[finite], kind="stable")]
+    members = np.concatenate(([-np.inf], terms[order], [np.inf, np.inf]))
+    return members, np.concatenate(([-1], order, [-1, -1])).astype(np.int32)
+
+
+_small = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _table_families(draw):
+    """Families of all four forms: increasing and decreasing moebius, a moebius pole
+    inside the range (at an index or between two), exp_n_plus_c past its overflow at
+    n ~ 709.78, and ranges of up to a few thousand members."""
+    kind = draw(st.sampled_from(["log_n_plus_c", "exp_n_plus_c", "sq_ratio", "moebius"]))
+    n_min = draw(st.integers(1, 800 if kind == "exp_n_plus_c" else 50))
+    n_max = n_min + draw(st.one_of(st.integers(0, 40), st.integers(1000, 4000)))
+    if kind == "moebius":
+        pole = draw(st.integers(n_min - 5, n_max + 5)) + draw(st.sampled_from([0.0, 0.5]))
+        c = draw(_small)
+        params = {"a": draw(_small), "b": draw(_small), "c": c, "d": -pole * c if c else draw(_small)}
+    elif kind == "sq_ratio":
+        params = {}
+    else:
+        params = {"c": draw(_small)}
+    return FamilyMatcher(ValueForm(kind, params), n_min, n_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_families())
+def test_member_table_is_the_stable_argsort_table(m):
+    members, positions = reference_table(m)
+    if np.any(members[1:-2][1:] == members[1:-2][:-1]):  # float-equal finite members are refused
+        with pytest.raises(ValidationError, match="nearest member is ambiguous"):
+            m._members()
+        return
+    got = m._members()
+    assert (got[0].tobytes(), got[1].tobytes()) == (members.tobytes(), positions.tobytes())
+
+
+@pytest.mark.parametrize("form", [
+    ValueForm("log_n_plus_c", {"c": 0.5}),  # increasing
+    ValueForm("sq_ratio", {}),  # decreasing
+    ValueForm("moebius", {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}),  # decreasing
+], ids=lambda f: f.form)
+def test_a_family_in_order_is_not_sorted(monkeypatch, form):
+    m = FamilyMatcher(form, 1, 100_000)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.argsort called on members already in order")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "argsort", no_sort)
+        members, positions = m._members()
+    want = reference_table(m)
+    assert (members.tobytes(), positions.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+
+
+def test_float_equal_members_are_refused_by_name():
+    m = FamilyMatcher(ValueForm("moebius", {"a": 0.0, "b": 1.0, "c": 0.0, "d": 1.0}), 1, 50)
+    with pytest.raises(ValidationError) as raised:
+        m.match_index(1.0)
+    assert str(raised.value) == ("family moebius on [1, 50]: the members at n=1 and n=2 are both 1.0,"
+                                 " so the nearest member is ambiguous")
+
+
 def test_member_table_is_built_on_first_lookup():
     m = FamilyMatcher(ValueForm("moebius", {"a": 0.0, "b": 1.0, "c": 0.0, "d": 1.0}), 1, 50)
     MembershipFunction([MuRule(m, 1.0)], 0.0)  # building the function does not build the table

@@ -32,10 +32,16 @@ from mufield import (
     check_real_identity,
     check_sup_characterization,
     load_mu_spec,
+    min_index_for_epsilon,
+    mu_abs,
+    mu_eval,
+    mu_exp,
     mu_pow,
     mu_pow_forms,
+    mu_sup,
     run_experiment,
     scaled_deviation,
+    two_level,
 )
 from mufield.forms import parse_weight_form
 from mufield.real_field import UNMET
@@ -107,6 +113,17 @@ REFUSALS = [
     (lambda: check_real_identity(CTX, "O1", [10**400]), DomainError, "identity O1: operand 1 is past the float range"),
     (lambda: check_complex_identity(CTX, "C1", [1j, -10**400]), DomainError,
      "identity C1: operand 2 is past the float range"),
+    # a number of the wrong type handed to a public function was a raw TypeError or ValueError
+    (lambda: mu_eval(CTX, "x"), UsageError, "value is not a real number, got 'x'"),
+    (lambda: mu_eval(CTX, 10**400), DomainError, "value is past the float range"),
+    (lambda: mu_exp(CTX, "x"), UsageError, "z is not a complex number, got 'x'"),
+    (lambda: mu_abs(CTX, 1 + 1j), UsageError, "value is not a real number, got (1+1j)"),
+    (lambda: mu_sup(CTX, [1.0, 1 + 1j]), UsageError, "set member 2 is not a real number, got (1+1j)"),
+    (lambda: mu_sup(CTX, 5), UsageError, "set members must be given as a list, got 5"),
+    (lambda: check_real_identity(CTX, "O1", 5), UsageError, "identity O1: operands must be given as a list, got 5"),
+    (lambda: two_level([0.0], "half"), UsageError, "default weight is not a real number, got 'half'"),
+    (lambda: scaled_deviation(EXP, "self", 1.0, "x"), UsageError, "index: expected an integer, got 'x'"),
+    (lambda: min_index_for_epsilon(EXP, "self", 1.0, 10**400), ValidationError, "eps must be a finite number > 0"),
 ]
 
 
