@@ -4,10 +4,11 @@ A call either returns or raises a MuFieldError; no other exception escapes,
 and no warning is printed. Numbers come from the edge pool, the finite edges
 of the CLI's pool plus the infinities and NaN, which only the library can be
 handed; one in four is a value of another type (a string, None, an int past
-the float range, and a complex value where a real one is read). Membership specs and experiment documents are drawn from README's
-grammar by the generators of the CLI contract; a context, a sequence or an
-experiment is built inside the call, so a refusal to build one is held to
-the same rule. The faults these calls found are pinned as examples.
+the float range, and a complex value where a real one is read). Membership
+specs and experiment documents are drawn from README's grammar by the
+generators of the CLI contract; a context, a sequence or an experiment is
+built inside the call, so a refusal to build one is held to the same rule.
+The faults these calls found are pinned as examples.
 """
 
 import functools
