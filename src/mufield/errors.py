@@ -19,9 +19,10 @@ never a raw TypeError and never silently dropped. The four reading rules:
    0, [], "" or null there is refused, and {} for the keys it lacks.
 
 check_eps is the one reader of an eps, from a document or from the API: a
-finite number > 0. operand is the one reader of a number handed to a library
-function: a number of the wrong type there is a UsageError, an integer past
-the float range a DomainError.
+finite number > 0. operand reads a real or complex operand handed to a
+library function, whose caller decides what a non-finite one means: a value
+of the wrong type there is a UsageError, an integer past the float range a
+DomainError.
 
 Value rules stay with the objects built: a moebius sequence, for one, refuses
 a pole in its index range, found from -d/c without evaluating a term.
